@@ -10,7 +10,9 @@ Subcommands:
   its verified connectivity pair;
 * ``bicayley --r R --set 0,1,2``: the Bi-Cayley graph BC(Z_r, S);
 * ``verify --theorem T [...]``: run one claim's verification, print the
-  report, exit 0 when no violations were found and 2 otherwise;
+  report, exit 0 when no violations were found and 2 otherwise; ``--theorem
+  all`` runs every claim and prints one summary line each (``--format json``:
+  the list of reports);
 * ``scan --r R --s S --m M --metric MET``: extremal metric values over all
   labeled graphs with exactly m edges.
 
@@ -50,7 +52,7 @@ from .bounds import (
 from .connectivity import ConnectivityResult, edge_connectivity, vertex_connectivity
 from .constructions import CayleySubset, WitnessFamilyId, bi_cayley, build_witness, witness_notes
 from .errors import BipconError, TooLarge
-from .verifier import METRIC_IDS, THEOREM_IDS, check_theorem, extremal_scan
+from .verifier import METRIC_IDS, THEOREM_IDS, VERTEX_THEOREMS, TheoremReport, check_theorem, extremal_scan
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 2
@@ -114,8 +116,8 @@ def _build_parser() -> _Parser:
                    help="comma-separated subset of 0..r-1, or 'empty'")
     p.add_argument("--format", choices=("edge-list", "json"), default="edge-list")
 
-    p = sub.add_parser("verify", help="verify one claim, exit 0/2")
-    p.add_argument("--theorem", required=True, choices=THEOREM_IDS)
+    p = sub.add_parser("verify", help="verify one claim or all of them, exit 0/2")
+    p.add_argument("--theorem", required=True, choices=THEOREM_IDS + ("all",))
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--max-r", type=int, default=8)
     p.add_argument("--trials", type=int, default=10_000)
@@ -272,15 +274,41 @@ def _cmd_bicayley(opts) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(opts) -> int:
-    report = check_theorem(
-        opts.theorem,
+def _verify_one(theorem: str, opts) -> TheoremReport:
+    return check_theorem(
+        theorem,
         max_n=opts.max_n,
         max_r=opts.max_r,
         trials=opts.trials,
         seed=opts.seed,
         jobs=opts.jobs,
     )
+
+
+def _verify_all(opts) -> int:
+    # Vertex-metric claims run first: their sweeps, cached with vertex cells,
+    # then serve the edge-only claims.
+    by_id = {
+        theorem: _verify_one(theorem, opts)
+        for theorem in sorted(THEOREM_IDS, key=lambda t: t not in VERTEX_THEOREMS)
+    }
+    reports = [by_id[theorem] for theorem in THEOREM_IDS]
+    if opts.format == "json":
+        print(json.dumps([r.to_json_dict() for r in reports], indent=2))
+    else:
+        for report in reports:
+            attained = sum(1 for a in report.attainment if a.attained)
+            attain_note = f", attainment {attained}/{len(report.attainment)}" if report.attainment else ""
+            status = "ok" if not report.violations else f"{len(report.violations)} VIOLATIONS"
+            print(f"{report.theorem:5s} {status:>14s}  graphs={report.graphs_checked:<7d} "
+                  f"wall={report.wall_ms} ms{attain_note}")
+    return max(r.exit_status for r in reports)
+
+
+def _cmd_verify(opts) -> int:
+    if opts.theorem == "all":
+        return _verify_all(opts)
+    report = _verify_one(opts.theorem, opts)
     if opts.format == "json":
         print(json.dumps(report.to_json_dict(), indent=2))
         return report.exit_status

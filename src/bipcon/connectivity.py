@@ -158,22 +158,30 @@ def _edge_capacity_base(r: int, n: int, rows: tuple[int, ...]) -> list[list[int]
     return base
 
 
-def edge_connectivity_value(r: int, s: int, rows: tuple[int, ...]) -> int:
-    """Edge connectivity by fixed-source, varying-sink max-flow (no certificate)."""
+def _edge_min_cut(r: int, s: int, rows: tuple[int, ...]):
+    """(edge connectivity, minimizing sink, capacity base) by fixed-source,
+    varying-sink max-flow; the sink is the first in index order that attains
+    the minimum, and is None when the value is 0."""
     n = r + s
     adj = _adjacency_masks(r, s, rows)
     if not _connected_masks(n, adj):
-        return 0
+        return 0, None, None
     base = _edge_capacity_base(r, n, rows)
     best: int | None = None
+    best_sink = None
     for t in range(1, n):
         cap = [row[:] for row in base]
         f = _maxflow(cap, 0, t, best)
         if best is None or f < best:
-            best = f
+            best, best_sink = f, t
             if best <= 1:
                 break
-    return best if best is not None else 0
+    return (best if best is not None else 0), best_sink, base
+
+
+def edge_connectivity_value(r: int, s: int, rows: tuple[int, ...]) -> int:
+    """Edge connectivity by fixed-source, varying-sink max-flow (no certificate)."""
+    return _edge_min_cut(r, s, rows)[0]
 
 
 def edge_connectivity(g: BipartiteGraph) -> ConnectivityResult:
@@ -182,25 +190,14 @@ def edge_connectivity(g: BipartiteGraph) -> ConnectivityResult:
     The certificate comes from the first sink (in index order) that attains
     the minimum, so identical inputs always yield identical cuts.
     """
-    n = g.n
-    if n < 2:
+    if g.n < 2:
         raise TooSmall("edge connectivity needs at least two vertices")
-    r, s, rows = g.left_size, g.right_size, g.adjacency
-    adj = _adjacency_masks(r, s, rows)
-    if not _connected_masks(n, adj):
+    r, rows = g.left_size, g.adjacency
+    best, sink, base = _edge_min_cut(r, g.right_size, rows)
+    if best == 0:
         return ConnectivityResult(0, "disconnected")
-    base = _edge_capacity_base(r, n, rows)
-    best: int | None = None
-    best_sink = 1
-    for t in range(1, n):
-        cap = [row[:] for row in base]
-        f = _maxflow(cap, 0, t, best)
-        if best is None or f < best:
-            best, best_sink = f, t
-            if best <= 1:
-                break
     cap = [row[:] for row in base]
-    _maxflow(cap, 0, best_sink, None)
+    _maxflow(cap, 0, sink, None)
     reach = _residual_reachable(cap, 0)
     cut = []
     for i in range(r):
@@ -212,7 +209,8 @@ def edge_connectivity(g: BipartiteGraph) -> ConnectivityResult:
                 cut.append((i + 1, j + 1))
             row ^= low
     cut.sort()
-    assert len(cut) == best
+    if len(cut) != best:
+        raise RuntimeError(f"edge cut of {len(cut)} edges for a flow of {best}")
     return ConnectivityResult(best, "edge_cut", edges=tuple(cut))
 
 
@@ -255,22 +253,30 @@ def _nonadjacent_pairs(n: int, adj: list[int]):
                 yield a, b
 
 
-def vertex_connectivity_value(r: int, s: int, rows: tuple[int, ...]) -> int:
-    """Vertex connectivity on the split-vertex network (no certificate)."""
+def _vertex_min_cut(r: int, s: int, rows: tuple[int, ...]):
+    """(vertex connectivity, minimizing pair, split network) over all
+    non-adjacent pairs in index order. The pair is None when the value is 0
+    or when no non-adjacent pair exists (value n - 1)."""
     n = r + s
     adj = _adjacency_masks(r, s, rows)
     if not _connected_masks(n, adj):
-        return 0
+        return 0, None, None
     base = _split_capacity_base(r, n, rows)
     best: int | None = None
+    best_pair: tuple[int, int] | None = None
     for a, b in _nonadjacent_pairs(n, adj):
         cap = [row[:] for row in base]
         f = _maxflow(cap, 2 * a + 1, 2 * b, best)
         if best is None or f < best:
-            best = f
+            best, best_pair = f, (a, b)
             if best <= 1:
                 break
-    return n - 1 if best is None else best
+    return (n - 1 if best is None else best), best_pair, base
+
+
+def vertex_connectivity_value(r: int, s: int, rows: tuple[int, ...]) -> int:
+    """Vertex connectivity on the split-vertex network (no certificate)."""
+    return _vertex_min_cut(r, s, rows)[0]
 
 
 def vertex_connectivity(g: BipartiteGraph) -> ConnectivityResult:
@@ -284,29 +290,20 @@ def vertex_connectivity(g: BipartiteGraph) -> ConnectivityResult:
     n = g.n
     if n < 2:
         raise TooSmall("vertex connectivity needs at least two vertices")
-    r, s, rows = g.left_size, g.right_size, g.adjacency
-    adj = _adjacency_masks(r, s, rows)
-    if not _connected_masks(n, adj):
+    r = g.left_size
+    best, pair, base = _vertex_min_cut(r, g.right_size, g.adjacency)
+    if best == 0:
         return ConnectivityResult(0, "disconnected")
-    base = _split_capacity_base(r, n, rows)
-    best: int | None = None
-    best_pair: tuple[int, int] | None = None
-    for a, b in _nonadjacent_pairs(n, adj):
-        cap = [row[:] for row in base]
-        f = _maxflow(cap, 2 * a + 1, 2 * b, best)
-        if best is None or f < best:
-            best, best_pair = f, (a, b)
-            if best <= 1:
-                break
-    if best_pair is None:
+    if pair is None:
         side = tuple(_vertex_label(r, v) for v in range(max(r, 1)))
         return ConnectivityResult(n - 1, "complete_side", vertices=side)
-    a, b = best_pair
+    a, b = pair
     cap = [row[:] for row in base]
     _maxflow(cap, 2 * a + 1, 2 * b, None)
     reach = _residual_reachable(cap, 2 * a + 1)
     cut = [v for v in range(n) if (reach >> (2 * v) & 1) and not (reach >> (2 * v + 1) & 1)]
-    assert len(cut) == best
+    if len(cut) != best:
+        raise RuntimeError(f"vertex cut of {len(cut)} vertices for a flow of {best}")
     kind = "vertex_cut"
     if cut == list(range(r)) or cut == list(range(r, n)):
         kind = "complete_side"

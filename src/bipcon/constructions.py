@@ -272,8 +272,8 @@ def build_witness(family: WitnessFamilyId, r: int, s: int, m: int | None = None)
     whenever the parameters lie outside the family's domain.
     """
     g = _BUILDERS[family](r, s, m)
-    if family not in (WitnessFamilyId.S3_G1, WitnessFamilyId.S3_G2) and m is not None:
-        assert g.edge_count == m, f"{family.value} built {g.edge_count} edges, wanted {m}"
+    if family not in (WitnessFamilyId.S3_G1, WitnessFamilyId.S3_G2) and m is not None and g.edge_count != m:
+        raise RuntimeError(f"{family.value} built {g.edge_count} edges, wanted {m}")
     return g
 
 

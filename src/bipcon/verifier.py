@@ -1,17 +1,24 @@
 """Exhaustive and randomized verification of the connectivity bound claims.
 
-The engine enumerates every labeled bipartite graph of a shape (or of a
-fixed edge count), evaluates the minimum-degree, edge-connectivity, and
-vertex-connectivity sums and products of each graph/complement pair, checks
-them against the closed-form bounds, and tabulates where the bounds are
-attained. Scans parallelize over contiguous mask subranges; workers reduce
-locally and the merge is associative (max/min/concat with a smallest-mask
-tie-break), so reports are identical regardless of the worker count.
+The bound claims all read the same way: a pair value f(G) + f(G^bc) or
+f(G) * f(G^bc), with f the minimum degree, the edge connectivity or the
+vertex connectivity, stays on one side of a closed form in (r, s, m). The
+engine that checks them has three pieces:
 
-At eight vertices and below the scan backend is the brute-force oracle and
-every graph is additionally cross-checked against the max-flow values, so
-each exhaustive run doubles as an oracle-equivalence audit. Larger scans
-use max-flow alone.
+* mask sources: the 2^(rs-1) graph/complement pair masks of a shape
+  (``shape_sweep``), or a rank range of the masks with exactly m edges
+  (``extremal_scan``);
+* one chunk worker that runs only the kernels the requested metrics need
+  and folds each value into per-edge-count cells through one reducer (max
+  and min with a smallest-mask tie-break, plus a count), the same reducer
+  that merges the chunks, so reports are identical for any worker count;
+* a claim table, one row per (theorem, metric, side, bound, witness), that
+  drives both the per-graph violation checks and the attainment records.
+
+At eight vertices and below the connectivity kernels are the brute-force
+oracles, and every graph of a shape sweep is also cross-checked against the
+max-flow values, so each exhaustive run doubles as an oracle-equivalence
+audit. Larger scans use max-flow alone.
 
 Claim identifiers accepted by ``check_theorem``:
 
@@ -38,12 +45,14 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
 from math import comb
 from multiprocessing import Pool
-from typing import Iterator
+from operator import add, attrgetter, mul
+from typing import Callable, Iterator
 
 from .bigraph import BipartiteGraph, add_left_vertex, add_right_vertex, bipartite_complement
-from .bounds import M_upper, N_upper, ParameterTriple, delta_bounds
+from .bounds import M_upper, N_upper, ParameterTriple, delta_bounds, sum_lower_sized
 from .connectivity import (
     _adjacency_masks,
     _connected_masks,
@@ -106,6 +115,19 @@ def _iter_fixed_popcount(bits: int, m: int, start_rank: int, count: int) -> Iter
         mask = _next_same_popcount(mask)
 
 
+def _check_full_cap(bits: int) -> None:
+    if bits > FULL_ENUMERATION_MAX_BITS:
+        raise TooLarge(f"full enumeration of 2^{bits} = {1 << bits} graphs exceeds the cap")
+
+
+def _fixed_m_count(bits: int, m: int) -> int:
+    """C(bits, m), the number of m-edge masks, or TooLarge past the caps."""
+    total = comb(bits, m)
+    if bits > FIXED_M_MAX_BITS or total > FIXED_M_MAX_COUNT:
+        raise TooLarge(f"enumeration of C({bits}, {m}) = {total} graphs exceeds the cap")
+    return total
+
+
 def enumerate_graphs(r: int, s: int, m: int | None = None) -> Iterator[BipartiteGraph]:
     """Every labeled graph on the shape exactly once, in ascending mask order.
 
@@ -118,16 +140,13 @@ def enumerate_graphs(r: int, s: int, m: int | None = None) -> Iterator[Bipartite
         raise ValueError("part sizes must be nonnegative")
     bits = r * s
     if m is None:
-        if bits > FULL_ENUMERATION_MAX_BITS:
-            raise TooLarge(f"full enumeration of 2^{bits} = {1 << bits} graphs exceeds the cap")
+        _check_full_cap(bits)
         for mask in range(1 << bits):
             yield BipartiteGraph.from_mask(r, s, mask)
         return
     if m < 0:
         raise ValueError("edge count must be nonnegative")
-    total = comb(bits, m)
-    if bits > FIXED_M_MAX_BITS or total > FIXED_M_MAX_COUNT:
-        raise TooLarge(f"enumeration of C({bits}, {m}) = {total} graphs exceeds the cap")
+    total = _fixed_m_count(bits, m)
     for mask in _iter_fixed_popcount(bits, m, 0, total):
         yield BipartiteGraph.from_mask(r, s, mask)
 
@@ -137,7 +156,7 @@ def shapes_within(max_n: int) -> list[tuple[int, int]]:
     return [(r, s) for r in range(1, max_n // 2 + 1) for s in range(r, max_n - r + 1)]
 
 
-# --- per-graph metric kernel -------------------------------------------------
+# --- scan engine: mask sources, one chunk worker, one reducer -----------------
 
 
 def _rows_of(mask: int, r: int, s: int) -> tuple[int, ...]:
@@ -152,28 +171,6 @@ def _min_degree(r: int, s: int, rows: tuple[int, ...]) -> int:
         if col < dmin:
             dmin = col
     return dmin
-
-
-def _pair_invariants(r: int, s: int, rows, rows_c, use_oracle: bool, vertex: bool):
-    """(kp, kp_c, kv, kv_c, d, d_c) for a graph and its complement.
-
-    The vertex pair is None when not requested; it is by far the most
-    expensive invariant, so edge-only sweeps skip it.
-    """
-    if use_oracle:
-        kp = edge_oracle_value(r, s, rows)
-        kp_c = edge_oracle_value(r, s, rows_c)
-        kv = vertex_oracle_value(r, s, rows) if vertex else None
-        kv_c = vertex_oracle_value(r, s, rows_c) if vertex else None
-    else:
-        kp = edge_connectivity_value(r, s, rows)
-        kp_c = edge_connectivity_value(r, s, rows_c)
-        kv = vertex_connectivity_value(r, s, rows) if vertex else None
-        kv_c = vertex_connectivity_value(r, s, rows_c) if vertex else None
-    return kp, kp_c, kv, kv_c, _min_degree(r, s, rows), _min_degree(r, s, rows_c)
-
-
-# --- full-shape sweep ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -232,95 +229,91 @@ class ShapeSweep:
         return max(c.max_value for c in self.cells[metric] if c is not None)
 
 
-def _update_cell(cells_metric: list, m: int, value: int, mask: int) -> None:
-    cell = cells_metric[m]
+def _fold(cells: list, m: int, max_value: int, max_mask: int, min_value: int, min_mask: int, count: int) -> None:
+    """The reducer: fold one value, or a whole cell, into ``cells[m]``.
+
+    Keeps the max and the min, each with the smallest mask among ties, and
+    adds up the count. The order of folding never changes the result, so
+    chunks merge to the same cells for any worker count.
+    """
+    cell = cells[m]
     if cell is None:
-        cells_metric[m] = [value, mask, value, mask, 1]
+        cells[m] = [max_value, max_mask, min_value, min_mask, count]
         return
-    if value > cell[0] or (value == cell[0] and mask < cell[1]):
-        cell[0], cell[1] = value, mask
-    if value < cell[2] or (value == cell[2] and mask < cell[3]):
-        cell[2], cell[3] = value, mask
-    cell[4] += 1
+    if max_value > cell[0] or (max_value == cell[0] and max_mask < cell[1]):
+        cell[0], cell[1] = max_value, max_mask
+    if min_value < cell[2] or (min_value == cell[2] and min_mask < cell[3]):
+        cell[2], cell[3] = min_value, min_mask
+    cell[4] += count
 
 
-def _sweep_chunk(args):
-    """Worker: evaluate pair-masks in [lo, hi); each mask covers the graph and
-    its complement, so the chunk accounts for 2 * (hi - lo) labeled graphs."""
-    r, s, lo, hi, cross, vertex, lower_by_m, n_by_m, m_by_m = args
+_KINDS = ("edge", "vertex", "delta")
+
+
+def _chunk(args):
+    """Worker: fold the metric values of one mask range into cells by edge count.
+
+    With ``m`` None, [lo, hi) is a range of pair masks: a mask and its
+    complement are two labeled graphs, filed in cells popcount and
+    rs - popcount, and every mask is held to the per-edge-count bounds in
+    ``checks``. With ``m`` given, [lo, hi) is a rank range of the m-edge masks
+    and each mask is filed alone. Only the kernels the metrics need run (edge
+    pair, vertex pair, minimum degree). At r + s <= 8 the connectivity
+    kernels are the brute-force oracles, and pair ranges cross-check them
+    against max-flow graph by graph.
+    """
+    r, s, m, lo, hi, metrics, checks = args
     bits = r * s
     full = (1 << bits) - 1
-    cap = delta_bounds(r).prod_upper
     use_oracle = (r + s) <= ORACLE_BACKEND_MAX_VERTICES
-    cells = {metric: [None] * (bits + 1) for metric in _ALL_METRICS}
-    raw_violations = []  # (theorem, side, metric, m, subject_mask, observed, bound)
+    pair_range = m is None
+    flow = {"edge": edge_connectivity_value, "vertex": vertex_connectivity_value, "delta": _min_degree}
+    oracle = {"edge": edge_oracle_value, "vertex": vertex_oracle_value, "delta": _min_degree}
+    kinds = [kind for kind in _KINDS if any(metric.endswith(kind) for metric in metrics)]
+    kernels = [(oracle if use_oracle else flow)[kind] for kind in kinds]
+    cross = []  # (kind, index in kinds, flow kernel) to check against the oracle
+    if pair_range and use_oracle:
+        cross = [(kind, i, flow[kind]) for i, kind in enumerate(kinds) if kind != "delta"]
+    ops = [(kinds.index(metric.split("_")[1]), add if metric.startswith("sum") else mul) for metric in metrics]
+    cells = {metric: [None] * (bits + 1) for metric in metrics}
+    per_metric = list(cells.values())
+    raw = []  # (theorem, side, metric, m, subject_mask, observed, bound)
     mismatches = []
-    for mask in range(lo, hi):
+    masks = range(lo, hi) if pair_range else _iter_fixed_popcount(bits, m, lo, hi - lo)
+    for mask in masks:
         cmask = full ^ mask
         rows = _rows_of(mask, r, s)
         rows_c = _rows_of(cmask, r, s)
-        kp, kp_c, kv, kv_c, dd, dd_c = _pair_invariants(r, s, rows, rows_c, use_oracle, vertex)
+        pairs = [(fn(r, s, rows), fn(r, s, rows_c)) for fn in kernels]
         if cross:
-            # use_oracle holds here, so kp/kv carry oracle values; recompute
-            # the flow side and require exact agreement.
-            for side_mask, side_rows, oracle_kp, oracle_kv in (
-                (mask, rows, kp, kv),
-                (cmask, rows_c, kp_c, kv_c),
-            ):
-                flow_kp = edge_connectivity_value(r, s, side_rows)
-                if flow_kp != oracle_kp:
-                    mismatches.append((side_mask, "edge", flow_kp, oracle_kp))
-                if vertex:
-                    flow_kv = vertex_connectivity_value(r, s, side_rows)
-                    if flow_kv != oracle_kv:
-                        mismatches.append((side_mask, "vertex", flow_kv, oracle_kv))
-        se, pe = kp + kp_c, kp * kp_c
-        sd, pd = dd + dd_c, dd * dd_c
+            for side, side_mask, side_rows in ((0, mask, rows), (1, cmask, rows_c)):
+                for kind, i, fn in cross:
+                    flow_value = fn(r, s, side_rows)
+                    if flow_value != pairs[i][side]:
+                        mismatches.append((side_mask, kind, flow_value, pairs[i][side]))
+        values = [op(*pairs[i]) for i, op in ops]
         mm = mask.bit_count()
         mc = bits - mm
-        metric_values = [
-            ("sum_edge", se), ("prod_edge", pe),
-            ("sum_delta", sd), ("prod_delta", pd),
-        ]
-        if vertex:
-            sv, pv = kv + kv_c, kv * kv_c
-            metric_values += [("sum_vertex", sv), ("prod_vertex", pv)]
-        for metric, value in metric_values:
-            per_m = cells[metric]
-            _update_cell(per_m, mm, value, mask)
-            _update_cell(per_m, mc, value, cmask)
-        vm = mm if mm <= mc else mc
-        subject = mask if mm <= mc else cmask
-        if sd > r:
-            raw_violations.append(("L3.1", "upper", "sum_delta", vm, subject, sd, r))
-        if pd > cap:
-            raw_violations.append(("L3.1", "upper", "prod_delta", vm, subject, pd, cap))
-        if se > r:
-            raw_violations.append(("T3.2", "upper", "sum_edge", vm, subject, se, r))
-        if pe > cap:
-            raw_violations.append(("T3.2", "upper", "prod_edge", vm, subject, pe, cap))
-        if se < lower_by_m[vm]:
-            raw_violations.append(("T4.1", "lower", "sum_edge", vm, subject, se, lower_by_m[vm]))
-        if se > n_by_m[vm]:
-            raw_violations.append(("T4.1", "upper", "sum_edge", vm, subject, se, n_by_m[vm]))
-        if pe > m_by_m[vm]:
-            raw_violations.append(("T4.2", "upper", "prod_edge", vm, subject, pe, m_by_m[vm]))
-        if vertex:
-            if sv > r:
-                raw_violations.append(("T3.3", "upper", "sum_vertex", vm, subject, sv, r))
-            if pv > cap:
-                raw_violations.append(("T3.3", "upper", "prod_vertex", vm, subject, pv, cap))
-            if sv < lower_by_m[vm]:
-                raw_violations.append(("T4.3", "lower", "sum_vertex", vm, subject, sv, lower_by_m[vm]))
-            if sv > n_by_m[vm]:
-                raw_violations.append(("T4.3", "upper", "sum_vertex", vm, subject, sv, n_by_m[vm]))
-            if pv > m_by_m[vm]:
-                raw_violations.append(("T4.3", "upper", "prod_vertex", vm, subject, pv, m_by_m[vm]))
-    return 2 * (hi - lo), cells, raw_violations, mismatches
+        for per_m, value in zip(per_metric, values):
+            _fold(per_m, mm, value, mask, value, mask, 1)
+            if pair_range:
+                _fold(per_m, mc, value, cmask, value, cmask, 1)
+        if checks:
+            # The pair value is symmetric, so both graphs are held to the
+            # bound at the smaller edge count, reported on that graph.
+            vm, subject = (mm, mask) if mm <= mc else (mc, cmask)
+            for theorem, side, metric, i, bound_by_m, upper in checks:
+                value = values[i]
+                bound = bound_by_m[vm]
+                if value > bound if upper else value < bound:
+                    raw.append((theorem, side, metric, vm, subject, value, bound))
+    return (2 if pair_range else 1) * (hi - lo), cells, raw, mismatches
 
 
 def _resolve_jobs(jobs: int | None) -> int:
     if jobs is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return max(1, os.cpu_count() or 1)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -332,6 +325,29 @@ def _run_chunked(worker, arg_sets, jobs: int):
         return [worker(a) for a in arg_sets]
     with Pool(processes=min(jobs, len(arg_sets))) as pool:
         return pool.map(worker, arg_sets)
+
+
+def _scan(r: int, s: int, m: int | None, count: int, min_chunk: int, metrics, checks, jobs: int):
+    """Run ``count`` masks of one source (see ``_chunk``) in chunks; merge the results.
+
+    Returns (graphs, cells as metric -> per-edge-count lists, raw violations,
+    mismatches), all in mask order.
+    """
+    chunk = max(min_chunk, count // (jobs * 8)) if jobs > 1 else count
+    arg_sets = [(r, s, m, lo, min(lo + chunk, count), metrics, checks) for lo in range(0, count, chunk)]
+    graphs = 0
+    cells = {metric: [None] * (r * s + 1) for metric in metrics}
+    raw: list[tuple] = []
+    mismatches: list[tuple] = []
+    for chunk_graphs, chunk_cells, chunk_raw, chunk_mismatches in _run_chunked(_chunk, arg_sets, jobs):
+        graphs += chunk_graphs
+        for metric, per_m in chunk_cells.items():
+            for em, cell in enumerate(per_m):
+                if cell is not None:
+                    _fold(cells[metric], em, *cell)
+        raw += chunk_raw
+        mismatches += chunk_mismatches
+    return graphs, cells, raw, mismatches
 
 
 _SWEEP_CACHE: dict[tuple[int, int], ShapeSweep] = {}
@@ -361,57 +377,28 @@ def shape_sweep(
         if cached.has_vertex or not include_vertex:
             return cached
     bits = r * s
-    if bits > FULL_ENUMERATION_MAX_BITS:
-        raise TooLarge(f"full enumeration of 2^{bits} = {1 << bits} graphs exceeds the cap")
+    _check_full_cap(bits)
     jobs = _resolve_jobs(jobs)
     started = time.perf_counter()
-    lower_by_m, n_by_m, m_by_m = [], [], []
-    for mm in range(bits + 1):
-        vm = min(mm, bits - mm)
-        triple = ParameterTriple(r, s, vm)
-        lower_by_m.append(max(0, r - vm))
-        n_by_m.append(N_upper(triple))
-        m_by_m.append(M_upper(triple))
-    pairs = 1 << (bits - 1)
-    cross = (r + s) <= ORACLE_BACKEND_MAX_VERTICES
-    chunk = max(1024, pairs // (jobs * 8)) if jobs > 1 else pairs
-    arg_sets = [
-        (r, s, lo, min(lo + chunk, pairs), cross, include_vertex, lower_by_m, n_by_m, m_by_m)
-        for lo in range(0, pairs, chunk)
+    metrics = tuple(metric for metric in _ALL_METRICS if include_vertex or not metric.endswith("vertex"))
+    checks = [
+        (c.theorem, c.side, c.metric, metrics.index(c.metric),
+         [c.bound(r, s, m) for m in range(bits // 2 + 1)], c.side == "upper")
+        for c in _CLAIMS
+        if c.metric in metrics
     ]
-    results = _run_chunked(_sweep_chunk, arg_sets, jobs)
-    graphs = 0
-    cells: dict[str, list[_Cell | None]] = {metric: [None] * (bits + 1) for metric in _ALL_METRICS}
-    violations: list[Violation] = []
-    mismatches: list[tuple] = []
-    for count, chunk_cells, raw, mm in results:
-        graphs += count
-        for metric in _ALL_METRICS:
-            merged = cells[metric]
-            for m, cell in enumerate(chunk_cells[metric]):
-                if cell is None:
-                    continue
-                if merged[m] is None:
-                    merged[m] = list(cell)
-                else:
-                    tgt = merged[m]
-                    if cell[0] > tgt[0] or (cell[0] == tgt[0] and cell[1] < tgt[1]):
-                        tgt[0], tgt[1] = cell[0], cell[1]
-                    if cell[2] < tgt[2] or (cell[2] == tgt[2] and cell[3] < tgt[3]):
-                        tgt[2], tgt[3] = cell[2], cell[3]
-                    tgt[4] += cell[4]
-        for theorem, side, metric, vm, subject, observed, bound in raw:
-            violations.append(
-                Violation(
-                    theorem, side, metric, r, s, vm,
-                    tuple(BipartiteGraph.from_mask(r, s, subject).edges()),
-                    observed, bound,
-                )
-            )
-        mismatches.extend(mm)
+    graphs, cells, raw, mismatches = _scan(r, s, None, 1 << (bits - 1), 1024, metrics, checks, jobs)
+    violations = [
+        Violation(
+            theorem, side, metric, r, s, vm,
+            tuple(BipartiteGraph.from_mask(r, s, subject).edges()),
+            observed, bound,
+        )
+        for theorem, side, metric, vm, subject, observed, bound in raw
+    ]
     final_cells = {
-        metric: [None if c is None else _Cell(*c) for c in per_m]
-        for metric, per_m in cells.items()
+        metric: [None if c is None else _Cell(*c) for c in cells.get(metric, [None] * (bits + 1))]
+        for metric in _ALL_METRICS
     }
     sweep = ShapeSweep(
         r, s, graphs, final_cells, violations, mismatches,
@@ -459,29 +446,6 @@ def metric_value(metric: str, g: BipartiteGraph) -> int:
     return _metric_from_pair(metric, a, b)
 
 
-def _scan_chunk(args):
-    r, s, m, lo_rank, hi_rank, metric = args
-    bits = r * s
-    full = (1 << bits) - 1
-    use_oracle = (r + s) <= ORACLE_BACKEND_MAX_VERTICES
-    edge_metric = metric.endswith("edge")
-    if edge_metric:
-        fn = edge_oracle_value if use_oracle else edge_connectivity_value
-    else:
-        fn = vertex_oracle_value if use_oracle else vertex_connectivity_value
-    best_max = best_min = None
-    max_mask = min_mask = 0
-    for mask in _iter_fixed_popcount(bits, m, lo_rank, hi_rank - lo_rank):
-        rows = _rows_of(mask, r, s)
-        rows_c = _rows_of(full ^ mask, r, s)
-        value = _metric_from_pair(metric, fn(r, s, rows), fn(r, s, rows_c))
-        if best_max is None or value > best_max or (value == best_max and mask < max_mask):
-            best_max, max_mask = value, mask
-        if best_min is None or value < best_min or (value == best_min and mask < min_mask):
-            best_min, min_mask = value, mask
-    return hi_rank - lo_rank, best_max, max_mask, best_min, min_mask
-
-
 def extremal_scan(r: int, s: int, m: int, metric: str, jobs: int | None = None) -> ExtremalResult:
     """Extremal metric values over every labeled graph with exactly m edges.
 
@@ -493,33 +457,13 @@ def extremal_scan(r: int, s: int, m: int, metric: str, jobs: int | None = None) 
     if not (1 <= r <= s):
         raise ValueError(f"needs 1 <= r <= s, got r={r}, s={s}")
     ParameterTriple(r, s, m)
-    bits = r * s
-    total = comb(bits, m)
-    if bits > FIXED_M_MAX_BITS or total > FIXED_M_MAX_COUNT:
-        raise TooLarge(f"enumeration of C({bits}, {m}) = {total} graphs exceeds the cap")
-    jobs = _resolve_jobs(jobs)
-    chunk = max(4096, total // (jobs * 8)) if jobs > 1 else total
-    arg_sets = [
-        (r, s, m, lo, min(lo + chunk, total), metric)
-        for lo in range(0, total, chunk)
-    ]
-    results = _run_chunked(_scan_chunk, arg_sets, jobs)
-    graphs = 0
-    best_max = best_min = None
-    max_mask = min_mask = 0
-    for count, cmax, cmax_mask, cmin, cmin_mask in results:
-        graphs += count
-        if cmax is None:
-            continue
-        if best_max is None or cmax > best_max or (cmax == best_max and cmax_mask < max_mask):
-            best_max, max_mask = cmax, cmax_mask
-        if best_min is None or cmin < best_min or (cmin == best_min and cmin_mask < min_mask):
-            best_min, min_mask = cmin, cmin_mask
-    assert best_max is not None, "the m-edge class is never empty for valid triples"
+    total = _fixed_m_count(r * s, m)
+    graphs, cells, _, _ = _scan(r, s, m, total, 4096, (metric,), (), _resolve_jobs(jobs))
+    max_value, max_mask, min_value, min_mask, _ = cells[metric][m]
     return ExtremalResult(
-        metric, r, s, m, best_max,
+        metric, r, s, m, max_value,
         BipartiteGraph.from_mask(r, s, max_mask),
-        best_min,
+        min_value,
         BipartiteGraph.from_mask(r, s, min_mask),
         graphs,
     )
@@ -588,14 +532,109 @@ class TheoremReport:
         }
 
 
-def _witness_fields(goal: BoundGoal, metric: str, r: int, s: int, m: int):
-    """(family name, edges, metric value) for the dispatched witness, or Nones."""
-    try:
-        family, graph = dispatch_witness(goal, r, s, m)
-    except NoWitness:
-        return None, None, None
-    value = metric_value(metric, graph)
-    return (family.value if family is not None else "empty"), tuple(graph.edges()), value
+def _sum_cap(r: int, s: int, m: int | None) -> int:
+    return delta_bounds(r).sum_upper
+
+
+def _prod_cap(r: int, s: int, m: int | None) -> int:
+    return delta_bounds(r).prod_upper
+
+
+def _sum_floor(r: int, s: int, m: int) -> int:
+    return sum_lower_sized(ParameterTriple(r, s, m))
+
+
+def _n_bound(r: int, s: int, m: int) -> int:
+    return N_upper(ParameterTriple(r, s, m))
+
+
+def _m_bound(r: int, s: int, m: int) -> int:
+    return M_upper(ParameterTriple(r, s, m))
+
+
+def _no_witness(r: int, s: int, m: int | None) -> None:
+    return None
+
+
+def _complete_witness(r: int, s: int, m: int | None) -> tuple[str, BipartiteGraph]:
+    return "complete", BipartiteGraph.from_mask(r, s, (1 << (r * s)) - 1)
+
+
+def _s3_g2_witness(r: int, s: int, m: int | None) -> tuple[str, BipartiteGraph] | None:
+    if r < 4:  # the family's domain
+        return None
+    return WitnessFamilyId.S3_G2.value, build_witness(WitnessFamilyId.S3_G2, r, s)
+
+
+def _dispatched(goal: BoundGoal) -> Callable[[int, int, int], tuple[str, BipartiteGraph] | None]:
+    def witness(r: int, s: int, m: int) -> tuple[str, BipartiteGraph] | None:
+        try:
+            family, graph = dispatch_witness(goal, r, s, m)
+        except NoWitness:
+            return None
+        return (family.value if family is not None else "empty"), graph
+
+    return witness
+
+
+@dataclass(frozen=True)
+class _Claim:
+    """One bound of one theorem: ``metric`` stays on ``side`` of ``bound(r, s, m)``.
+
+    A sized claim holds per edge count m <= floor(rs/2) and gets one
+    attainment record per m; an unsized one ignores m and gets one record
+    per shape (m None). ``witness(r, s, m)`` gives (family name, graph)
+    meant to reach the bound, or None.
+    """
+
+    theorem: str
+    metric: str
+    side: str  # "lower" | "upper"
+    sized: bool
+    bound: Callable[[int, int, int | None], int]
+    witness: Callable[[int, int, int | None], tuple[str, BipartiteGraph] | None]
+
+
+# The bound and witness functions look the bounds and builders up at call
+# time, so a caller that rebinds those module names sees every call.
+_CLAIMS = (
+    _Claim("L3.1", "sum_delta", "upper", False, _sum_cap, _no_witness),
+    _Claim("L3.1", "prod_delta", "upper", False, _prod_cap, _no_witness),
+    _Claim("T3.2", "sum_edge", "upper", False, _sum_cap, _complete_witness),
+    _Claim("T3.2", "prod_edge", "upper", False, _prod_cap, _s3_g2_witness),
+    _Claim("T3.3", "sum_vertex", "upper", False, _sum_cap, _complete_witness),
+    _Claim("T3.3", "prod_vertex", "upper", False, _prod_cap, _s3_g2_witness),
+    _Claim("T4.1", "sum_edge", "upper", True, _n_bound, _dispatched(BoundGoal.SUM_UPPER)),
+    _Claim("T4.1", "sum_edge", "lower", True, _sum_floor, _dispatched(BoundGoal.SUM_LOWER)),
+    _Claim("T4.2", "prod_edge", "upper", True, _m_bound, _dispatched(BoundGoal.PROD_UPPER)),
+    _Claim("T4.3", "sum_vertex", "upper", True, _n_bound, _dispatched(BoundGoal.SUM_UPPER)),
+    _Claim("T4.3", "sum_vertex", "lower", True, _sum_floor, _dispatched(BoundGoal.SUM_LOWER)),
+    _Claim("T4.3", "prod_vertex", "upper", True, _m_bound, _dispatched(BoundGoal.PROD_UPPER)),
+)
+
+# Claims on vertex connectivity, the costliest kernel: only their sweeps carry
+# vertex cells, and a cached vertex sweep serves the edge-only claims too.
+VERTEX_THEOREMS = frozenset(c.theorem for c in _CLAIMS if c.metric.endswith("vertex"))
+
+
+def _attainment(claim: _Claim, sweep: ShapeSweep, m: int | None) -> AttainmentRecord:
+    """How close the sweep's extreme on the claim's side came to its bound."""
+    r, s = sweep.r, sweep.s
+    cells = sweep.cells[claim.metric] if m is None else sweep.cells[claim.metric][m:m + 1]
+    if claim.side == "upper":
+        enumerated = max(c.max_value for c in cells if c is not None)
+    else:
+        enumerated = min(c.min_value for c in cells if c is not None)
+    formula = claim.bound(r, s, m)
+    witness = claim.witness(r, s, m)
+    if witness is None:
+        family = edges = value = None
+    else:
+        family, graph = witness
+        edges, value = tuple(graph.edges()), metric_value(claim.metric, graph)
+    return AttainmentRecord(
+        r, s, m, claim.metric, claim.side, enumerated, formula, enumerated == formula, family, edges, value
+    )
 
 
 def _check_bicayley_complement(max_r: int) -> tuple[int, list[Violation]]:
@@ -671,10 +710,9 @@ _L25_SHAPE_MAX = 4  # parts drawn from 1..4, so trial graphs have at most 8 vert
 def _l25_chunk(args):
     chunk_seed, count = args
     rng = random.Random(chunk_seed)
-    trials = 0
+    checked = 0
     raw = []  # (r, s, edges, side, neighbors, before, after)
-    while trials < count:
-        trials += 1
+    for _ in range(count):
         r = rng.randint(1, _L25_SHAPE_MAX)
         s = rng.randint(1, _L25_SHAPE_MAX)
         g = None
@@ -686,6 +724,7 @@ def _l25_chunk(args):
                 break
         if g is None:
             continue
+        checked += 1
         k = edge_connectivity_value(r, s, g.adjacency)
         attach_right = rng.random() < 0.5
         opposite = r if attach_right else s
@@ -695,7 +734,7 @@ def _l25_chunk(args):
         after = edge_connectivity_value(extended.left_size, extended.right_size, extended.adjacency)
         if after < k:
             raw.append((r, s, tuple(g.edges()), "right" if attach_right else "left", tuple(neighbors), k, after))
-    return trials, raw
+    return checked, raw
 
 
 def _check_vertex_addition(trials: int, seed: int, jobs: int) -> tuple[int, list[Violation]]:
@@ -722,71 +761,23 @@ def _check_vertex_addition(trials: int, seed: int, jobs: int) -> tuple[int, list
 
 
 def _bound_theorem_report(theorem: str, max_n: int, jobs: int) -> tuple[int, list[Violation], list[AttainmentRecord]]:
-    needs_vertex = theorem in ("T3.3", "T4.3")
+    claims = [c for c in _CLAIMS if c.theorem == theorem]
+    shapes = shapes_within(max_n)
+    for r, s in shapes:
+        _check_full_cap(r * s)
     checked = 0
     violations: list[Violation] = []
     attainment: list[AttainmentRecord] = []
-    for r, s in shapes_within(max_n):
-        sweep = shape_sweep(r, s, jobs=jobs, include_vertex=needs_vertex)
+    for r, s in shapes:
+        sweep = shape_sweep(r, s, jobs=jobs, include_vertex=theorem in VERTEX_THEOREMS)
         checked += sweep.graphs_checked
         violations.extend(v for v in sweep.violations if v.theorem == theorem)
-        bits = r * s
-        cap = delta_bounds(r).prod_upper
-        if theorem == "L3.1":
-            attainment.append(AttainmentRecord(
-                r, s, None, "sum_delta", "upper", sweep.envelope_max("sum_delta"), r,
-                sweep.envelope_max("sum_delta") == r, None, None, None))
-            attainment.append(AttainmentRecord(
-                r, s, None, "prod_delta", "upper", sweep.envelope_max("prod_delta"), cap,
-                sweep.envelope_max("prod_delta") == cap, None, None, None))
-        elif theorem in ("T3.2", "T3.3"):
-            metric_sum = "sum_edge" if theorem == "T3.2" else "sum_vertex"
-            metric_prod = "prod_edge" if theorem == "T3.2" else "prod_vertex"
-            complete = BipartiteGraph.from_mask(r, s, (1 << bits) - 1)
-            sum_wvalue = metric_value(metric_sum, complete)
-            attainment.append(AttainmentRecord(
-                r, s, None, metric_sum, "upper", sweep.envelope_max(metric_sum), r,
-                sweep.envelope_max(metric_sum) == r, "complete",
-                tuple(complete.edges()), sum_wvalue))
-            if r >= 4:
-                witness = build_witness(WitnessFamilyId.S3_G2, r, s)
-                prod_witness = ("s3-g2", tuple(witness.edges()), metric_value(metric_prod, witness))
-            else:
-                prod_witness = (None, None, None)
-            attainment.append(AttainmentRecord(
-                r, s, None, metric_prod, "upper", sweep.envelope_max(metric_prod), cap,
-                sweep.envelope_max(metric_prod) == cap, *prod_witness))
-        elif theorem in ("T4.1", "T4.3"):
-            metric = "sum_edge" if theorem == "T4.1" else "sum_vertex"
-            for m in range(bits // 2 + 1):
-                cell = sweep.cells[metric][m]
-                triple = ParameterTriple(r, s, m)
-                formula_hi = N_upper(triple)
-                formula_lo = max(0, r - m)
-                fam, wedges, wvalue = _witness_fields(BoundGoal.SUM_UPPER, metric, r, s, m)
-                attainment.append(AttainmentRecord(
-                    r, s, m, metric, "upper", cell.max_value, formula_hi,
-                    cell.max_value == formula_hi, fam, wedges, wvalue))
-                fam, wedges, wvalue = _witness_fields(BoundGoal.SUM_LOWER, metric, r, s, m)
-                attainment.append(AttainmentRecord(
-                    r, s, m, metric, "lower", cell.min_value, formula_lo,
-                    cell.min_value == formula_lo, fam, wedges, wvalue))
-            if theorem == "T4.3":
-                for m in range(bits // 2 + 1):
-                    cell = sweep.cells["prod_vertex"][m]
-                    formula = M_upper(ParameterTriple(r, s, m))
-                    fam, wedges, wvalue = _witness_fields(BoundGoal.PROD_UPPER, "prod_vertex", r, s, m)
-                    attainment.append(AttainmentRecord(
-                        r, s, m, "prod_vertex", "upper", cell.max_value, formula,
-                        cell.max_value == formula, fam, wedges, wvalue))
-        elif theorem == "T4.2":
-            for m in range(bits // 2 + 1):
-                cell = sweep.cells["prod_edge"][m]
-                formula = M_upper(ParameterTriple(r, s, m))
-                fam, wedges, wvalue = _witness_fields(BoundGoal.PROD_UPPER, "prod_edge", r, s, m)
-                attainment.append(AttainmentRecord(
-                    r, s, m, "prod_edge", "upper", cell.max_value, formula,
-                    cell.max_value == formula, fam, wedges, wvalue))
+        # Records run metric by metric, then edge count by edge count, then
+        # claim by claim in table order.
+        for _, group in groupby(claims, key=attrgetter("metric")):
+            group = list(group)
+            for m in range(r * s // 2 + 1) if group[0].sized else (None,):
+                attainment.extend(_attainment(c, sweep, m) for c in group)
     return checked, violations, attainment
 
 

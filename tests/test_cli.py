@@ -4,6 +4,7 @@ import pytest
 
 from bipcon.bigraph import new_graph, parse_edge_list
 from bipcon.cli import EXIT_DOMAIN, EXIT_FILE, EXIT_OK, EXIT_USAGE, main
+from bipcon.verifier import THEOREM_IDS
 
 
 def run(capsys, *argv):
@@ -124,6 +125,18 @@ def test_verify_json(capsys):
     assert payload["theorem"] == "L2.1"
 
 
+def test_verify_all(capsys):
+    argv = ("verify", "--theorem", "all", "--max-n", "4", "--max-r", "3", "--trials", "20", "--jobs", "1")
+    status, out, _ = run(capsys, *argv)
+    assert status == EXIT_OK
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == list(THEOREM_IDS)
+    assert all(line.split()[1] == "ok" for line in lines)
+    status, out, _ = run(capsys, *argv, "--format", "json")
+    assert status == EXIT_OK
+    assert [report["theorem"] for report in json.loads(out)] == list(THEOREM_IDS)
+
+
 def test_scan_command(capsys):
     status, out, _ = run(capsys, "scan", "--r", "2", "--s", "2", "--m", "2",
                          "--metric", "sum_edge", "--jobs", "1")
@@ -150,5 +163,8 @@ def test_file_errors(tmp_path, capsys):
 def test_too_large_exit_code(capsys):
     status, _, err = run(capsys, "scan", "--r", "5", "--s", "6", "--m", "15",
                          "--metric", "sum_edge", "--jobs", "1")
+    assert status == EXIT_DOMAIN
+    assert "too large" in err
+    status, _, err = run(capsys, "verify", "--theorem", "T4.1", "--max-n", "10", "--jobs", "1")
     assert status == EXIT_DOMAIN
     assert "too large" in err

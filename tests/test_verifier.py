@@ -1,15 +1,20 @@
+import dataclasses
 import json
+import os
 import random
 
 import pytest
 
-from bipcon.bigraph import BipartiteGraph
+from bipcon import verifier
+from bipcon.bigraph import BipartiteGraph, bipartite_complement
 from bipcon.bounds import M_upper, ParameterTriple
 from bipcon.constructions import BoundGoal, WitnessFamilyId, dispatch_witness
 from bipcon.errors import TooLarge, UnknownTheorem
 from bipcon.verifier import (
     METRIC_IDS,
+    Violation,
     _iter_fixed_popcount,
+    _resolve_jobs,
     _unrank_colex,
     check_theorem,
     enumerate_graphs,
@@ -72,8 +77,9 @@ def test_extremal_scan_result_is_consistent():
 
 
 def test_prod_bound_feasible_at_4_5_10():
-    # The full C(20,10) scan lives in scripts/; here the dispatched witness
-    # must reach M(9, 10) = 4 and sampled 10-edge graphs must stay below it.
+    # The full C(20,10) scan is `bipcon scan --r 4 --s 5 --m 10 --metric
+    # prod_edge`; here the dispatched witness must reach M(9, 10) = 4 and
+    # sampled 10-edge graphs must stay below it.
     bound = M_upper(ParameterTriple(4, 5, 10))
     assert bound == 4
     family, witness = dispatch_witness(BoundGoal.PROD_UPPER, 4, 5, 10)
@@ -134,14 +140,57 @@ def test_edge_only_sweep_matches_full_sweep():
 
 
 def test_sweep_cache_upgrades_to_vertex_metrics():
-    from bipcon import verifier
-
     verifier._SWEEP_CACHE.pop((1, 3), None)
     lean = shape_sweep(1, 3, jobs=1, include_vertex=False)
     assert not lean.has_vertex
     full = shape_sweep(1, 3, jobs=1, include_vertex=True)
     assert full.has_vertex
     assert shape_sweep(1, 3, jobs=1, include_vertex=False) is full
+
+
+@pytest.mark.parametrize("side, shift", [("upper", -1), ("lower", 1)])
+def test_tightened_claim_reports_every_violating_graph(monkeypatch, side, shift):
+    # Tighten T4.1's bound by one; every (2, 3) pair whose edge-connectivity
+    # sum lies on the far side must come out as a violation, reported on the
+    # graph with fewer edges (the smaller mask on ties) at that edge count.
+    claims = list(verifier._CLAIMS)
+    index = next(i for i, c in enumerate(claims) if (c.theorem, c.side) == ("T4.1", side))
+    loose = claims[index].bound
+    claims[index] = dataclasses.replace(claims[index], bound=lambda r, s, m: loose(r, s, m) + shift)
+    monkeypatch.setattr(verifier, "_CLAIMS", tuple(claims))
+    sweep = shape_sweep(2, 3, jobs=1, use_cache=False, include_vertex=False)
+    expected = []
+    for g in enumerate_graphs(2, 3):
+        gc = bipartite_complement(g)
+        if (g.edge_count, g.mask) > (gc.edge_count, gc.mask):
+            continue
+        observed = metric_value("sum_edge", g)
+        bound = loose(2, 3, g.edge_count) + shift
+        if (observed > bound) if side == "upper" else (observed < bound):
+            expected.append(Violation("T4.1", side, "sum_edge", 2, 3, g.edge_count, tuple(g.edges()), observed, bound))
+    assert expected
+    assert len(sweep.violations) == len(expected)
+    assert set(sweep.violations) == set(expected)
+
+
+def test_oversized_request_is_rejected_before_any_sweep(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept a shape before checking the size caps")
+
+    monkeypatch.setattr(verifier, "shape_sweep", no_sweep)
+    with pytest.raises(TooLarge):
+        check_theorem("T4.1", max_n=10, jobs=1)
+
+
+def test_vertex_addition_counts_only_checked_trials(monkeypatch):
+    monkeypatch.setattr(verifier, "_is_connected_rows", lambda r, s, rows: False)
+    report = check_theorem("L2.5", trials=5, seed=7, jobs=1)
+    assert report.graphs_checked == 0
+
+
+def test_default_jobs_follow_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _resolve_jobs(None) == 1
 
 
 def test_shape_sweep_envelope_below_unconstrained_bound():
