@@ -118,7 +118,8 @@ def M_upper(p: ParameterTriple) -> int:
     else:
         d = m // s
         value = d * (r - 1 - d)
-    assert value >= 0, "valid triples never produce a negative product bound"
+    if value < 0:
+        raise RuntimeError(f"negative product bound {value} for a valid triple {p}")
     return value
 
 

@@ -156,7 +156,8 @@ def _build_s4_g2(r: int, s: int, m: int | None) -> BipartiteGraph:
             remaining -= 1
         if remaining == 0:
             break
-    assert remaining == 0, "m <= floor(rs/2) guarantees capacity"
+    if remaining:
+        raise RuntimeError(f"{remaining} of {m} edges left unplaced, though m <= floor(rs/2) leaves room")
     return new_graph(r, s, edges)
 
 
@@ -218,7 +219,8 @@ def _build_s4_g6(r: int, s: int, m: int | None) -> BipartiteGraph:
     _check_s4_g6_g7_common(fam, r, s, m)
     _require(m % s == 0, fam, f"needs m divisible by s, got m={m}, s={s}")
     d = m // s
-    assert d >= 2, "m >= n forces d >= 2"
+    if d < 2:
+        raise RuntimeError(f"m = {m} >= n = {r + s} forces m/s >= 2, got {d}")
     return _bi_cayley_with_attachments(r, s, d)
 
 

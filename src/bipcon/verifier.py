@@ -56,6 +56,7 @@ from .bounds import M_upper, N_upper, ParameterTriple, delta_bounds, sum_lower_s
 from .connectivity import (
     _adjacency_masks,
     _connected_masks,
+    _min_degree,
     edge_connectivity_value,
     edge_oracle_value,
     vertex_connectivity_value,
@@ -162,15 +163,6 @@ def shapes_within(max_n: int) -> list[tuple[int, int]]:
 def _rows_of(mask: int, r: int, s: int) -> tuple[int, ...]:
     smask = (1 << s) - 1
     return tuple((mask >> (i * s)) & smask for i in range(r))
-
-
-def _min_degree(r: int, s: int, rows: tuple[int, ...]) -> int:
-    dmin = min(row.bit_count() for row in rows)
-    for j in range(s):
-        col = sum(rows[i] >> j & 1 for i in range(r))
-        if col < dmin:
-            dmin = col
-    return dmin
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -6,15 +8,22 @@ from bipcon.bigraph import (
     BipartiteGraph,
     add_left_vertex,
     add_right_vertex,
+    bipartite_complement,
     degrees,
     new_graph,
 )
 from bipcon.connectivity import (
+    _adjacency_masks,
+    _min_degree,
+    _split_network,
+    _unit_flow,
     brute_force_edge_connectivity,
     brute_force_vertex_connectivity,
     edge_connectivity,
+    edge_connectivity_value,
     is_connected,
     vertex_connectivity,
+    vertex_connectivity_value,
 )
 from bipcon.constructions import CayleySubset, bi_cayley
 from bipcon.errors import EmptyGraph, TooLarge, TooSmall
@@ -58,6 +67,9 @@ def test_connectivity_rejects_tiny_graphs():
         edge_connectivity(single)
     with pytest.raises(TooSmall):
         vertex_connectivity(single)
+    # The value kernels stay total, like the oracles: a single vertex has 0.
+    for r, s, rows in ((1, 0, (0,)), (0, 1, ())):
+        assert edge_connectivity_value(r, s, rows) == vertex_connectivity_value(r, s, rows) == 0
 
 
 def test_vertex_connectivity_complete_shapes():
@@ -163,3 +175,156 @@ def test_certificates_on_complete_bipartite():
     res = vertex_connectivity(complete(2, 3))
     assert res.kind == "complete_side"
     assert set(res.vertices) == {"x1", "x2"}
+
+
+def _assert_valid_certificates(g):
+    """Both certificates are cuts of the reported size, and repeat exactly."""
+    edge, vertex = edge_connectivity(g), vertex_connectivity(g)
+    assert edge == edge_connectivity(g) and vertex == vertex_connectivity(g)
+    if edge.value == 0:
+        assert edge.kind == vertex.kind == "disconnected" and vertex.value == 0
+        assert components_count(g) >= 2
+        return edge, vertex
+    assert len(edge.edges) == len(set(edge.edges)) == edge.value
+    assert components_count(delete_edges(g, edge.edges)) >= 2
+    assert len(vertex.vertices) == len(set(vertex.vertices)) == vertex.value
+    remainder = delete_vertices(g, vertex.vertices)
+    assert remainder.n <= 1 or components_count(remainder) >= 2
+    assert vertex.value <= edge.value <= degrees(g).min_degree
+    return edge, vertex
+
+
+def test_certificate_at_delta_is_the_last_minimum_degree_neighbourhood():
+    # BC(Z_5, {0, 1, 2}) and its complement are connected, so k = k' = delta = 3
+    # (L2.4) and no pair's flow beats delta.
+    g = bi_cayley(CayleySubset(5, frozenset({0, 1, 2})))
+    edge, vertex = _assert_valid_certificates(g)
+    assert edge.value == vertex.value == 3 == brute_force_vertex_connectivity(g)
+    # y5 is adjacent to x3, x4, x5 and is the last vertex of degree 3.
+    assert vertex.kind == "vertex_cut" and vertex.vertices == ("x3", "x4", "x5")
+    assert edge.edges == ((3, 5), (4, 5), (5, 5))
+
+
+def test_connected_graph_of_minimum_degree_one_needs_no_flow():
+    # A path x1 - y1 - x2 - y2 - x3: the last degree-1 vertex is x3, next to y2.
+    g = new_graph(3, 2, [(1, 1), (2, 1), (2, 2), (3, 2)])
+    edge, vertex = _assert_valid_certificates(g)
+    assert edge.value == vertex.value == 1
+    assert vertex.vertices == ("y2",) and edge.edges == ((3, 2),)
+
+
+def test_certificate_from_a_flow_below_delta():
+    # Two copies of K_{2,2} joined by the edge x2 - y3: delta = 2, k = k' = 1.
+    g = new_graph(4, 4, [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (3, 4), (4, 3), (4, 4), (2, 3)])
+    edge, vertex = _assert_valid_certificates(g)
+    assert edge.value == vertex.value == 1
+    assert edge.edges == ((2, 3),)
+    assert vertex.vertices in (("x2",), ("y3",))
+
+
+def test_certificates_beyond_oracle_range():
+    rng = random.Random(20_19)
+    for _ in range(60):
+        r = rng.randint(4, 10)
+        s = rng.randint(max(r, 13 - r), 20 - r)
+        density = rng.choice((0.2, 0.35, 0.5, 0.7, 0.9))
+        mask = sum(1 << bit for bit in range(r * s) if rng.random() < density)
+        g = BipartiteGraph.from_mask(r, s, mask)
+        _assert_valid_certificates(g)
+        _assert_valid_certificates(bipartite_complement(g))
+
+
+@st.composite
+def graphs_9_to_12(draw):
+    r = draw(st.integers(1, 6))
+    s = draw(st.integers(9 - r, 12 - r))
+    full = (1 << (r * s)) - 1
+    mask = draw(st.integers(0, full))
+    thin = draw(st.sampled_from(("as is", "and", "or")))
+    if thin == "and":
+        mask &= draw(st.integers(0, full))
+    elif thin == "or":
+        mask |= draw(st.integers(0, full))
+    return BipartiteGraph.from_mask(r, s, mask)
+
+
+@given(graphs_9_to_12())
+@settings(max_examples=80)
+def test_networkx_agrees_beyond_oracle_range(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from((i - 1, g.left_size + j - 1) for i, j in g.edges())
+    assert edge_connectivity(g).value == nx.edge_connectivity(h)
+    assert vertex_connectivity(g).value == nx.node_connectivity(h)
+
+
+@given(graphs(max_r=5, max_s=5))
+def test_min_degree_matches_degrees(g):
+    assume(g.left_size and g.right_size)
+    assert _min_degree(g.left_size, g.right_size, g.adjacency) == degrees(g).min_degree
+
+
+@given(graphs(max_r=5, max_s=5, min_n=6))
+@settings(max_examples=30)
+def test_every_pair_flow_matches_networkx(g):
+    # The kernel alone, pair by pair and without a limit: the minimization
+    # above it would hide a pair whose flow is too large.
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import local_edge_connectivity, local_node_connectivity
+
+    r, n = g.left_size, g.n
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from((i - 1, r + j - 1) for i, j in g.edges())
+    adj = _adjacency_masks(r, g.right_size, g.adjacency)
+    arcs, free = _split_network(n, adj)
+    for a in range(n):
+        for b in range(a + 1, n):
+            flow, reach = _unit_flow(adj, [0] * n, a, b, n)
+            assert flow == local_edge_connectivity(h, a, b)
+            assert reach >> a & 1 and not reach >> b & 1
+            assert sum((reach >> u & 1) != (reach >> v & 1) for u, v in h.edges()) == flow
+            if not adj[a] >> b & 1:
+                flow, reach = _unit_flow(arcs, free, 2 * a + 1, 2 * b, n)
+                assert flow == local_node_connectivity(h, a, b)
+                cut = [v for v in range(n) if reach >> 2 * v & 1 and not reach >> 2 * v + 1 & 1]
+                assert len(cut) == flow and a not in cut and b not in cut
+
+
+def _joined(adj, a, b, alive):
+    """True when b is reachable from a through alive vertices (plain BFS)."""
+    seen, todo = {a}, [a]
+    while todo:
+        u = todo.pop()
+        for v in range(len(adj)):
+            if adj[u] >> v & 1 and alive >> v & 1 and v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return b in seen
+
+
+def test_every_pair_cut_matches_its_flow():
+    # Max-flow min-cut pair by pair: the cut read off each final residual
+    # reach has exactly flow members and separates the pair.
+    rng = random.Random(4_1975)
+    for _ in range(40):
+        r = rng.randint(3, 8)
+        s = rng.randint(max(r, 10 - r), 16 - r)
+        density = rng.choice((0.3, 0.5, 0.7))
+        g = BipartiteGraph.from_mask(r, s, sum(1 << bit for bit in range(r * s) if rng.random() < density))
+        n = g.n
+        adj = _adjacency_masks(r, s, g.adjacency)
+        arcs, free = _split_network(n, adj)
+        full = (1 << n) - 1
+        for a in range(n):
+            for b in range(a + 1, n):
+                flow, reach = _unit_flow(adj, [0] * n, a, b, n)
+                cut_adj = [adj[u] & (reach if reach >> u & 1 else full & ~reach) for u in range(n)]
+                assert sum((adj[u] ^ cut_adj[u]).bit_count() for u in range(n)) == 2 * flow
+                assert not _joined(cut_adj, a, b, full)
+                if not adj[a] >> b & 1:
+                    flow, reach = _unit_flow(arcs, free, 2 * a + 1, 2 * b, n)
+                    cut = [v for v in range(n) if reach >> 2 * v & 1 and not reach >> 2 * v + 1 & 1]
+                    assert len(cut) == flow and a not in cut and b not in cut
+                    assert not _joined(adj, a, b, full & ~sum(1 << v for v in cut))
