@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .bigraph import (
@@ -70,24 +69,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class CommandSpec:
-    """One parsed invocation: a single subcommand plus its options."""
-
-    subcommand: str
-    options: argparse.Namespace
-
-    def __post_init__(self) -> None:
-        if not self.subcommand:
-            raise _UsageError("a subcommand is required")
-        jobs = getattr(self.options, "jobs", None)
-        if jobs is not None and jobs < 1:
-            raise _UsageError("--jobs must be >= 1")
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bipcon", description="bipartite complement connectivity toolkit")
-    sub = parser.add_subparsers(dest="subcommand")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("connectivity", help="connectivity of a graph and its complement")
     p.add_argument("file", help="edge-list file, or - for stdin")
@@ -122,7 +113,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-r", type=int, default=8)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=20_240)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_positive_int, default=None)
     p.add_argument("--format", choices=("text-table", "json"), default="text-table")
 
     p = sub.add_parser("scan", help="extremal metric values at fixed edge count")
@@ -130,7 +121,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--metric", required=True, choices=METRIC_IDS)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_positive_int, default=None)
     p.add_argument("--format", choices=("text-table", "json"), default="text-table")
 
     return parser
@@ -367,12 +358,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         opts = parser.parse_args(argv)
-        spec = CommandSpec(opts.subcommand or "", opts)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[spec.subcommand](spec.options)
+        return _COMMANDS[opts.subcommand](opts)
     except _FileError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_FILE

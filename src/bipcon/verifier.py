@@ -15,6 +15,18 @@ engine that checks them has three pieces:
 * a claim table, one row per (theorem, metric, side, bound, witness), that
   drives both the per-graph violation checks and the attainment records.
 
+All claims share one chunk path: a worker runs over contiguous chunks of
+the claim's inputs through ``_run_chunked`` (inline for one job or one chunk,
+else in a process pool), and the results merge in chunk order. The bound
+claims' worker returns cells, merged by the reducer. The Bi-Cayley claims
+(L2.1, L2.4; both enumerate the 2^(max_r+1) - 2 subsets S of Z_r with
+r <= max_r, held to the full-enumeration cap) and the vertex-addition claim
+(L2.5) have workers that return (graphs checked, violations), merged by
+``_run_claim``. ``_chunk_ranges`` sizes the chunks of the sweeps, the scans
+and L2.4; L2.1 runs as one inline chunk, and L2.5 keeps fixed 500-trial
+chunks, each seeded from the seed and its index, since the draws depend on
+them.
+
 At eight vertices and below the connectivity kernels are the brute-force
 oracles, and every graph of a shape sweep is also cross-checked against the
 max-flow values, so each exhaustive run doubles as an oracle-equivalence
@@ -54,11 +66,10 @@ from typing import Callable, Iterator
 from .bigraph import BipartiteGraph, add_left_vertex, add_right_vertex, bipartite_complement
 from .bounds import M_upper, N_upper, ParameterTriple, delta_bounds, sum_lower_sized
 from .connectivity import (
-    _adjacency_masks,
-    _connected_masks,
     _min_degree,
     edge_connectivity_value,
     edge_oracle_value,
+    is_connected,
     vertex_connectivity_value,
     vertex_oracle_value,
 )
@@ -312,6 +323,12 @@ def _resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
+def _chunk_ranges(count: int, min_chunk: int, jobs: int) -> list[tuple[int, int]]:
+    """Contiguous [lo, hi) ranges covering 0..count: one for one job, else about 8 per job."""
+    size = max(min_chunk, count // (jobs * 8)) if jobs > 1 else max(count, 1)
+    return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
+
 def _run_chunked(worker, arg_sets, jobs: int):
     if jobs == 1 or len(arg_sets) <= 1:
         return [worker(a) for a in arg_sets]
@@ -325,8 +342,7 @@ def _scan(r: int, s: int, m: int | None, count: int, min_chunk: int, metrics, ch
     Returns (graphs, cells as metric -> per-edge-count lists, raw violations,
     mismatches), all in mask order.
     """
-    chunk = max(min_chunk, count // (jobs * 8)) if jobs > 1 else count
-    arg_sets = [(r, s, m, lo, min(lo + chunk, count), metrics, checks) for lo in range(0, count, chunk)]
+    arg_sets = [(r, s, m, lo, hi, metrics, checks) for lo, hi in _chunk_ranges(count, min_chunk, jobs)]
     graphs = 0
     cells = {metric: [None] * (r * s + 1) for metric in metrics}
     raw: list[tuple] = []
@@ -629,125 +645,83 @@ def _attainment(claim: _Claim, sweep: ShapeSweep, m: int | None) -> AttainmentRe
     )
 
 
-def _check_bicayley_complement(max_r: int) -> tuple[int, list[Violation]]:
+# Claim workers: each takes one chunk of its claim's inputs and returns
+# (graphs checked, violations in input order); ``_run_claim`` merges them.
+
+
+def _run_claim(worker, chunks: list, jobs: int) -> tuple[int, list[Violation]]:
     checked = 0
-    violations = []
-    for r in range(1, max_r + 1):
-        for smask in range(1 << r):
-            members = frozenset(a for a in range(r) if smask >> a & 1)
-            subset = CayleySubset(r, members)
-            g = bi_cayley(subset)
-            expected = bi_cayley(subset.complement())
-            checked += 1
-            if bipartite_complement(g) != expected:
-                violations.append(
-                    Violation(
-                        "L2.1", "upper", "labeled_equality", r, r, len(members),
-                        tuple(g.edges()), 0, 0,
-                    )
-                )
+    violations: list[Violation] = []
+    for chunk_checked, chunk_violations in _run_chunked(worker, chunks, jobs):
+        checked += chunk_checked
+        violations += chunk_violations
     return checked, violations
 
 
-def _is_connected_rows(r: int, s: int, rows: tuple[int, ...]) -> bool:
-    n = r + s
-    if n <= 1:
-        return True
-    return _connected_masks(n, _adjacency_masks(r, s, rows))
+def _l21_chunk(tasks):
+    violations = []
+    for r, smask in tasks:
+        subset = CayleySubset(r, frozenset(a for a in range(r) if smask >> a & 1))
+        g = bi_cayley(subset)
+        if bipartite_complement(g) != bi_cayley(subset.complement()):
+            violations.append(
+                Violation("L2.1", "upper", "labeled_equality", r, r, len(subset.members), tuple(g.edges()), 0, 0)
+            )
+    return len(tasks), violations
 
 
-def _l24_chunk(args):
-    tasks = args
+def _l24_chunk(tasks):
     checked = 0
-    raw = []  # (r, members, what, observed, expected)
+    violations = []
     for r, smask in tasks:
         members = frozenset(a for a in range(r) if smask >> a & 1)
         g = bi_cayley(CayleySubset(r, members))
         gc = bipartite_complement(g)
-        k = len(members)
-        if not (_is_connected_rows(r, r, g.adjacency) and _is_connected_rows(r, r, gc.adjacency)):
+        if not (is_connected(g) and is_connected(gc)):
             continue
         checked += 2
+        k = len(members)
         for label, graph, expected in (("graph", g, k), ("complement", gc, r - k)):
             rows = graph.adjacency
-            dd = _min_degree(r, r, rows)
-            kp = edge_connectivity_value(r, r, rows)
-            kv = vertex_connectivity_value(r, r, rows)
-            for what, observed in (("delta", dd), ("edge", kp), ("vertex", kv)):
+            for what, kernel in (("delta", _min_degree), ("edge", edge_connectivity_value),
+                                 ("vertex", vertex_connectivity_value)):
+                observed = kernel(r, r, rows)
                 if observed != expected:
-                    raw.append((r, tuple(sorted(members)), f"{label}:{what}", observed, expected))
-    return checked, raw
-
-
-def _check_maximal_connectivity(max_r: int, jobs: int) -> tuple[int, list[Violation]]:
-    tasks = [(r, smask) for r in range(2, max_r + 1) for smask in range(1 << r)]
-    chunk = max(16, len(tasks) // (jobs * 4)) if jobs > 1 else len(tasks)
-    arg_sets = [tasks[i:i + chunk] for i in range(0, len(tasks), chunk)]
-    results = _run_chunked(_l24_chunk, arg_sets, jobs)
-    checked = 0
-    violations = []
-    for count, raw in results:
-        checked += count
-        for r, members, what, observed, expected in raw:
-            g = bi_cayley(CayleySubset(r, frozenset(members)))
-            violations.append(
-                Violation("L2.4", "upper", what, r, r, len(members), tuple(g.edges()), observed, expected)
-            )
+                    violations.append(
+                        Violation("L2.4", "upper", f"{label}:{what}", r, r, k, tuple(g.edges()), observed, expected)
+                    )
     return checked, violations
 
 
 _L25_SHAPE_MAX = 4  # parts drawn from 1..4, so trial graphs have at most 8 vertices
+_L25_CHUNK = 500  # trials per chunk: chunk i draws from seed * 1_000_003 + i, so the draws depend on it
 
 
 def _l25_chunk(args):
     chunk_seed, count = args
     rng = random.Random(chunk_seed)
     checked = 0
-    raw = []  # (r, s, edges, side, neighbors, before, after)
+    violations = []
     for _ in range(count):
         r = rng.randint(1, _L25_SHAPE_MAX)
         s = rng.randint(1, _L25_SHAPE_MAX)
-        g = None
         for _ in range(300):
-            mask = rng.getrandbits(r * s)
-            candidate = BipartiteGraph.from_mask(r, s, mask)
-            if _is_connected_rows(r, s, candidate.adjacency):
-                g = candidate
+            g = BipartiteGraph.from_mask(r, s, rng.getrandbits(r * s))
+            if is_connected(g):
                 break
-        if g is None:
+        else:
             continue
         checked += 1
         k = edge_connectivity_value(r, s, g.adjacency)
-        attach_right = rng.random() < 0.5
-        opposite = r if attach_right else s
-        degree = rng.randint(k, opposite)
-        neighbors = sorted(rng.sample(range(1, opposite + 1), degree))
-        extended = add_right_vertex(g, neighbors) if attach_right else add_left_vertex(g, neighbors)
+        side = "right" if rng.random() < 0.5 else "left"
+        opposite = r if side == "right" else s
+        neighbors = sorted(rng.sample(range(1, opposite + 1), rng.randint(k, opposite)))
+        extended = (add_right_vertex if side == "right" else add_left_vertex)(g, neighbors)
         after = edge_connectivity_value(extended.left_size, extended.right_size, extended.adjacency)
         if after < k:
-            raw.append((r, s, tuple(g.edges()), "right" if attach_right else "left", tuple(neighbors), k, after))
-    return checked, raw
-
-
-def _check_vertex_addition(trials: int, seed: int, jobs: int) -> tuple[int, list[Violation]]:
-    chunk = 500
-    arg_sets = []
-    remaining = trials
-    index = 0
-    while remaining > 0:
-        take = min(chunk, remaining)
-        arg_sets.append((seed * 1_000_003 + index, take))
-        remaining -= take
-        index += 1
-    results = _run_chunked(_l25_chunk, arg_sets, jobs)
-    checked = 0
-    violations = []
-    for count, raw in results:
-        checked += count
-        for r, s, edges, side, neighbors, before, after in raw:
             violations.append(
                 Violation("L2.5", "lower", f"attach_{side}:{','.join(map(str, neighbors))}",
-                          r, s, len(edges), edges, after, before)
+                          r, s, g.edge_count, tuple(g.edges()), after, k)
             )
     return checked, violations
 
@@ -787,23 +761,35 @@ def check_theorem(
     ``max_r`` scopes the Bi-Cayley claims (L2.1, L2.4), ``trials``/``seed``
     the randomized claim (L2.5), and ``max_n`` the exhaustive bound claims.
     Exit semantics: a report with an empty violations list means the claim
-    held everywhere it was evaluated.
+    held everywhere it was evaluated. Raises ValueError for a negative
+    ``max_n``, ``max_r`` or ``trials``, and TooLarge past the enumeration
+    caps, both before any work.
     """
     if theorem not in THEOREM_IDS:
         raise UnknownTheorem(f"unknown claim id {theorem!r}; choose one of {THEOREM_IDS}")
+    for name, value in (("max_n", max_n), ("max_r", max_r), ("trials", trials)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    _check_full_cap(max_r + 1)  # the Bi-Cayley claims take 2^(max_r + 1) - 2 subsets over r = 1..max_r
     jobs = _resolve_jobs(jobs)
     started = time.perf_counter()
     attainment: list[AttainmentRecord] = []
     notes: list[str] = []
-    if theorem == "L2.1":
+    if theorem in ("L2.1", "L2.4"):
         range_spec = {"max_r": max_r}
-        checked, violations = _check_bicayley_complement(max_r)
-    elif theorem == "L2.4":
-        range_spec = {"max_r": max_r}
-        checked, violations = _check_maximal_connectivity(max_r, jobs)
+        tasks = [(r, smask) for r in range(1, max_r + 1) for smask in range(1 << r)]
+        if theorem == "L2.1":
+            # Milliseconds of work: one inline chunk, no pool.
+            checked, violations = _run_claim(_l21_chunk, [tasks], jobs)
+        else:
+            tasks = tasks[2:]  # at r = 1 no pair is connected on both sides
+            chunks = [tasks[lo:hi] for lo, hi in _chunk_ranges(len(tasks), 16, jobs)]
+            checked, violations = _run_claim(_l24_chunk, chunks, jobs)
     elif theorem == "L2.5":
         range_spec = {"trials": trials, "seed": seed, "max_part": _L25_SHAPE_MAX}
-        checked, violations = _check_vertex_addition(trials, seed, jobs)
+        starts = range(0, trials, _L25_CHUNK)
+        chunks = [(seed * 1_000_003 + i, min(_L25_CHUNK, trials - lo)) for i, lo in enumerate(starts)]
+        checked, violations = _run_claim(_l25_chunk, chunks, jobs)
     else:
         range_spec = {"max_n": max_n}
         checked, violations, attainment = _bound_theorem_report(theorem, max_n, jobs)

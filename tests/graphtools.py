@@ -1,5 +1,7 @@
 """Helpers for validating cut certificates in tests."""
 
+from collections import deque
+
 from bipcon.bigraph import BipartiteGraph
 
 
@@ -28,17 +30,27 @@ def delete_vertices(g: BipartiteGraph, labels) -> BipartiteGraph:
 
 
 def components_count(g: BipartiteGraph) -> int:
-    n = g.n
-    if n == 0:
-        return 0
-    from bipcon.connectivity import _adjacency_masks, _reachable
+    """Connected components, by a plain breadth-first search over ``g.edges()``.
 
-    adj = _adjacency_masks(g.left_size, g.right_size, g.adjacency)
-    alive = (1 << n) - 1
+    Shares no code with ``bipcon.connectivity``, so the certificate tests do
+    not check the program's connectivity code against itself.
+    """
+    vertices = [("x", i) for i in range(1, g.left_size + 1)] + [("y", j) for j in range(1, g.right_size + 1)]
+    neighbours = {v: [] for v in vertices}
+    for i, j in g.edges():
+        neighbours[("x", i)].append(("y", j))
+        neighbours[("y", j)].append(("x", i))
+    seen = set()
     count = 0
-    while alive:
-        start = alive & -alive
-        reached = _reachable(adj, start, alive)
-        alive &= ~reached
+    for start in vertices:
+        if start in seen:
+            continue
         count += 1
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            for w in neighbours[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
     return count

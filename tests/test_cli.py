@@ -168,3 +168,10 @@ def test_too_large_exit_code(capsys):
     status, _, err = run(capsys, "verify", "--theorem", "T4.1", "--max-n", "10", "--jobs", "1")
     assert status == EXIT_DOMAIN
     assert "too large" in err
+    # 2^41 Bi-Cayley subsets: refused before the first one is built.
+    status, _, err = run(capsys, "verify", "--theorem", "L2.1", "--max-r", "40", "--jobs", "1")
+    assert status == EXIT_DOMAIN
+    assert "too large" in err
+    status, _, err = run(capsys, "verify", "--theorem", "L2.5", "--trials", "-3", "--jobs", "1")
+    assert status == EXIT_DOMAIN
+    assert "trials must be >= 0" in err

@@ -5,10 +5,13 @@ import random
 
 import pytest
 
+from graphtools import components_count
+
 from bipcon import verifier
 from bipcon.bigraph import BipartiteGraph, bipartite_complement
 from bipcon.bounds import M_upper, ParameterTriple
-from bipcon.constructions import BoundGoal, WitnessFamilyId, dispatch_witness
+from bipcon.connectivity import edge_oracle_value
+from bipcon.constructions import BoundGoal, CayleySubset, WitnessFamilyId, bi_cayley, dispatch_witness
 from bipcon.errors import TooLarge, UnknownTheorem
 from bipcon.verifier import (
     METRIC_IDS,
@@ -180,12 +183,119 @@ def test_oversized_request_is_rejected_before_any_sweep(monkeypatch):
     monkeypatch.setattr(verifier, "shape_sweep", no_sweep)
     with pytest.raises(TooLarge):
         check_theorem("T4.1", max_n=10, jobs=1)
+    # `verify --theorem all` passes --max-r to every claim and runs T3.3 first.
+    with pytest.raises(TooLarge):
+        check_theorem("T3.3", max_r=40, jobs=1)
 
 
 def test_vertex_addition_counts_only_checked_trials(monkeypatch):
-    monkeypatch.setattr(verifier, "_is_connected_rows", lambda r, s, rows: False)
+    monkeypatch.setattr(verifier, "is_connected", lambda g: False)
     report = check_theorem("L2.5", trials=5, seed=7, jobs=1)
     assert report.graphs_checked == 0
+
+
+def _members(r, smask):
+    return frozenset(a for a in range(r) if smask >> a & 1)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_bicayley_complement_fault_reports_every_subset(monkeypatch, jobs):
+    # With the complement made the identity, no BC(Z_r, S) equals
+    # BC(Z_r, Z_r \ S), so every subset is a violation, in (r, S-mask) order.
+    monkeypatch.setattr(verifier, "bipartite_complement", lambda g: g)
+    report = check_theorem("L2.1", max_r=4, jobs=jobs)
+    expected = [
+        Violation("L2.1", "upper", "labeled_equality", r, r, len(_members(r, smask)),
+                  tuple(bi_cayley(CayleySubset(r, _members(r, smask))).edges()), 0, 0)
+        for r in range(1, 5)
+        for smask in range(1 << r)
+    ]
+    assert report.graphs_checked == len(expected) == 30
+    assert report.violations == expected
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_maximal_connectivity_fault_reports_each_shifted_value(monkeypatch, jobs):
+    # Vertex connectivity one high on graphs whose last row is 1 mod 3. Every
+    # Bi-Cayley pair connected on both sides has k = k' = delta = |S| on the
+    # graph and r - |S| on the complement, so exactly the shifted values break.
+    def faulty(rows):
+        return rows[-1] % 3 == 1
+
+    real = verifier.vertex_connectivity_value
+    monkeypatch.setattr(verifier, "vertex_connectivity_value",
+                        lambda r, s, rows: real(r, s, rows) + faulty(rows))
+    report = check_theorem("L2.4", max_r=5, jobs=jobs)
+    expected = []
+    checked = 0
+    for r in range(2, 6):
+        for smask in range(1 << r):
+            k = len(_members(r, smask))
+            g = bi_cayley(CayleySubset(r, _members(r, smask)))
+            gc = bi_cayley(CayleySubset(r, frozenset(range(r)) - _members(r, smask)))
+            if components_count(g) != 1 or components_count(gc) != 1:
+                continue
+            checked += 2
+            for label, graph, value in (("graph", g, k), ("complement", gc, r - k)):
+                if faulty(graph.adjacency):
+                    expected.append(Violation("L2.4", "upper", f"{label}:vertex", r, r, k,
+                                              tuple(g.edges()), value + 1, value))
+    assert expected and checked > len(expected)
+    assert report.graphs_checked == checked
+    assert report.violations == expected
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_vertex_addition_fault_reports_each_low_value(monkeypatch, jobs):
+    # Edge connectivity one low on every 7th call. 400 trials are one chunk,
+    # so the call count does not depend on how chunks reach worker processes.
+    # The trials are redrawn here with the same seed, values from the oracle.
+    def one_low_every_7th(kernel):
+        calls = 0
+
+        def faulty(r, s, rows):
+            nonlocal calls
+            calls += 1
+            return kernel(r, s, rows) - (calls % 7 == 0)
+
+        return faulty
+
+    monkeypatch.setattr(verifier, "edge_connectivity_value", one_low_every_7th(verifier.edge_connectivity_value))
+    seed, trials = 3, 400
+    report = check_theorem("L2.5", trials=trials, seed=seed, jobs=jobs)
+    oracle = one_low_every_7th(edge_oracle_value)
+    rng = random.Random(seed * 1_000_003)
+    checked = 0
+    expected = []
+    for _ in range(trials):
+        r = rng.randint(1, 4)
+        s = rng.randint(1, 4)
+        g = None
+        for _ in range(300):
+            candidate = BipartiteGraph.from_mask(r, s, rng.getrandbits(r * s))
+            if components_count(candidate) == 1:
+                g = candidate
+                break
+        if g is None:
+            continue
+        checked += 1
+        before = oracle(r, s, g.adjacency)
+        right = rng.random() < 0.5
+        opposite = r if right else s
+        neighbors = sorted(rng.sample(range(1, opposite + 1), rng.randint(before, opposite)))
+        if right:
+            extended = BipartiteGraph(r, s + 1, tuple(
+                row | (1 << s if i + 1 in neighbors else 0) for i, row in enumerate(g.adjacency)))
+        else:
+            extended = BipartiteGraph(r + 1, s, g.adjacency + (sum(1 << (j - 1) for j in neighbors),))
+        after = oracle(extended.left_size, extended.right_size, extended.adjacency)
+        if after < before:
+            side = "right" if right else "left"
+            expected.append(Violation("L2.5", "lower", f"attach_{side}:{','.join(map(str, neighbors))}",
+                                      r, s, g.edge_count, tuple(g.edges()), after, before))
+    assert expected
+    assert report.graphs_checked == checked
+    assert report.violations == expected
 
 
 def test_default_jobs_follow_cpu_affinity(monkeypatch):
@@ -219,6 +329,8 @@ def test_check_theorem_bicayley_complement():
 def test_check_theorem_maximal_connectivity():
     report = check_theorem("L2.4", max_r=5, jobs=1)
     assert report.violations == []
+    # r = 1 gives no task at all, for any worker count.
+    assert check_theorem("L2.4", max_r=1, jobs=1).graphs_checked == 0
 
 
 def test_check_theorem_vertex_addition():
