@@ -222,4 +222,8 @@ def graph_from_json(obj: dict) -> BipartiteGraph:
         r, s, edges = obj["r"], obj["s"], obj["edges"]
     except (KeyError, TypeError):
         raise ValueError("JSON graph needs fields 'r', 's', 'edges'") from None
-    return new_graph(int(r), int(s), [(int(i), int(j)) for i, j in edges])
+    try:
+        r, s, edges = int(r), int(s), [(int(i), int(j)) for i, j in edges]
+    except TypeError as exc:
+        raise ValueError(f"JSON graph needs integer 'r', 's' and [i, j] 'edges': {exc}") from None
+    return new_graph(r, s, edges)

@@ -7,20 +7,26 @@ the bipartite complement of BC(Z_r, S) equals BC(Z_r, Z_r \\ S) label for
 label, which the verifier checks exhaustively.
 
 The witness families are the concrete graphs that attain the connectivity
-bounds. Each family id maps to one builder with explicit preconditions;
-``claimed_edge_connectivity_pair`` records the (edge connectivity,
-complement edge connectivity) pair each family is designed to achieve, and
-the test suite recomputes those pairs with the connectivity module instead
-of trusting the construction.
+bounds. One table row per family id declares whether the family is sized
+(needs m and has exactly m edges), its builder, and the (edge connectivity,
+complement edge connectivity) pair it is designed to achieve.
+``build_witness`` checks the sized preconditions every sized family shares
+(m given, r <= s), runs the builder, which checks only its own domain, and
+names the family in any PreconditionViolated; ``claimed_edge_connectivity_pair``
+reads the row. The test suite recomputes the pairs with the connectivity
+module instead of trusting the construction. ``dispatch_witness`` picks the
+family for a bound goal through one case split on (r, s, m).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, NamedTuple
 
 from .bigraph import BipartiteGraph, new_graph
-from .errors import BadSubset, InvalidTriple, NoWitness, PreconditionViolated
+from .bounds import ParameterTriple
+from .errors import BadSubset, NoWitness, PreconditionViolated
 
 
 @dataclass(frozen=True)
@@ -83,9 +89,9 @@ class BoundGoal(Enum):
     PROD_UPPER = "prod-upper"
 
 
-def _require(cond: bool, family: WitnessFamilyId, why: str) -> None:
+def _require(cond: bool, why: str) -> None:
     if not cond:
-        raise PreconditionViolated(f"{family.value}: {why}")
+        raise PreconditionViolated(why)
 
 
 def _round_robin_targets(r: int, d: int, k: int) -> list[int]:
@@ -113,37 +119,33 @@ def _appended_collisions_with_x1(r: int, s: int, d: int) -> int:
     return sum(1 for k in range(1, s - r + 1) if 0 in _round_robin_targets(r, d, k))
 
 
+# Builders check only their own family's domain; ``build_witness`` has
+# already checked the shared sized preconditions (m given, r <= s).
+
+
 def _build_s3_g1(r: int, s: int, m: int | None) -> BipartiteGraph:
-    fam = WitnessFamilyId.S3_G1
-    _require(r >= 1 and s >= 2, fam, f"needs r >= 1 and s >= 2, got r={r}, s={s}")
-    _require(r + s >= 3, fam, f"needs n >= 3, got n={r + s}")
+    _require(r >= 1 and s >= 2, f"needs r >= 1 and s >= 2, got r={r}, s={s}")
+    _require(r + s >= 3, f"needs n >= 3, got n={r + s}")
     # y_1 adjacent to all of X, y_2 isolated: both the graph and its
     # complement are disconnected.
     return new_graph(r, s, [(i, 1) for i in range(1, r + 1)])
 
 
 def _build_s3_g2(r: int, s: int, m: int | None) -> BipartiteGraph:
-    fam = WitnessFamilyId.S3_G2
-    _require(r >= 4, fam, f"needs r >= 4, got r={r}")
-    _require(s >= r, fam, f"needs s >= r, got r={r}, s={s}")
+    _require(r >= 4, f"needs r >= 4, got r={r}")
+    _require(s >= r, f"needs s >= r, got r={r}, s={s}")
     return _bi_cayley_with_attachments(r, s, r // 2)
 
 
-def _build_s4_g1(r: int, s: int, m: int | None) -> BipartiteGraph:
-    fam = WitnessFamilyId.S4_G1
-    _require(m is not None, fam, "needs m")
-    _require(r <= s, fam, f"needs r <= s, got r={r}, s={s}")
-    _require(0 <= m < r, fam, f"needs 0 <= m < r, got m={m}, r={r}")
+def _build_s4_g1(r: int, s: int, m: int) -> BipartiteGraph:
+    _require(0 <= m < r, f"needs 0 <= m < r, got m={m}, r={r}")
     return new_graph(r, s, [(i, 1) for i in range(1, m + 1)])
 
 
-def _build_s4_g2(r: int, s: int, m: int | None) -> BipartiteGraph:
-    fam = WitnessFamilyId.S4_G2
-    _require(m is not None, fam, "needs m")
-    _require(r <= s, fam, f"needs r <= s, got r={r}, s={s}")
-    _require(s >= 2, fam, f"needs s >= 2 so y_2 can stay isolated, got s={s}")
-    _require(m >= r, fam, f"needs m >= r, got m={m}, r={r}")
-    _require(m <= r * s // 2, fam, f"needs m <= floor(rs/2) = {r * s // 2}, got m={m}")
+def _build_s4_g2(r: int, s: int, m: int) -> BipartiteGraph:
+    _require(s >= 2, f"needs s >= 2 so y_2 can stay isolated, got s={s}")
+    _require(m >= r, f"needs m >= r, got m={m}, r={r}")
+    _require(m <= r * s // 2, f"needs m <= floor(rs/2) = {r * s // 2}, got m={m}")
     edges = [(i, 1) for i in range(1, r + 1)]
     # Remaining m - r edges fill column-major over y_3..y_s, keeping y_2
     # isolated; any placement works, greedy keeps it deterministic.
@@ -161,17 +163,13 @@ def _build_s4_g2(r: int, s: int, m: int | None) -> BipartiteGraph:
     return new_graph(r, s, edges)
 
 
-def _build_s4_g3(r: int, s: int, m: int | None) -> BipartiteGraph:
-    fam = WitnessFamilyId.S4_G3
-    _require(m is not None, fam, "needs m")
-    _require(r <= s, fam, f"needs r <= s, got r={r}, s={s}")
-    _require(1 <= m <= s, fam, f"needs 1 <= m <= s, got m={m}, s={s}")
+def _build_s4_g3(r: int, s: int, m: int) -> BipartiteGraph:
+    _require(1 <= m <= s, f"needs 1 <= m <= s, got m={m}, s={s}")
     # With r = 2 and m = s, both the witness and its complement have s edges,
     # one fewer than a connected graph on n = s + 2 vertices needs, so the
     # target pair (0, r-1) is unreachable by any graph, not just this one.
     _require(
         not (r == 2 and m == s),
-        fam,
         "needs m < s when r = 2: with m = s both the graph and its "
         "complement have fewer than n-1 edges and stay disconnected",
     )
@@ -184,50 +182,37 @@ def _build_s4_g3(r: int, s: int, m: int | None) -> BipartiteGraph:
     return new_graph(r, s, edges)
 
 
-def _build_s4_g4(r: int, s: int, m: int | None) -> BipartiteGraph:
-    fam = WitnessFamilyId.S4_G4
-    _require(m is not None, fam, "needs m")
-    _require(r <= s, fam, f"needs r <= s, got r={r}, s={s}")
-    _require(s + 1 <= m <= r + s - 2, fam, f"needs s+1 <= m <= n-2, got m={m}, s={s}, n={r + s}")
+def _build_s4_g4(r: int, s: int, m: int) -> BipartiteGraph:
+    _require(s + 1 <= m <= r + s - 2, f"needs s+1 <= m <= n-2, got m={m}, s={s}, n={r + s}")
     edges = [(i, i) for i in range(1, r + 1)]
     edges.extend((i, i + 1) for i in range(1, m - s + 1))
     edges.extend((1, j) for j in range(r + 1, s + 1))
     return new_graph(r, s, edges)
 
 
-def _build_s4_g5(r: int, s: int, m: int | None) -> BipartiteGraph:
-    fam = WitnessFamilyId.S4_G5
-    _require(m is not None, fam, "needs m")
-    _require(r <= s, fam, f"needs r <= s, got r={r}, s={s}")
-    _require(r >= 2, fam, f"needs r >= 2, got r={r}")
-    _require(m == r + s - 1, fam, f"needs m = n-1 = {r + s - 1}, got m={m}")
+def _build_s4_g5(r: int, s: int, m: int) -> BipartiteGraph:
+    _require(r >= 2, f"needs r >= 2, got r={r}")
+    _require(m == r + s - 1, f"needs m = n-1 = {r + s - 1}, got m={m}")
     edges = [(i, i) for i in range(1, r + 1)]
     edges.extend((i, i + 1) for i in range(1, r))
     edges.extend((r, j) for j in range(r + 1, s + 1))
     return new_graph(r, s, edges)
 
 
-def _check_s4_g6_g7_common(fam: WitnessFamilyId, r: int, s: int, m: int | None) -> None:
-    _require(m is not None, fam, "needs m")
-    _require(r <= s, fam, f"needs r <= s, got r={r}, s={s}")
-    _require(m >= r + s, fam, f"needs m >= n = {r + s}, got m={m}")
-    _require(m <= r * s // 2, fam, f"needs m <= floor(rs/2) = {r * s // 2}, got m={m}")
-
-
-def _build_s4_g6(r: int, s: int, m: int | None) -> BipartiteGraph:
-    fam = WitnessFamilyId.S4_G6
-    _check_s4_g6_g7_common(fam, r, s, m)
-    _require(m % s == 0, fam, f"needs m divisible by s, got m={m}, s={s}")
+def _build_s4_g6(r: int, s: int, m: int) -> BipartiteGraph:
+    _require(m >= r + s, f"needs m >= n = {r + s}, got m={m}")
+    _require(m <= r * s // 2, f"needs m <= floor(rs/2) = {r * s // 2}, got m={m}")
+    _require(m % s == 0, f"needs m divisible by s, got m={m}, s={s}")
     d = m // s
     if d < 2:
         raise RuntimeError(f"m = {m} >= n = {r + s} forces m/s >= 2, got {d}")
     return _bi_cayley_with_attachments(r, s, d)
 
 
-def _build_s4_g7(r: int, s: int, m: int | None) -> BipartiteGraph:
-    fam = WitnessFamilyId.S4_G7
-    _check_s4_g6_g7_common(fam, r, s, m)
-    _require(m % s != 0, fam, f"needs m not divisible by s, got m={m}, s={s}")
+def _build_s4_g7(r: int, s: int, m: int) -> BipartiteGraph:
+    _require(m >= r + s, f"needs m >= n = {r + s}, got m={m}")
+    _require(m <= r * s // 2, f"needs m <= floor(rs/2) = {r * s // 2}, got m={m}")
+    _require(m % s != 0, f"needs m not divisible by s, got m={m}, s={s}")
     d, l = m // s, m % s
     collisions = _appended_collisions_with_x1(r, s, d)
     # The l extra edges all leave x_1, so x_1 keeps s - d - collisions - l
@@ -235,7 +220,6 @@ def _build_s4_g7(r: int, s: int, m: int | None) -> BipartiteGraph:
     # r - d - 1 of them. Beyond that the construction cannot work.
     _require(
         l + collisions <= s - r + 1,
-        fam,
         f"with m = {d}*{s} + {l} the added star would drop x_1's complement "
         f"degree below r-d-1 = {r - d - 1}; needs (m mod s) + {collisions} <= s-r+1",
     )
@@ -249,21 +233,34 @@ def _build_s4_g7(r: int, s: int, m: int | None) -> BipartiteGraph:
             x1 |= 1 << j
             added += 1
         j += 1
-    _require(added == l, fam, "ran out of right vertices not adjacent to x_1")
+    _require(added == l, "ran out of right vertices not adjacent to x_1")
     rows[0] = x1
     return BipartiteGraph(r, s, tuple(rows))
 
 
-_BUILDERS = {
-    WitnessFamilyId.S3_G1: _build_s3_g1,
-    WitnessFamilyId.S3_G2: _build_s3_g2,
-    WitnessFamilyId.S4_G1: _build_s4_g1,
-    WitnessFamilyId.S4_G2: _build_s4_g2,
-    WitnessFamilyId.S4_G3: _build_s4_g3,
-    WitnessFamilyId.S4_G4: _build_s4_g4,
-    WitnessFamilyId.S4_G5: _build_s4_g5,
-    WitnessFamilyId.S4_G6: _build_s4_g6,
-    WitnessFamilyId.S4_G7: _build_s4_g7,
+class _Family(NamedTuple):
+    """One witness family's row in the table.
+
+    A sized family needs m and builds exactly m edges. ``pair(r, s, m)`` is
+    the (edge connectivity, complement edge connectivity) pair the family is
+    designed to reach.
+    """
+
+    sized: bool
+    build: Callable[[int, int, int | None], BipartiteGraph]
+    pair: Callable[[int, int, int | None], tuple[int, int]]
+
+
+_FAMILIES = {
+    WitnessFamilyId.S3_G1: _Family(False, _build_s3_g1, lambda r, s, m: (0, 0)),
+    WitnessFamilyId.S3_G2: _Family(False, _build_s3_g2, lambda r, s, m: (r // 2, (r + 1) // 2)),
+    WitnessFamilyId.S4_G1: _Family(True, _build_s4_g1, lambda r, s, m: (0, r - m)),
+    WitnessFamilyId.S4_G2: _Family(True, _build_s4_g2, lambda r, s, m: (0, 0)),
+    WitnessFamilyId.S4_G3: _Family(True, _build_s4_g3, lambda r, s, m: (0, r - 1)),
+    WitnessFamilyId.S4_G4: _Family(True, _build_s4_g4, lambda r, s, m: (0, r - 2)),
+    WitnessFamilyId.S4_G5: _Family(True, _build_s4_g5, lambda r, s, m: (1, r - 2)),
+    WitnessFamilyId.S4_G6: _Family(True, _build_s4_g6, lambda r, s, m: (m // s, r - m // s)),
+    WitnessFamilyId.S4_G7: _Family(True, _build_s4_g7, lambda r, s, m: (m // s, r - m // s - 1)),
 }
 
 
@@ -273,32 +270,22 @@ def build_witness(family: WitnessFamilyId, r: int, s: int, m: int | None = None)
     Raises PreconditionViolated, naming the family and the failed condition,
     whenever the parameters lie outside the family's domain.
     """
-    g = _BUILDERS[family](r, s, m)
-    if family not in (WitnessFamilyId.S3_G1, WitnessFamilyId.S3_G2) and m is not None and g.edge_count != m:
+    row = _FAMILIES[family]
+    try:
+        if row.sized:
+            _require(m is not None, "needs m")
+            _require(r <= s, f"needs r <= s, got r={r}, s={s}")
+        g = row.build(r, s, m)
+    except PreconditionViolated as exc:
+        raise PreconditionViolated(f"{family.value}: {exc}") from None
+    if row.sized and g.edge_count != m:
         raise RuntimeError(f"{family.value} built {g.edge_count} edges, wanted {m}")
     return g
 
 
 def claimed_edge_connectivity_pair(family: WitnessFamilyId, r: int, s: int, m: int | None = None) -> tuple[int, int]:
     """The (edge connectivity, complement edge connectivity) pair each family targets."""
-    if family is WitnessFamilyId.S3_G1:
-        return (0, 0)
-    if family is WitnessFamilyId.S3_G2:
-        return (r // 2, (r + 1) // 2)
-    if family is WitnessFamilyId.S4_G1:
-        return (0, r - m)
-    if family is WitnessFamilyId.S4_G2:
-        return (0, 0)
-    if family is WitnessFamilyId.S4_G3:
-        return (0, r - 1)
-    if family is WitnessFamilyId.S4_G4:
-        return (0, r - 2)
-    if family is WitnessFamilyId.S4_G5:
-        return (1, r - 2)
-    d = m // s
-    if family is WitnessFamilyId.S4_G6:
-        return (d, r - d)
-    return (d, r - d - 1)
+    return _FAMILIES[family].pair(r, s, m)
 
 
 def witness_notes(family: WitnessFamilyId, r: int, s: int, m: int | None = None) -> tuple[str, ...]:
@@ -319,13 +306,6 @@ def witness_notes(family: WitnessFamilyId, r: int, s: int, m: int | None = None)
     return tuple(notes)
 
 
-def _validate_triple(r: int, s: int, m: int) -> None:
-    if not (1 <= r <= s):
-        raise InvalidTriple(f"needs 1 <= r <= s, got r={r}, s={s}")
-    if not (0 <= m <= r * s // 2):
-        raise InvalidTriple(f"needs 0 <= m <= floor(rs/2) = {r * s // 2}, got m={m}")
-
-
 def dispatch_witness(goal: BoundGoal, r: int, s: int, m: int) -> tuple[WitnessFamilyId | None, BipartiteGraph]:
     """Select and build the witness family for one bound goal and parameter triple.
 
@@ -333,41 +313,26 @@ def dispatch_witness(goal: BoundGoal, r: int, s: int, m: int) -> tuple[WitnessFa
     where the witness is simply the empty graph. Raises NoWitness when no
     family's preconditions hold for the triple (reported, never fabricated).
     """
-    _validate_triple(r, s, m)
+    ParameterTriple(r, s, m)
+    if not isinstance(goal, BoundGoal):
+        raise ValueError(f"unknown goal {goal!r}")
     n = r + s
-
-    def build(family: WitnessFamilyId) -> tuple[WitnessFamilyId, BipartiteGraph]:
-        return family, build_witness(family, r, s, m)
-
+    if m == 0 and goal is not BoundGoal.SUM_LOWER:
+        return None, new_graph(r, s, [])
+    if goal is BoundGoal.SUM_LOWER or (goal is BoundGoal.PROD_UPPER and m <= n - 2):
+        family = WitnessFamilyId.S4_G1 if m < r else WitnessFamilyId.S4_G2
+    # Only sum-upper gets here with m <= n - 2: prod-upper has m >= n - 1 > s.
+    elif m <= s:
+        family = WitnessFamilyId.S4_G3
+    elif m <= n - 2:
+        family = WitnessFamilyId.S4_G4
+    elif m == n - 1:
+        family = WitnessFamilyId.S4_G5
+    elif m % s == 0:
+        family = WitnessFamilyId.S4_G6
+    else:
+        family = WitnessFamilyId.S4_G7
     try:
-        if goal is BoundGoal.SUM_LOWER:
-            if m < r:
-                return build(WitnessFamilyId.S4_G1)
-            return build(WitnessFamilyId.S4_G2)
-        if goal is BoundGoal.SUM_UPPER:
-            if m == 0:
-                return None, new_graph(r, s, [])
-            if m <= s:
-                return build(WitnessFamilyId.S4_G3)
-            if m <= n - 2:
-                return build(WitnessFamilyId.S4_G4)
-            if m == n - 1:
-                return build(WitnessFamilyId.S4_G5)
-            if m % s == 0:
-                return build(WitnessFamilyId.S4_G6)
-            return build(WitnessFamilyId.S4_G7)
-        if goal is BoundGoal.PROD_UPPER:
-            if m == 0:
-                return None, new_graph(r, s, [])
-            if m <= n - 2:
-                if m < r:
-                    return build(WitnessFamilyId.S4_G1)
-                return build(WitnessFamilyId.S4_G2)
-            if m == n - 1:
-                return build(WitnessFamilyId.S4_G5)
-            if m % s == 0:
-                return build(WitnessFamilyId.S4_G6)
-            return build(WitnessFamilyId.S4_G7)
+        return family, build_witness(family, r, s, m)
     except PreconditionViolated as exc:
         raise NoWitness(f"no witness for {goal.value} at (r={r}, s={s}, m={m}): {exc}") from exc
-    raise ValueError(f"unknown goal {goal!r}")

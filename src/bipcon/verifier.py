@@ -12,8 +12,9 @@ engine that checks them has three pieces:
   and folds each value into per-edge-count cells through one reducer (max
   and min with a smallest-mask tie-break, plus a count), the same reducer
   that merges the chunks, so reports are identical for any worker count;
-* a claim table, one row per (theorem, metric, side, bound, witness), that
-  drives both the per-graph violation checks and the attainment records.
+* a claim table, one row per (theorem, metric, side, sized, bound), that
+  drives both the per-graph violation checks and the attainment records;
+  each record's witness is derived from its row (``_witness``).
 
 All claims share one chunk path: a worker runs over contiguous chunks of
 the claim's inputs through ``_run_chunked`` (inline for one job or one chunk,
@@ -56,7 +57,7 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import groupby
 from math import comb
 from multiprocessing import Pool
@@ -81,7 +82,7 @@ from .constructions import (
     build_witness,
     dispatch_witness,
 )
-from .errors import NoWitness, TooLarge, UnknownTheorem
+from .errors import NoWitness, PreconditionViolated, TooLarge, UnknownTheorem
 
 FULL_ENUMERATION_MAX_BITS = 24
 FIXED_M_MAX_BITS = 30
@@ -176,6 +177,18 @@ def _rows_of(mask: int, r: int, s: int) -> tuple[int, ...]:
     return tuple((mask >> (i * s)) & smask for i in range(r))
 
 
+_JSON_NAMES = {"witness_edges": "witness", "range_spec": "range"}
+
+
+def _json(value):
+    """A report record as JSON data: fields in declaration order, tuples as lists."""
+    if is_dataclass(value):
+        return {_JSON_NAMES.get(f.name, f.name): _json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_json(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
 class Violation:
     """One graph that broke one bound (expected never to exist)."""
@@ -191,17 +204,7 @@ class Violation:
     bound: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "side": self.side,
-            "metric": self.metric,
-            "r": self.r,
-            "s": self.s,
-            "m": self.m,
-            "edges": [list(e) for e in self.edges],
-            "observed": self.observed,
-            "bound": self.bound,
-        }
+        return _json(self)
 
 
 @dataclass
@@ -436,22 +439,15 @@ class ExtremalResult:
     graphs_checked: int
 
 
-def _metric_from_pair(metric: str, a: int, b: int) -> int:
-    return a + b if metric.startswith("sum") else a * b
-
-
 def metric_value(metric: str, g: BipartiteGraph) -> int:
     """Evaluate one metric (max-flow backed) on a graph and its complement."""
     if metric not in METRIC_IDS:
         raise ValueError(f"unknown metric {metric!r}")
     gc = bipartite_complement(g)
-    if metric.endswith("edge"):
-        a = edge_connectivity_value(g.left_size, g.right_size, g.adjacency)
-        b = edge_connectivity_value(gc.left_size, gc.right_size, gc.adjacency)
-    else:
-        a = vertex_connectivity_value(g.left_size, g.right_size, g.adjacency)
-        b = vertex_connectivity_value(gc.left_size, gc.right_size, gc.adjacency)
-    return _metric_from_pair(metric, a, b)
+    kernel = edge_connectivity_value if metric.endswith("edge") else vertex_connectivity_value
+    a = kernel(g.left_size, g.right_size, g.adjacency)
+    b = kernel(gc.left_size, gc.right_size, gc.adjacency)
+    return a + b if metric.startswith("sum") else a * b
 
 
 def extremal_scan(r: int, s: int, m: int, metric: str, jobs: int | None = None) -> ExtremalResult:
@@ -462,8 +458,6 @@ def extremal_scan(r: int, s: int, m: int, metric: str, jobs: int | None = None) 
     """
     if metric not in METRIC_IDS:
         raise ValueError(f"unknown metric {metric!r}; choose one of {METRIC_IDS}")
-    if not (1 <= r <= s):
-        raise ValueError(f"needs 1 <= r <= s, got r={r}, s={s}")
     ParameterTriple(r, s, m)
     total = _fixed_m_count(r * s, m)
     graphs, cells, _, _ = _scan(r, s, m, total, 4096, (metric,), (), _resolve_jobs(jobs))
@@ -497,19 +491,7 @@ class AttainmentRecord:
     witness_value: int | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "s": self.s,
-            "m": self.m,
-            "metric": self.metric,
-            "bound": self.bound,
-            "enumerated": self.enumerated,
-            "formula": self.formula,
-            "attained": self.attained,
-            "witness_family": self.witness_family,
-            "witness": None if self.witness_edges is None else [list(e) for e in self.witness_edges],
-            "witness_value": self.witness_value,
-        }
+        return _json(self)
 
 
 @dataclass
@@ -529,15 +511,7 @@ class TheoremReport:
         return 0 if not self.violations else 2
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "range": self.range_spec,
-            "graphs_checked": self.graphs_checked,
-            "violations": [v.to_json_dict() for v in self.violations],
-            "attainment": [a.to_json_dict() for a in self.attainment],
-            "wall_ms": self.wall_ms,
-            "notes": self.notes,
-        }
+        return _json(self)
 
 
 def _sum_cap(r: int, s: int, m: int | None) -> int:
@@ -560,39 +534,14 @@ def _m_bound(r: int, s: int, m: int) -> int:
     return M_upper(ParameterTriple(r, s, m))
 
 
-def _no_witness(r: int, s: int, m: int | None) -> None:
-    return None
-
-
-def _complete_witness(r: int, s: int, m: int | None) -> tuple[str, BipartiteGraph]:
-    return "complete", BipartiteGraph.from_mask(r, s, (1 << (r * s)) - 1)
-
-
-def _s3_g2_witness(r: int, s: int, m: int | None) -> tuple[str, BipartiteGraph] | None:
-    if r < 4:  # the family's domain
-        return None
-    return WitnessFamilyId.S3_G2.value, build_witness(WitnessFamilyId.S3_G2, r, s)
-
-
-def _dispatched(goal: BoundGoal) -> Callable[[int, int, int], tuple[str, BipartiteGraph] | None]:
-    def witness(r: int, s: int, m: int) -> tuple[str, BipartiteGraph] | None:
-        try:
-            family, graph = dispatch_witness(goal, r, s, m)
-        except NoWitness:
-            return None
-        return (family.value if family is not None else "empty"), graph
-
-    return witness
-
-
 @dataclass(frozen=True)
 class _Claim:
     """One bound of one theorem: ``metric`` stays on ``side`` of ``bound(r, s, m)``.
 
     A sized claim holds per edge count m <= floor(rs/2) and gets one
     attainment record per m; an unsized one ignores m and gets one record
-    per shape (m None). ``witness(r, s, m)`` gives (family name, graph)
-    meant to reach the bound, or None.
+    per shape (m None). ``_witness`` derives the graph meant to reach the
+    bound from the claim itself.
     """
 
     theorem: str
@@ -600,29 +549,52 @@ class _Claim:
     side: str  # "lower" | "upper"
     sized: bool
     bound: Callable[[int, int, int | None], int]
-    witness: Callable[[int, int, int | None], tuple[str, BipartiteGraph] | None]
 
 
-# The bound and witness functions look the bounds and builders up at call
-# time, so a caller that rebinds those module names sees every call.
+# The bound functions and ``_witness`` look the bounds and builders up at
+# call time, so a caller that rebinds those module names sees every call.
 _CLAIMS = (
-    _Claim("L3.1", "sum_delta", "upper", False, _sum_cap, _no_witness),
-    _Claim("L3.1", "prod_delta", "upper", False, _prod_cap, _no_witness),
-    _Claim("T3.2", "sum_edge", "upper", False, _sum_cap, _complete_witness),
-    _Claim("T3.2", "prod_edge", "upper", False, _prod_cap, _s3_g2_witness),
-    _Claim("T3.3", "sum_vertex", "upper", False, _sum_cap, _complete_witness),
-    _Claim("T3.3", "prod_vertex", "upper", False, _prod_cap, _s3_g2_witness),
-    _Claim("T4.1", "sum_edge", "upper", True, _n_bound, _dispatched(BoundGoal.SUM_UPPER)),
-    _Claim("T4.1", "sum_edge", "lower", True, _sum_floor, _dispatched(BoundGoal.SUM_LOWER)),
-    _Claim("T4.2", "prod_edge", "upper", True, _m_bound, _dispatched(BoundGoal.PROD_UPPER)),
-    _Claim("T4.3", "sum_vertex", "upper", True, _n_bound, _dispatched(BoundGoal.SUM_UPPER)),
-    _Claim("T4.3", "sum_vertex", "lower", True, _sum_floor, _dispatched(BoundGoal.SUM_LOWER)),
-    _Claim("T4.3", "prod_vertex", "upper", True, _m_bound, _dispatched(BoundGoal.PROD_UPPER)),
+    _Claim("L3.1", "sum_delta", "upper", False, _sum_cap),
+    _Claim("L3.1", "prod_delta", "upper", False, _prod_cap),
+    _Claim("T3.2", "sum_edge", "upper", False, _sum_cap),
+    _Claim("T3.2", "prod_edge", "upper", False, _prod_cap),
+    _Claim("T3.3", "sum_vertex", "upper", False, _sum_cap),
+    _Claim("T3.3", "prod_vertex", "upper", False, _prod_cap),
+    _Claim("T4.1", "sum_edge", "upper", True, _n_bound),
+    _Claim("T4.1", "sum_edge", "lower", True, _sum_floor),
+    _Claim("T4.2", "prod_edge", "upper", True, _m_bound),
+    _Claim("T4.3", "sum_vertex", "upper", True, _n_bound),
+    _Claim("T4.3", "sum_vertex", "lower", True, _sum_floor),
+    _Claim("T4.3", "prod_vertex", "upper", True, _m_bound),
 )
 
 # Claims on vertex connectivity, the costliest kernel: only their sweeps carry
 # vertex cells, and a cached vertex sweep serves the edge-only claims too.
 VERTEX_THEOREMS = frozenset(c.theorem for c in _CLAIMS if c.metric.endswith("vertex"))
+
+
+def _witness(claim: _Claim, r: int, s: int, m: int | None) -> tuple[str, BipartiteGraph] | None:
+    """(family name, graph) meant to reach the claim's bound, or None.
+
+    Minimum-degree claims have none. A sized claim takes the family that
+    ``dispatch_witness`` picks for its goal ("empty" for the empty graph), an
+    unsized sum the complete graph, and an unsized product ``s3-g2``; a goal
+    or family whose domain excludes (r, s, m) gives None.
+    """
+    if claim.metric.endswith("delta"):
+        return None
+    op = claim.metric.split("_")[0]
+    if not claim.sized and op == "sum":
+        return "complete", BipartiteGraph.from_mask(r, s, (1 << (r * s)) - 1)
+    try:
+        if claim.sized:
+            family, graph = dispatch_witness(BoundGoal(f"{op}-{claim.side}"), r, s, m)
+        else:
+            family = WitnessFamilyId.S3_G2
+            graph = build_witness(family, r, s)
+    except (NoWitness, PreconditionViolated):
+        return None
+    return (family.value if family is not None else "empty"), graph
 
 
 def _attainment(claim: _Claim, sweep: ShapeSweep, m: int | None) -> AttainmentRecord:
@@ -634,7 +606,7 @@ def _attainment(claim: _Claim, sweep: ShapeSweep, m: int | None) -> AttainmentRe
     else:
         enumerated = min(c.min_value for c in cells if c is not None)
     formula = claim.bound(r, s, m)
-    witness = claim.witness(r, s, m)
+    witness = _witness(claim, r, s, m)
     if witness is None:
         family = edges = value = None
     else:

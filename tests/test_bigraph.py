@@ -135,6 +135,20 @@ def test_json_round_trip():
     assert graph_to_json(g)["edges"] == [[1, 1], [2, 3]]
 
 
+@pytest.mark.parametrize("obj", [
+    {"r": 2, "s": 2, "edges": [1]},
+    {"r": 2, "s": 2, "edges": None},
+    {"r": 2, "s": 2, "edges": [[1, None]]},
+    {"r": None, "s": 2, "edges": []},
+    {"r": "a", "s": 2, "edges": []},
+    {"r": 2, "s": 2},
+    [2, 2],
+])
+def test_malformed_json_graph_raises_value_error(obj):
+    with pytest.raises(ValueError):
+        graph_from_json(obj)
+
+
 def test_add_vertices():
     g = new_graph(2, 2, [(1, 1)])
     bigger = add_right_vertex(g, [1, 2])

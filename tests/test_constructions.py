@@ -165,6 +165,8 @@ def test_dispatch_rejects_invalid_triples():
         dispatch_witness(BoundGoal.SUM_UPPER, 5, 4, 3)
     with pytest.raises(InvalidTriple):
         dispatch_witness(BoundGoal.SUM_UPPER, 4, 5, 11)
+    with pytest.raises(ValueError, match="unknown goal"):
+        dispatch_witness("sum-upper", 4, 5, 10)
 
 
 def test_dispatch_reports_no_witness_at_degenerate_cells():
@@ -189,3 +191,46 @@ def test_dispatched_witnesses_hit_their_formulas():
                     except NoWitness:
                         continue
                     assert metric_value(metric, g) == formula, (goal, r, s, m)
+
+
+G1, G2, G3, G4, G5, G6, G7 = (WitnessFamilyId(f"s4-g{i}") for i in range(1, 8))
+
+# (r, s, m) -> family chosen for (sum-lower, sum-upper, prod-upper); None is
+# the empty graph, NoWitness a cell no family covers.
+DISPATCH_TABLE = {
+    (4, 5, 0): (G1, None, None),
+    (4, 5, 3): (G1, G3, G1),
+    (4, 5, 7): (G2, G4, G2),
+    (4, 5, 8): (G2, G5, G5),
+    (4, 5, 9): (G2, NoWitness, NoWitness),  # s4-g7's added star does not fit
+    (4, 5, 10): (G2, G6, G6),
+    (5, 6, 13): (G2, G7, G7),
+    (2, 2, 2): (G2, NoWitness, G2),  # s4-g3 is degenerate at r = 2, m = s
+}
+
+
+@pytest.mark.parametrize("triple", DISPATCH_TABLE)
+def test_dispatch_family_per_branch(triple):
+    goals = (BoundGoal.SUM_LOWER, BoundGoal.SUM_UPPER, BoundGoal.PROD_UPPER)
+    for goal, expected in zip(goals, DISPATCH_TABLE[triple]):
+        if expected is NoWitness:
+            with pytest.raises(NoWitness):
+                dispatch_witness(goal, *triple)
+            continue
+        family, g = dispatch_witness(goal, *triple)
+        assert family is expected, (goal, triple)
+        assert g.edge_count == triple[2]
+
+
+def test_every_precondition_failure_names_its_family():
+    failures = 0
+    for family in WitnessFamilyId:
+        for r in range(1, 8):
+            for s in range(1, 10):
+                for m in (None, *range(-1, r * s + 2)):
+                    try:
+                        build_witness(family, r, s, m)
+                    except PreconditionViolated as exc:
+                        failures += 1
+                        assert str(exc).startswith(f"{family.value}: "), (family, r, s, m, str(exc))
+    assert failures > 0
