@@ -4,8 +4,11 @@ A graph lives on parts X = {x_1..x_r} and Y = {y_1..y_s}; edges join X to Y
 only, so the representation cannot express loops, multi-edges, or edges
 inside a part. Adjacency is one bit row per X vertex: bit j-1 of row i-1 is
 set exactly when the edge x_i y_j is present. Vertex labels are fixed
-1-based indices within each part and all identities in this package are
-checked label for label; no isomorphism machinery exists anywhere.
+1-based indices within each part, and every identity the library states
+(graph equality, the complement, the Bi-Cayley identity) is checked label
+for label; no library function tests two graphs for isomorphism. Only the
+verifier's exhaustive scans group graphs into isomorphism classes, to
+evaluate one graph per class.
 
 Everything in this module is a pure function over immutable values, safe to
 share between worker processes.

@@ -10,10 +10,11 @@ The witness families are the concrete graphs that attain the connectivity
 bounds. One table row per family id declares whether the family is sized
 (needs m and has exactly m edges), its builder, and the (edge connectivity,
 complement edge connectivity) pair it is designed to achieve.
-``build_witness`` checks the sized preconditions every sized family shares
-(m given, r <= s), runs the builder, which checks only its own domain, and
-names the family in any PreconditionViolated; ``claimed_edge_connectivity_pair``
-reads the row. The test suite recomputes the pairs with the connectivity
+``build_witness`` checks the preconditions every family shares (both parts
+nonempty; for a sized family, m given and r <= s), runs the builder, which
+checks only its own domain, and names the family in any
+PreconditionViolated; ``claimed_edge_connectivity_pair`` checks the same
+shared preconditions and reads the row. The test suite recomputes the pairs with the connectivity
 module instead of trusting the construction. ``dispatch_witness`` picks the
 family for a bound goal through one case split on (r, s, m).
 """
@@ -120,7 +121,8 @@ def _appended_collisions_with_x1(r: int, s: int, d: int) -> int:
 
 
 # Builders check only their own family's domain; ``build_witness`` has
-# already checked the shared sized preconditions (m given, r <= s).
+# already checked the shared preconditions (r, s >= 1; for a sized family,
+# m given and r <= s).
 
 
 def _build_s3_g1(r: int, s: int, m: int | None) -> BipartiteGraph:
@@ -264,17 +266,31 @@ _FAMILIES = {
 }
 
 
+def _family_row(family: WitnessFamilyId, r: int, s: int, m: int | None) -> _Family:
+    """The family's row, once the preconditions every family shares hold.
+
+    Both parts nonempty, and for a sized family m given and r <= s. Raises
+    PreconditionViolated naming the family otherwise.
+    """
+    row = _FAMILIES[family]
+    try:
+        _require(r >= 1 and s >= 1, f"needs r >= 1 and s >= 1, got r={r}, s={s}")
+        if row.sized:
+            _require(m is not None, "needs m")
+            _require(r <= s, f"needs r <= s, got r={r}, s={s}")
+    except PreconditionViolated as exc:
+        raise PreconditionViolated(f"{family.value}: {exc}") from None
+    return row
+
+
 def build_witness(family: WitnessFamilyId, r: int, s: int, m: int | None = None) -> BipartiteGraph:
     """Build the named witness graph; the s3-* families ignore ``m``.
 
     Raises PreconditionViolated, naming the family and the failed condition,
     whenever the parameters lie outside the family's domain.
     """
-    row = _FAMILIES[family]
+    row = _family_row(family, r, s, m)
     try:
-        if row.sized:
-            _require(m is not None, "needs m")
-            _require(r <= s, f"needs r <= s, got r={r}, s={s}")
         g = row.build(r, s, m)
     except PreconditionViolated as exc:
         raise PreconditionViolated(f"{family.value}: {exc}") from None
@@ -284,8 +300,12 @@ def build_witness(family: WitnessFamilyId, r: int, s: int, m: int | None = None)
 
 
 def claimed_edge_connectivity_pair(family: WitnessFamilyId, r: int, s: int, m: int | None = None) -> tuple[int, int]:
-    """The (edge connectivity, complement edge connectivity) pair each family targets."""
-    return _FAMILIES[family].pair(r, s, m)
+    """The (edge connectivity, complement edge connectivity) pair each family targets.
+
+    Raises PreconditionViolated, naming the family, outside the preconditions
+    every family shares (see ``build_witness``).
+    """
+    return _family_row(family, r, s, m).pair(r, s, m)
 
 
 def witness_notes(family: WitnessFamilyId, r: int, s: int, m: int | None = None) -> tuple[str, ...]:

@@ -6,8 +6,9 @@ vertex connectivity, stays on one side of a closed form in (r, s, m). The
 engine that checks them has three pieces:
 
 * mask sources: the 2^(rs-1) graph/complement pair masks of a shape
-  (``shape_sweep``), or a rank range of the masks with exactly m edges
-  (``extremal_scan``);
+  (``shape_sweep``), a rank range of the masks with exactly m edges
+  (``extremal_scan``), or one representative per S_r x S_s orbit, weighted
+  by its orbit size (``_orbit_reps``; both calls, from nine vertices on);
 * one chunk worker that runs only the kernels the requested metrics need
   and folds each value into per-edge-count cells through one reducer (max
   and min with a smallest-mask tie-break, plus a count), the same reducer
@@ -28,10 +29,15 @@ and L2.4; L2.1 runs as one inline chunk, and L2.5 keeps fixed 500-trial
 chunks, each seeded from the seed and its index, since the draws depend on
 them.
 
-At eight vertices and below the connectivity kernels are the brute-force
-oracles, and every graph of a shape sweep is also cross-checked against the
-max-flow values, so each exhaustive run doubles as an oracle-equivalence
-audit. Larger scans use max-flow alone.
+At eight vertices and below the scans walk every labeled graph, the
+connectivity kernels are the brute-force oracles, and every graph of a shape
+sweep is also cross-checked against the max-flow values, so each exhaustive
+run doubles as an oracle-equivalence audit. Larger scans use max-flow alone,
+on one representative per isomorphism class: every metric and bound depends
+only on the class, a class counts for all its labeled graphs, and it is
+filed under its smallest labeled mask, so cells, extremes and reports are
+those of the labeled scan. Only a class that breaks a bound is expanded, to
+report each of its labeled graphs.
 
 Claim identifiers accepted by ``check_theorem``:
 
@@ -58,8 +64,8 @@ import os
 import random
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
-from itertools import groupby
-from math import comb
+from itertools import combinations_with_replacement, groupby, islice, permutations
+from math import comb, factorial, prod
 from multiprocessing import Pool
 from operator import add, attrgetter, mul
 from typing import Callable, Iterator
@@ -169,6 +175,62 @@ def shapes_within(max_n: int) -> list[tuple[int, int]]:
     return [(r, s) for r in range(1, max_n // 2 + 1) for s in range(r, max_n - r + 1)]
 
 
+# --- isomorph-free enumeration: one representative per S_r x S_s orbit ------
+
+
+def _orbit_reps(r: int, s: int, m: int | None = None, lo: int = 0, hi: int | None = None) -> Iterator[tuple[int, int]]:
+    """(smallest labeled mask, orbit size) of each orbit among the multisets ranked lo..hi-1.
+
+    A column type is an r-bit int, bit i set when row i has the column. A
+    sorted multiset of s column types stands for every graph that lists
+    those columns in some order, which absorbs S_s; it is kept only when it
+    is the lexicographically least of its r! row-permuted images, which
+    absorbs S_r (Read 1978, McKay 1998). The orbit then holds
+    r! s! / (|row stabilizer| * prod(multiplicity!)) labeled graphs. For one
+    row permutation the smallest mask lists its columns in descending
+    order, column 0 first (row r-1 is the most significant), so the
+    orbit's smallest mask is the least of those over its images. With
+    ``m`` given, only the orbits with m edges.
+    """
+    types = range(1 << r)
+    tables = [[sum((c >> i & 1) << p for i, p in enumerate(perm)) for c in types] for perm in permutations(range(r))]
+    spread = [sum((c >> i & 1) << (i * s) for i in range(r)) for c in types]
+    labelings = factorial(r) * factorial(s)
+    for cols in islice(combinations_with_replacement(types, s), lo, hi):
+        if m is not None and sum(c.bit_count() for c in cols) != m:
+            continue
+        images = []
+        for table in tables:
+            image = tuple(sorted([table[c] for c in cols]))
+            if image < cols:
+                break
+            images.append(image)
+        else:
+            stabilizer = images.count(cols) * prod(factorial(len(list(run))) for _, run in groupby(cols))
+            mask = min(sum(spread[c] << j for j, c in enumerate(reversed(image))) for image in images)
+            yield mask, labelings // stabilizer
+
+
+def _orbit_members(r: int, s: int, mask: int) -> list[int]:
+    """Every labeled mask in the S_r x S_s orbit of ``mask``, ascending.
+
+    The closure of the graph under swaps of adjacent rows and of adjacent
+    columns, which generate S_r x S_s.
+    """
+    start = _rows_of(mask, r, s)
+    seen = {start}
+    todo = [start]
+    while todo:
+        rows = todo.pop()
+        neighbours = [rows[:i] + (rows[i + 1], rows[i]) + rows[i + 2:] for i in range(r - 1)]
+        neighbours += [tuple(row ^ ((row >> j ^ row >> (j + 1)) & 1) * (3 << j) for row in rows) for j in range(s - 1)]
+        for other in neighbours:
+            if other not in seen:
+                seen.add(other)
+                todo.append(other)
+    return sorted(sum(row << (i * s) for i, row in enumerate(rows)) for rows in seen)
+
+
 # --- scan engine: mask sources, one chunk worker, one reducer -----------------
 
 
@@ -228,6 +290,7 @@ class ShapeSweep:
     mismatches: list[tuple]  # (mask, invariant, flow_value, oracle_value)
     wall_ms: int
     has_vertex: bool = True
+    orbits_checked: int | None = None  # graphs evaluated, one per orbit; None when every labeled graph was
 
     def envelope_max(self, metric: str) -> int:
         if metric.endswith("vertex") and not self.has_vertex:
@@ -257,22 +320,28 @@ _KINDS = ("edge", "vertex", "delta")
 
 
 def _chunk(args):
-    """Worker: fold the metric values of one mask range into cells by edge count.
+    """Worker: fold the metric values of one chunk of a mask source into cells by edge count.
 
-    With ``m`` None, [lo, hi) is a range of pair masks: a mask and its
-    complement are two labeled graphs, filed in cells popcount and
-    rs - popcount, and every mask is held to the per-edge-count bounds in
-    ``checks``. With ``m`` given, [lo, hi) is a rank range of the m-edge masks
-    and each mask is filed alone. Only the kernels the metrics need run (edge
-    pair, vertex pair, minimum degree). At r + s <= 8 the connectivity
-    kernels are the brute-force oracles, and pair ranges cross-check them
-    against max-flow graph by graph.
+    [lo, hi) is a range of the source. With ``orbits`` it ranks the multisets
+    of column types: each orbit representative (``_orbit_reps``; with ``m``
+    given, only the m-edge ones) is filed alone under its smallest labeled
+    mask, counting for every graph of its orbit. Otherwise, with ``m`` None,
+    [lo, hi) is a range of pair masks: a mask and its complement are two
+    labeled graphs, filed in cells popcount and rs - popcount; with ``m``
+    given, it ranks the m-edge masks, each filed alone. Each graph is held to
+    the per-edge-count bounds in ``checks``. Only the kernels the metrics
+    need run (edge pair, vertex pair, minimum degree). At r + s <= 8 the
+    connectivity kernels are the brute-force oracles, and pair ranges
+    cross-check them against max-flow graph by graph.
+
+    Returns (graphs covered, graphs evaluated, cells, raw violations,
+    mismatches).
     """
-    r, s, m, lo, hi, metrics, checks = args
+    r, s, m, orbits, lo, hi, metrics, checks = args
     bits = r * s
     full = (1 << bits) - 1
     use_oracle = (r + s) <= ORACLE_BACKEND_MAX_VERTICES
-    pair_range = m is None
+    pair_range = m is None and not orbits
     flow = {"edge": edge_connectivity_value, "vertex": vertex_connectivity_value, "delta": _min_degree}
     oracle = {"edge": edge_oracle_value, "vertex": vertex_oracle_value, "delta": _min_degree}
     kinds = [kind for kind in _KINDS if any(metric.endswith(kind) for metric in metrics)]
@@ -285,8 +354,16 @@ def _chunk(args):
     per_metric = list(cells.values())
     raw = []  # (theorem, side, metric, m, subject_mask, observed, bound)
     mismatches = []
-    masks = range(lo, hi) if pair_range else _iter_fixed_popcount(bits, m, lo, hi - lo)
-    for mask in masks:
+    if orbits:
+        items = _orbit_reps(r, s, m, lo, hi)
+    elif pair_range:
+        items = ((mask, 1) for mask in range(lo, hi))
+    else:
+        items = ((mask, 1) for mask in _iter_fixed_popcount(bits, m, lo, hi - lo))
+    graphs = evaluated = 0
+    for mask, weight in items:
+        graphs += weight
+        evaluated += 1
         cmask = full ^ mask
         rows = _rows_of(mask, r, s)
         rows_c = _rows_of(cmask, r, s)
@@ -301,19 +378,28 @@ def _chunk(args):
         mm = mask.bit_count()
         mc = bits - mm
         for per_m, value in zip(per_metric, values):
-            _fold(per_m, mm, value, mask, value, mask, 1)
+            _fold(per_m, mm, value, mask, value, mask, weight)
             if pair_range:
                 _fold(per_m, mc, value, cmask, value, cmask, 1)
         if checks:
-            # The pair value is symmetric, so both graphs are held to the
-            # bound at the smaller edge count, reported on that graph.
-            vm, subject = (mm, mask) if mm <= mc else (mc, cmask)
+            # The pair value is symmetric, so a pair is held to the bound at
+            # its smaller edge count.
+            vm = min(mm, mc)
+            failed = []
             for theorem, side, metric, i, bound_by_m, upper in checks:
                 value = values[i]
                 bound = bound_by_m[vm]
                 if value > bound if upper else value < bound:
-                    raw.append((theorem, side, metric, vm, subject, value, bound))
-    return (2 if pair_range else 1) * (hi - lo), cells, raw, mismatches
+                    failed.append((theorem, side, metric, value, bound))
+            if failed:
+                # Reported on the pair's graph with fewer edges, the smaller
+                # mask on a tie; an orbit reports every labeled pair it holds.
+                for subject in _orbit_members(r, s, mask) if orbits else (mask, cmask):
+                    em = subject.bit_count()
+                    if (em, subject) < (bits - em, full ^ subject):
+                        raw += [(theorem, side, metric, vm, subject, value, bound)
+                                for theorem, side, metric, value, bound in failed]
+    return (2 if pair_range else 1) * graphs, evaluated, cells, raw, mismatches
 
 
 def _resolve_jobs(jobs: int | None) -> int:
@@ -339,26 +425,54 @@ def _run_chunked(worker, arg_sets, jobs: int):
         return pool.map(worker, arg_sets)
 
 
-def _scan(r: int, s: int, m: int | None, count: int, min_chunk: int, metrics, checks, jobs: int):
-    """Run ``count`` masks of one source (see ``_chunk``) in chunks; merge the results.
+# The multisets of (4, 5), the largest nine-vertex shape, number C(20, 5) =
+# 15,504, so every nine-vertex orbit scan runs as one inline chunk: a pool
+# starts slower than the whole scan.
+_ORBIT_MIN_CHUNK = 1 << 14
 
-    Returns (graphs, cells as metric -> per-edge-count lists, raw violations,
-    mismatches), all in mask order.
+
+def _scan(r: int, s: int, m: int | None, orbits: bool, metrics, checks, jobs: int):
+    """Run one mask source (see ``_chunk``) in chunks; merge the results.
+
+    The source is the orbit representatives when ``orbits``, else the pair
+    masks (``m`` None) or the m-edge masks. Returns (graphs covered, orbits
+    evaluated or None for a labeled source, cells as metric -> per-edge-count
+    lists, raw violations in pair-mask order, mismatches in mask order).
     """
-    arg_sets = [(r, s, m, lo, hi, metrics, checks) for lo, hi in _chunk_ranges(count, min_chunk, jobs)]
-    graphs = 0
+    if orbits:
+        count, min_chunk = comb((1 << r) + s - 1, s), _ORBIT_MIN_CHUNK  # multisets of s of the 2^r column types
+    elif m is None:
+        count, min_chunk = 1 << (r * s - 1), 1024
+    else:
+        count, min_chunk = comb(r * s, m), 4096
+    arg_sets = [(r, s, m, orbits, lo, hi, metrics, checks) for lo, hi in _chunk_ranges(count, min_chunk, jobs)]
+    graphs = evaluated = 0
     cells = {metric: [None] * (r * s + 1) for metric in metrics}
     raw: list[tuple] = []
     mismatches: list[tuple] = []
-    for chunk_graphs, chunk_cells, chunk_raw, chunk_mismatches in _run_chunked(_chunk, arg_sets, jobs):
+    for chunk_graphs, chunk_evaluated, chunk_cells, chunk_raw, chunk_mismatches in _run_chunked(_chunk, arg_sets, jobs):
         graphs += chunk_graphs
+        evaluated += chunk_evaluated
         for metric, per_m in chunk_cells.items():
             for em, cell in enumerate(per_m):
                 if cell is not None:
                     _fold(cells[metric], em, *cell)
         raw += chunk_raw
         mismatches += chunk_mismatches
-    return graphs, cells, raw, mismatches
+    # Orbit chunks interleave the pairs; labeled chunks are already in order.
+    full = (1 << (r * s)) - 1
+    raw.sort(key=lambda v: min(v[4], full ^ v[4]))
+    return graphs, evaluated if orbits else None, cells, raw, mismatches
+
+
+def _checks(r: int, s: int, metrics) -> list[tuple]:
+    """Every bound claim on ``metrics`` as (theorem, side, metric, index in metrics, bound per edge count, upper)."""
+    return [
+        (c.theorem, c.side, c.metric, metrics.index(c.metric),
+         [c.bound(r, s, m) for m in range(r * s // 2 + 1)], c.side == "upper")
+        for c in _CLAIMS
+        if c.metric in metrics
+    ]
 
 
 _SWEEP_CACHE: dict[tuple[int, int], ShapeSweep] = {}
@@ -373,9 +487,12 @@ def shape_sweep(
 ) -> ShapeSweep:
     """Exhaustively scan one shape (cached per shape).
 
-    Covers all 2^(rs) labeled graphs by walking the 2^(rs-1) graph/complement
-    pairs. At r + s <= 8 the values come from the brute-force oracle and the
-    max-flow results are cross-checked graph by graph. Vertex connectivity
+    Covers all 2^(rs) labeled graphs. At r + s <= 8 it walks the 2^(rs-1)
+    graph/complement pairs, the values come from the brute-force oracle and
+    the max-flow results are cross-checked graph by graph. Above that it
+    evaluates one graph per S_r x S_s orbit and weights it by the orbit
+    size: ``graphs_checked`` still counts the labeled graphs covered, and
+    ``orbits_checked`` the graphs evaluated. Vertex connectivity
     dominates the cost; edge-only callers pass ``include_vertex=False`` and
     the sweep then carries no vertex cells and no T3.3/T4.3 checks. A cached
     sweep with vertex metrics serves edge-only requests too.
@@ -392,13 +509,8 @@ def shape_sweep(
     jobs = _resolve_jobs(jobs)
     started = time.perf_counter()
     metrics = tuple(metric for metric in _ALL_METRICS if include_vertex or not metric.endswith("vertex"))
-    checks = [
-        (c.theorem, c.side, c.metric, metrics.index(c.metric),
-         [c.bound(r, s, m) for m in range(bits // 2 + 1)], c.side == "upper")
-        for c in _CLAIMS
-        if c.metric in metrics
-    ]
-    graphs, cells, raw, mismatches = _scan(r, s, None, 1 << (bits - 1), 1024, metrics, checks, jobs)
+    orbits = r + s > ORACLE_BACKEND_MAX_VERTICES
+    graphs, evaluated, cells, raw, mismatches = _scan(r, s, None, orbits, metrics, _checks(r, s, metrics), jobs)
     violations = [
         Violation(
             theorem, side, metric, r, s, vm,
@@ -415,6 +527,7 @@ def shape_sweep(
         r, s, graphs, final_cells, violations, mismatches,
         int((time.perf_counter() - started) * 1000),
         has_vertex=include_vertex,
+        orbits_checked=evaluated,
     )
     if use_cache:
         _SWEEP_CACHE[key] = sweep
@@ -437,6 +550,7 @@ class ExtremalResult:
     min_value: int
     argmin: BipartiteGraph
     graphs_checked: int
+    orbits_checked: int | None = None  # as on ``ShapeSweep``
 
 
 def metric_value(metric: str, g: BipartiteGraph) -> int:
@@ -454,13 +568,16 @@ def extremal_scan(r: int, s: int, m: int, metric: str, jobs: int | None = None) 
     """Extremal metric values over every labeled graph with exactly m edges.
 
     Preconditions: r <= s, m <= floor(rs/2), and the fixed-size enumeration
-    caps (C(rs, m) <= 2^24 masks, rs <= 30).
+    caps (C(rs, m) <= 2^24 masks, rs <= 30). Above eight vertices one graph
+    per orbit is evaluated, as in ``shape_sweep``; the extremes and their
+    smallest labeled masks are the same.
     """
     if metric not in METRIC_IDS:
         raise ValueError(f"unknown metric {metric!r}; choose one of {METRIC_IDS}")
     ParameterTriple(r, s, m)
-    total = _fixed_m_count(r * s, m)
-    graphs, cells, _, _ = _scan(r, s, m, total, 4096, (metric,), (), _resolve_jobs(jobs))
+    _fixed_m_count(r * s, m)
+    orbits = r + s > ORACLE_BACKEND_MAX_VERTICES
+    graphs, evaluated, cells, _, _ = _scan(r, s, m, orbits, (metric,), (), _resolve_jobs(jobs))
     max_value, max_mask, min_value, min_mask, _ = cells[metric][m]
     return ExtremalResult(
         metric, r, s, m, max_value,
@@ -468,6 +585,7 @@ def extremal_scan(r: int, s: int, m: int, metric: str, jobs: int | None = None) 
         min_value,
         BipartiteGraph.from_mask(r, s, min_mask),
         graphs,
+        evaluated,
     )
 
 

@@ -103,6 +103,12 @@ def test_witness_precondition_exit_code(capsys):
                          "--r", "4", "--s", "5", "--m", "11")
     assert status == EXIT_DOMAIN
     assert "s4-g6" in err
+    # An empty part once ended in a division by zero, or in an edge-range
+    # error that did not name the family.
+    for family, r, s, m in (("s4-g6", 0, 0, 0), ("s4-g3", 0, 2, 1)):
+        status, _, err = run(capsys, "witness", "--family", family, "--r", str(r), "--s", str(s), "--m", str(m))
+        assert status == EXIT_DOMAIN
+        assert err.startswith(f"error: {family}: "), err
 
 
 def test_bicayley_command(capsys):

@@ -222,6 +222,22 @@ def test_dispatch_family_per_branch(triple):
         assert g.edge_count == triple[2]
 
 
+@pytest.mark.parametrize("family", list(WitnessFamilyId), ids=lambda f: f.value)
+def test_empty_parts_and_missing_m_are_rejected_naming_the_family(family):
+    sized = family.value.startswith("s4")
+    for r, s in ((0, 0), (0, 2), (0, 5), (1, 0), (3, 0)):
+        for m in (None, 0, 1, 2):
+            for call in (build_witness, claimed_edge_connectivity_pair):
+                with pytest.raises(PreconditionViolated, match=f"^{family.value}: "):
+                    call(family, r, s, m)
+    if sized:
+        for call in (build_witness, claimed_edge_connectivity_pair):
+            with pytest.raises(PreconditionViolated, match=f"^{family.value}: needs m"):
+                call(family, 3, 4)
+    else:
+        assert claimed_edge_connectivity_pair(family, 4, 5) == kp_pair(build_witness(family, 4, 5))
+
+
 def test_every_precondition_failure_names_its_family():
     failures = 0
     for family in WitnessFamilyId:

@@ -2,6 +2,9 @@ import dataclasses
 import json
 import os
 import random
+from collections import Counter
+from itertools import permutations
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -174,6 +177,129 @@ def test_tightened_claim_reports_every_violating_graph(monkeypatch, side, shift)
     assert expected
     assert len(sweep.violations) == len(expected)
     assert set(sweep.violations) == set(expected)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("side, shift", [("upper", -1), ("lower", 1)])
+def test_tightened_claim_on_the_orbit_path_reports_every_labeled_graph_in_order(monkeypatch, side, shift, jobs):
+    # At (2, 7), nine vertices, the sweep evaluates one graph per orbit. A
+    # violating orbit must still yield every labeled violation, in pair-mask
+    # order, as the labeled scan and an enumeration through metric_value do.
+    # With two jobs the multisets are cut into chunks of 16, so the merge must
+    # restore that order across chunks.
+    claims = list(verifier._CLAIMS)
+    index = next(i for i, c in enumerate(claims) if (c.theorem, c.side) == ("T4.1", side))
+    loose = claims[index].bound
+    claims[index] = dataclasses.replace(claims[index], bound=lambda r, s, m: loose(r, s, m) + shift)
+    monkeypatch.setattr(verifier, "_CLAIMS", tuple(claims))
+    if jobs == 2:
+        monkeypatch.setattr(verifier, "_ORBIT_MIN_CHUNK", 16)
+    sweep = shape_sweep(2, 7, jobs=jobs, use_cache=False, include_vertex=False)
+    assert sweep.orbits_checked == 70 and sweep.mismatches == []
+    metrics = ("sum_edge", "prod_edge", "sum_delta", "prod_delta")
+    _, orbits, _, raw, _ = verifier._scan(2, 7, None, False, metrics, verifier._checks(2, 7, metrics), 1)
+    assert orbits is None
+    labeled = [Violation(theorem, side_, metric, 2, 7, vm, tuple(BipartiteGraph.from_mask(2, 7, subject).edges()),
+                         observed, bound)
+               for theorem, side_, metric, vm, subject, observed, bound in raw]
+    expected = []
+    for mask in range(1 << 13):  # the pair masks: each graph or its complement, top bit clear
+        g = BipartiteGraph.from_mask(2, 7, mask)
+        gc = bipartite_complement(g)
+        subject = g if (g.edge_count, g.mask) < (gc.edge_count, gc.mask) else gc
+        observed = metric_value("sum_edge", g)
+        bound = loose(2, 7, subject.edge_count) + shift
+        if (observed > bound) if side == "upper" else (observed < bound):
+            expected.append(Violation("T4.1", side, "sum_edge", 2, 7, subject.edge_count, tuple(subject.edges()),
+                                      observed, bound))
+    assert expected
+    assert sweep.violations == labeled == expected
+
+
+def _cycle_types(n):
+    """Counter of the cycle types (sorted cycle lengths) over all permutations of n points."""
+    types = Counter()
+    for perm in permutations(range(n)):
+        seen, lengths = set(), []
+        for start in range(n):
+            length = 0
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+                length += 1
+            if length:
+                lengths.append(length)
+        types[tuple(sorted(lengths))] += 1
+    return types
+
+
+def _burnside_orbits(r, s):
+    """Orbits of S_r x S_s on the 2^(rs) labeled graphs: the mean number of fixed graphs.
+
+    A pair of permutations with cycles a (on rows) and b (on columns) moves
+    the rs cells in gcd(a, b) cycles per pair of cycles, and fixes 2^(cycles)
+    graphs.
+    """
+    fixed = sum(
+        count_r * count_s * 2 ** sum(gcd(a, b) for a in type_r for b in type_s)
+        for type_r, count_r in _cycle_types(r).items()
+        for type_s, count_s in _cycle_types(s).items()
+    )
+    return fixed // (factorial(r) * factorial(s))
+
+
+def test_orbit_representatives_match_burnside_and_cover_every_labeled_graph():
+    for r, s in shapes_within(9):
+        reps = list(verifier._orbit_reps(r, s))
+        assert len(reps) == _burnside_orbits(r, s), (r, s)
+        assert sum(weight for _, weight in reps) == 1 << (r * s)
+        for m in range(r * s + 1):
+            at_m = [(mask, weight) for mask, weight in reps if mask.bit_count() == m]
+            assert sum(weight for _, weight in at_m) == comb(r * s, m), (r, s, m)
+            assert list(verifier._orbit_reps(r, s, m)) == at_m
+        if r + s <= 7:
+            # Each representative is the smallest mask of its orbit, and its
+            # weight the orbit's size.
+            for mask, weight in reps:
+                members = verifier._orbit_members(r, s, mask)
+                assert (members[0], len(members)) == (mask, weight)
+    assert len(list(verifier._orbit_reps(4, 5))) == 1053
+    assert len(list(verifier._orbit_reps(3, 6))) == 386
+
+
+def _cell_lists(cells):
+    return [None if c is None else [c.max_value, c.max_mask, c.min_value, c.min_mask, c.count] for c in cells]
+
+
+def test_orbit_cells_equal_the_audited_labeled_cells_up_to_eight_vertices():
+    for r, s in shapes_within(8):
+        labeled = shape_sweep(r, s, jobs=2)
+        assert labeled.orbits_checked is None
+        graphs, orbits, cells, raw, mismatches = verifier._scan(r, s, None, True, verifier._ALL_METRICS, (), 1)
+        assert graphs == labeled.graphs_checked == 1 << (r * s)
+        assert orbits == _burnside_orbits(r, s) and raw == mismatches == []
+        for metric in verifier._ALL_METRICS:
+            assert cells[metric] == _cell_lists(labeled.cells[metric]), (r, s, metric)
+
+
+def test_orbit_sweeps_and_scans_equal_the_labeled_scans_at_nine_vertices():
+    metrics = ("sum_edge", "prod_edge", "sum_delta", "prod_delta")
+    for r, s in ((1, 8), (2, 7), (3, 6)):
+        sweep = shape_sweep(r, s, jobs=2, use_cache=False, include_vertex=False)
+        graphs, orbits, cells, _, _ = verifier._scan(r, s, None, False, metrics, (), 2)
+        assert (sweep.graphs_checked, sweep.orbits_checked) == (graphs, _burnside_orbits(r, s))
+        for metric in metrics:
+            assert _cell_lists(sweep.cells[metric]) == cells[metric], (r, s, metric)
+    for m, scan_metrics in ((5, METRIC_IDS), (10, ("sum_edge", "prod_edge"))):
+        graphs, _, cells, _, _ = verifier._scan(4, 5, m, False, scan_metrics, (), 2)
+        assert graphs == comb(20, m)
+        for metric in scan_metrics:
+            result = extremal_scan(4, 5, m, metric, jobs=2)
+            max_value, max_mask, min_value, min_mask, count = cells[metric][m]
+            assert (result.max_value, result.argmax.mask, result.min_value, result.argmin.mask) == (
+                max_value, max_mask, min_value, min_mask), (m, metric)
+            assert result.graphs_checked == count == graphs
+            assert 0 < result.orbits_checked < graphs
 
 
 def test_oversized_request_is_rejected_before_any_sweep(monkeypatch):
