@@ -7,8 +7,8 @@ set exactly when the edge x_i y_j is present. Vertex labels are fixed
 1-based indices within each part, and every identity the library states
 (graph equality, the complement, the Bi-Cayley identity) is checked label
 for label; no library function tests two graphs for isomorphism. Only the
-verifier's exhaustive scans group graphs into isomorphism classes, to
-evaluate one graph per class.
+verifier's exhaustive scans group graphs into isomorphism classes
+(``bipcon.orbits``), to evaluate one graph per class.
 
 Everything in this module is a pure function over immutable values, safe to
 share between worker processes.

@@ -8,7 +8,8 @@ engine that checks them has three pieces:
 * mask sources: the 2^(rs-1) graph/complement pair masks of a shape
   (``shape_sweep``), a rank range of the masks with exactly m edges
   (``extremal_scan``), or one representative per S_r x S_s orbit, weighted
-  by its orbit size (``_orbit_reps``; both calls, from nine vertices on);
+  by its orbit size (``orbits.orbit_reps``; both calls, from nine vertices
+  on);
 * one chunk worker that runs only the kernels the requested metrics need
   and folds each value into per-edge-count cells through one reducer (max
   and min with a smallest-mask tie-break, plus a count), the same reducer
@@ -64,8 +65,8 @@ import os
 import random
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
-from itertools import combinations_with_replacement, groupby, islice, permutations
-from math import comb, factorial, prod
+from itertools import groupby
+from math import comb
 from multiprocessing import Pool
 from operator import add, attrgetter, mul
 from typing import Callable, Iterator
@@ -175,62 +176,6 @@ def shapes_within(max_n: int) -> list[tuple[int, int]]:
     return [(r, s) for r in range(1, max_n // 2 + 1) for s in range(r, max_n - r + 1)]
 
 
-# --- isomorph-free enumeration: one representative per S_r x S_s orbit ------
-
-
-def _orbit_reps(r: int, s: int, m: int | None = None, lo: int = 0, hi: int | None = None) -> Iterator[tuple[int, int]]:
-    """(smallest labeled mask, orbit size) of each orbit among the multisets ranked lo..hi-1.
-
-    A column type is an r-bit int, bit i set when row i has the column. A
-    sorted multiset of s column types stands for every graph that lists
-    those columns in some order, which absorbs S_s; it is kept only when it
-    is the lexicographically least of its r! row-permuted images, which
-    absorbs S_r (Read 1978, McKay 1998). The orbit then holds
-    r! s! / (|row stabilizer| * prod(multiplicity!)) labeled graphs. For one
-    row permutation the smallest mask lists its columns in descending
-    order, column 0 first (row r-1 is the most significant), so the
-    orbit's smallest mask is the least of those over its images. With
-    ``m`` given, only the orbits with m edges.
-    """
-    types = range(1 << r)
-    tables = [[sum((c >> i & 1) << p for i, p in enumerate(perm)) for c in types] for perm in permutations(range(r))]
-    spread = [sum((c >> i & 1) << (i * s) for i in range(r)) for c in types]
-    labelings = factorial(r) * factorial(s)
-    for cols in islice(combinations_with_replacement(types, s), lo, hi):
-        if m is not None and sum(c.bit_count() for c in cols) != m:
-            continue
-        images = []
-        for table in tables:
-            image = tuple(sorted([table[c] for c in cols]))
-            if image < cols:
-                break
-            images.append(image)
-        else:
-            stabilizer = images.count(cols) * prod(factorial(len(list(run))) for _, run in groupby(cols))
-            mask = min(sum(spread[c] << j for j, c in enumerate(reversed(image))) for image in images)
-            yield mask, labelings // stabilizer
-
-
-def _orbit_members(r: int, s: int, mask: int) -> list[int]:
-    """Every labeled mask in the S_r x S_s orbit of ``mask``, ascending.
-
-    The closure of the graph under swaps of adjacent rows and of adjacent
-    columns, which generate S_r x S_s.
-    """
-    start = _rows_of(mask, r, s)
-    seen = {start}
-    todo = [start]
-    while todo:
-        rows = todo.pop()
-        neighbours = [rows[:i] + (rows[i + 1], rows[i]) + rows[i + 2:] for i in range(r - 1)]
-        neighbours += [tuple(row ^ ((row >> j ^ row >> (j + 1)) & 1) * (3 << j) for row in rows) for j in range(s - 1)]
-        for other in neighbours:
-            if other not in seen:
-                seen.add(other)
-                todo.append(other)
-    return sorted(sum(row << (i * s) for i, row in enumerate(rows)) for rows in seen)
-
-
 # --- scan engine: mask sources, one chunk worker, one reducer -----------------
 
 
@@ -323,8 +268,8 @@ def _chunk(args):
     """Worker: fold the metric values of one chunk of a mask source into cells by edge count.
 
     [lo, hi) is a range of the source. With ``orbits`` it ranks the multisets
-    of column types: each orbit representative (``_orbit_reps``; with ``m``
-    given, only the m-edge ones) is filed alone under its smallest labeled
+    of column types: each orbit representative (``orbits.orbit_reps``; with
+    ``m`` given, only the m-edge ones) is filed alone under its smallest labeled
     mask, counting for every graph of its orbit. Otherwise, with ``m`` None,
     [lo, hi) is a range of pair masks: a mask and its complement are two
     labeled graphs, filed in cells popcount and rs - popcount; with ``m``
@@ -355,7 +300,9 @@ def _chunk(args):
     raw = []  # (theorem, side, metric, m, subject_mask, observed, bound)
     mismatches = []
     if orbits:
-        items = _orbit_reps(r, s, m, lo, hi)
+        from .orbits import orbit_members, orbit_reps  # loaded by the first orbit scan only
+
+        items = orbit_reps(r, s, m, lo, hi)
     elif pair_range:
         items = ((mask, 1) for mask in range(lo, hi))
     else:
@@ -394,7 +341,7 @@ def _chunk(args):
             if failed:
                 # Reported on the pair's graph with fewer edges, the smaller
                 # mask on a tie; an orbit reports every labeled pair it holds.
-                for subject in _orbit_members(r, s, mask) if orbits else (mask, cmask):
+                for subject in orbit_members(r, s, mask) if orbits else (mask, cmask):
                     em = subject.bit_count()
                     if (em, subject) < (bits - em, full ^ subject):
                         raw += [(theorem, side, metric, vm, subject, value, bound)
@@ -425,9 +372,9 @@ def _run_chunked(worker, arg_sets, jobs: int):
         return pool.map(worker, arg_sets)
 
 
-# The multisets of (4, 5), the largest nine-vertex shape, number C(20, 5) =
-# 15,504, so every nine-vertex orbit scan runs as one inline chunk: a pool
-# starts slower than the whole scan.
+# A nine-vertex orbit scan walks at most C(20, 5) = 15,504 multisets (the
+# full sweep of (4, 5); an m-edge scan walks fewer), so it runs as one inline
+# chunk: a pool starts slower than the whole scan.
 _ORBIT_MIN_CHUNK = 1 << 14
 
 
@@ -440,7 +387,9 @@ def _scan(r: int, s: int, m: int | None, orbits: bool, metrics, checks, jobs: in
     lists, raw violations in pair-mask order, mismatches in mask order).
     """
     if orbits:
-        count, min_chunk = comb((1 << r) + s - 1, s), _ORBIT_MIN_CHUNK  # multisets of s of the 2^r column types
+        from .orbits import multiset_count
+
+        count, min_chunk = multiset_count(r, s, m), _ORBIT_MIN_CHUNK
     elif m is None:
         count, min_chunk = 1 << (r * s - 1), 1024
     else:
@@ -569,8 +518,9 @@ def extremal_scan(r: int, s: int, m: int, metric: str, jobs: int | None = None) 
 
     Preconditions: r <= s, m <= floor(rs/2), and the fixed-size enumeration
     caps (C(rs, m) <= 2^24 masks, rs <= 30). Above eight vertices one graph
-    per orbit is evaluated, as in ``shape_sweep``; the extremes and their
-    smallest labeled masks are the same.
+    per orbit is evaluated, as in ``shape_sweep``, from the m-edge column
+    multisets only, which are never more than the m-edge masks; the extremes
+    and their smallest labeled masks are the same.
     """
     if metric not in METRIC_IDS:
         raise ValueError(f"unknown metric {metric!r}; choose one of {METRIC_IDS}")

@@ -3,14 +3,14 @@ import json
 import os
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import comb, factorial, gcd
 
 import pytest
 
 from graphtools import components_count
 
-from bipcon import verifier
+from bipcon import orbits, verifier
 from bipcon.bigraph import BipartiteGraph, bipartite_complement
 from bipcon.bounds import M_upper, ParameterTriple
 from bipcon.connectivity import edge_oracle_value
@@ -197,8 +197,8 @@ def test_tightened_claim_on_the_orbit_path_reports_every_labeled_graph_in_order(
     sweep = shape_sweep(2, 7, jobs=jobs, use_cache=False, include_vertex=False)
     assert sweep.orbits_checked == 70 and sweep.mismatches == []
     metrics = ("sum_edge", "prod_edge", "sum_delta", "prod_delta")
-    _, orbits, _, raw, _ = verifier._scan(2, 7, None, False, metrics, verifier._checks(2, 7, metrics), 1)
-    assert orbits is None
+    _, evaluated, _, raw, _ = verifier._scan(2, 7, None, False, metrics, verifier._checks(2, 7, metrics), 1)
+    assert evaluated is None
     labeled = [Violation(theorem, side_, metric, 2, 7, vm, tuple(BipartiteGraph.from_mask(2, 7, subject).edges()),
                          observed, bound)
                for theorem, side_, metric, vm, subject, observed, bound in raw]
@@ -250,21 +250,48 @@ def _burnside_orbits(r, s):
 
 def test_orbit_representatives_match_burnside_and_cover_every_labeled_graph():
     for r, s in shapes_within(9):
-        reps = list(verifier._orbit_reps(r, s))
+        reps = list(orbits.orbit_reps(r, s))
         assert len(reps) == _burnside_orbits(r, s), (r, s)
         assert sum(weight for _, weight in reps) == 1 << (r * s)
         for m in range(r * s + 1):
             at_m = [(mask, weight) for mask, weight in reps if mask.bit_count() == m]
             assert sum(weight for _, weight in at_m) == comb(r * s, m), (r, s, m)
-            assert list(verifier._orbit_reps(r, s, m)) == at_m
+            assert list(orbits.orbit_reps(r, s, m)) == at_m
         if r + s <= 7:
             # Each representative is the smallest mask of its orbit, and its
             # weight the orbit's size.
             for mask, weight in reps:
-                members = verifier._orbit_members(r, s, mask)
+                members = orbits.orbit_members(r, s, mask)
                 assert (members[0], len(members)) == (mask, weight)
-    assert len(list(verifier._orbit_reps(4, 5))) == 1053
-    assert len(list(verifier._orbit_reps(3, 6))) == 386
+    assert len(list(orbits.orbit_reps(4, 5))) == 1053
+    assert len(list(orbits.orbit_reps(3, 6))) == 386
+
+
+def test_m_edge_multisets_are_counted_and_ranked():
+    for r, s in shapes_within(9):
+        every = list(combinations_with_replacement(range(1 << r), s))
+        assert orbits.multiset_count(r, s) == len(every)
+        for m in range(r * s + 1):
+            at_m = [cols for cols in every if sum(c.bit_count() for c in cols) == m]
+            count = orbits.multiset_count(r, s, m)
+            assert count == len(at_m) <= comb(r * s, m), (r, s, m)
+            # Any cut into rank ranges yields the m-edge multisets once each, in order.
+            cuts = sorted({0, count, count // 3, count // 2, min(count, 7)})
+            walked = [cols for lo, hi in zip(cuts, cuts[1:]) for cols in orbits._multisets(r, s, m, lo, hi)]
+            assert walked == at_m, (r, s, m)
+
+
+def test_fixed_m_orbit_scans_equal_the_labeled_scans_at_ten_and_eleven_vertices(monkeypatch):
+    # Chunks of 4 multisets over two jobs, so rank ranges start mid-walk and
+    # five-row shapes (120 row permutations) are covered.
+    monkeypatch.setattr(verifier, "_ORBIT_MIN_CHUNK", 4)
+    for r, s, m in ((5, 5, 3), (5, 6, 2), (4, 7, 3), (2, 9, 5)):
+        graphs, _, cells, _, _ = verifier._scan(r, s, m, False, METRIC_IDS, (), 2)
+        for metric in METRIC_IDS:
+            result = extremal_scan(r, s, m, metric, jobs=2)
+            assert (result.max_value, result.argmax.mask, result.min_value, result.argmin.mask,
+                    result.graphs_checked) == tuple(cells[metric][m]), (r, s, m, metric)
+            assert result.orbits_checked == len(list(orbits.orbit_reps(r, s, m))) < graphs
 
 
 def _cell_lists(cells):
@@ -275,9 +302,9 @@ def test_orbit_cells_equal_the_audited_labeled_cells_up_to_eight_vertices():
     for r, s in shapes_within(8):
         labeled = shape_sweep(r, s, jobs=2)
         assert labeled.orbits_checked is None
-        graphs, orbits, cells, raw, mismatches = verifier._scan(r, s, None, True, verifier._ALL_METRICS, (), 1)
+        graphs, evaluated, cells, raw, mismatches = verifier._scan(r, s, None, True, verifier._ALL_METRICS, (), 1)
         assert graphs == labeled.graphs_checked == 1 << (r * s)
-        assert orbits == _burnside_orbits(r, s) and raw == mismatches == []
+        assert evaluated == _burnside_orbits(r, s) and raw == mismatches == []
         for metric in verifier._ALL_METRICS:
             assert cells[metric] == _cell_lists(labeled.cells[metric]), (r, s, metric)
 
@@ -286,7 +313,7 @@ def test_orbit_sweeps_and_scans_equal_the_labeled_scans_at_nine_vertices():
     metrics = ("sum_edge", "prod_edge", "sum_delta", "prod_delta")
     for r, s in ((1, 8), (2, 7), (3, 6)):
         sweep = shape_sweep(r, s, jobs=2, use_cache=False, include_vertex=False)
-        graphs, orbits, cells, _, _ = verifier._scan(r, s, None, False, metrics, (), 2)
+        graphs, evaluated, cells, _, _ = verifier._scan(r, s, None, False, metrics, (), 2)
         assert (sweep.graphs_checked, sweep.orbits_checked) == (graphs, _burnside_orbits(r, s))
         for metric in metrics:
             assert _cell_lists(sweep.cells[metric]) == cells[metric], (r, s, metric)
