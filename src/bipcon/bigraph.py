@@ -226,7 +226,11 @@ def graph_from_json(obj: dict) -> BipartiteGraph:
     except (KeyError, TypeError):
         raise ValueError("JSON graph needs fields 'r', 's', 'edges'") from None
     try:
-        r, s, edges = int(r), int(s), [(int(i), int(j)) for i, j in edges]
+        edges = [(i, j) for i, j in edges]
     except TypeError as exc:
-        raise ValueError(f"JSON graph needs integer 'r', 's' and [i, j] 'edges': {exc}") from None
+        raise ValueError(f"JSON graph needs [i, j] 'edges': {exc}") from None
+    # Only ints: int() would truncate 2.5, parse "2" and read true as 1.
+    for value in (r, s, *(v for edge in edges for v in edge)):
+        if type(value) is not int:
+            raise ValueError(f"JSON graph needs integer 'r', 's' and edge labels, got {value!r}")
     return new_graph(r, s, edges)

@@ -13,9 +13,10 @@ complement edge connectivity) pair it is designed to achieve.
 ``build_witness`` checks the preconditions every family shares (both parts
 nonempty; for a sized family, m given and r <= s), runs the builder, which
 checks only its own domain, and names the family in any
-PreconditionViolated; ``claimed_edge_connectivity_pair`` checks the same
-shared preconditions and reads the row. The test suite recomputes the pairs with the connectivity
-module instead of trusting the construction. ``dispatch_witness`` picks the
+PreconditionViolated; ``claimed_edge_connectivity_pair`` builds the witness
+first, so it refuses exactly the same triples, and then reads the row. The
+test suite recomputes the pairs with the connectivity module instead of
+trusting the construction. ``dispatch_witness`` picks the
 family for a bound goal through one case split on (r, s, m).
 """
 
@@ -266,11 +267,14 @@ _FAMILIES = {
 }
 
 
-def _family_row(family: WitnessFamilyId, r: int, s: int, m: int | None) -> _Family:
-    """The family's row, once the preconditions every family shares hold.
+def build_witness(family: WitnessFamilyId, r: int, s: int, m: int | None = None) -> BipartiteGraph:
+    """Build the named witness graph; the s3-* families ignore ``m``.
 
-    Both parts nonempty, and for a sized family m given and r <= s. Raises
-    PreconditionViolated naming the family otherwise.
+    Checks the preconditions every family shares (both parts nonempty; for
+    a sized family, m given and r <= s), then runs the builder, which checks
+    its own domain. Raises PreconditionViolated, naming the family and the
+    failed condition, whenever the parameters lie outside the family's
+    domain.
     """
     row = _FAMILIES[family]
     try:
@@ -278,19 +282,6 @@ def _family_row(family: WitnessFamilyId, r: int, s: int, m: int | None) -> _Fami
         if row.sized:
             _require(m is not None, "needs m")
             _require(r <= s, f"needs r <= s, got r={r}, s={s}")
-    except PreconditionViolated as exc:
-        raise PreconditionViolated(f"{family.value}: {exc}") from None
-    return row
-
-
-def build_witness(family: WitnessFamilyId, r: int, s: int, m: int | None = None) -> BipartiteGraph:
-    """Build the named witness graph; the s3-* families ignore ``m``.
-
-    Raises PreconditionViolated, naming the family and the failed condition,
-    whenever the parameters lie outside the family's domain.
-    """
-    row = _family_row(family, r, s, m)
-    try:
         g = row.build(r, s, m)
     except PreconditionViolated as exc:
         raise PreconditionViolated(f"{family.value}: {exc}") from None
@@ -302,10 +293,11 @@ def build_witness(family: WitnessFamilyId, r: int, s: int, m: int | None = None)
 def claimed_edge_connectivity_pair(family: WitnessFamilyId, r: int, s: int, m: int | None = None) -> tuple[int, int]:
     """The (edge connectivity, complement edge connectivity) pair each family targets.
 
-    Raises PreconditionViolated, naming the family, outside the preconditions
-    every family shares (see ``build_witness``).
+    Raises PreconditionViolated, naming the family, exactly where
+    ``build_witness`` does: the family's domain is the builder's.
     """
-    return _family_row(family, r, s, m).pair(r, s, m)
+    build_witness(family, r, s, m)
+    return _FAMILIES[family].pair(r, s, m)
 
 
 def witness_notes(family: WitnessFamilyId, r: int, s: int, m: int | None = None) -> tuple[str, ...]:

@@ -14,8 +14,9 @@ visits more multisets than there are m-edge labeled graphs, and a rank range
 of them is reached by skipping whole subtrees by their counts, so a chunk of
 a scan costs only its own length.
 
-The verifier imports this module on its first orbit scan, so a run that
-stays on the labeled path never loads it.
+The verifier imports this module on its first orbit scan: any fixed-m scan,
+or a shape sweep from nine vertices on. A run of shape sweeps up to eight
+vertices, such as ``verify --max-n 8``, never loads it.
 """
 
 from __future__ import annotations

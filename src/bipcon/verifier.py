@@ -5,11 +5,11 @@ f(G) * f(G^bc), with f the minimum degree, the edge connectivity or the
 vertex connectivity, stays on one side of a closed form in (r, s, m). The
 engine that checks them has three pieces:
 
-* mask sources: the 2^(rs-1) graph/complement pair masks of a shape
-  (``shape_sweep``), a rank range of the masks with exactly m edges
-  (``extremal_scan``), or one representative per S_r x S_s orbit, weighted
-  by its orbit size (``orbits.orbit_reps``; both calls, from nine vertices
-  on);
+* two mask sources: the 2^(rs-1) graph/complement pair masks of a shape
+  (``shape_sweep`` up to eight vertices), or one representative per
+  S_r x S_s orbit, weighted by its orbit size (``orbits.orbit_reps``; the
+  sweeps from nine vertices on, and every ``extremal_scan``, which walks only
+  the orbits with m edges);
 * one chunk worker that runs only the kernels the requested metrics need
   and folds each value into per-edge-count cells through one reducer (max
   and min with a smallest-mask tie-break, plus a count), the same reducer
@@ -30,14 +30,14 @@ and L2.4; L2.1 runs as one inline chunk, and L2.5 keeps fixed 500-trial
 chunks, each seeded from the seed and its index, since the draws depend on
 them.
 
-At eight vertices and below the scans walk every labeled graph, the
-connectivity kernels are the brute-force oracles, and every graph of a shape
-sweep is also cross-checked against the max-flow values, so each exhaustive
-run doubles as an oracle-equivalence audit. Larger scans use max-flow alone,
-on one representative per isomorphism class: every metric and bound depends
-only on the class, a class counts for all its labeled graphs, and it is
-filed under its smallest labeled mask, so cells, extremes and reports are
-those of the labeled scan. Only a class that breaks a bound is expanded, to
+At eight vertices and below the connectivity kernels are the brute-force
+oracles, and a shape sweep walks every labeled graph and cross-checks each
+against the max-flow values, so each exhaustive sweep doubles as an
+oracle-equivalence audit. Every other run evaluates one representative per
+isomorphism class, by max-flow from nine vertices on: every metric and bound
+depends only on the class, a class counts for all its labeled graphs, and it
+is filed under its smallest labeled mask, so cells, extremes and reports are
+those of a labeled walk. Only a class that breaks a bound is expanded, to
 report each of its labeled graphs.
 
 Claim identifiers accepted by ``check_theorem``:
@@ -112,29 +112,6 @@ def _next_same_popcount(mask: int) -> int:
     return (((ripple ^ mask) >> 2) // low) | ripple
 
 
-def _unrank_colex(rank: int, m: int) -> int:
-    """The rank-th m-bit mask in ascending (colexicographic) order."""
-    mask = 0
-    for i in range(m, 0, -1):
-        a = i - 1
-        while comb(a + 1, i) <= rank:
-            a += 1
-        rank -= comb(a, i)
-        mask |= 1 << a
-    return mask
-
-
-def _iter_fixed_popcount(bits: int, m: int, start_rank: int, count: int) -> Iterator[int]:
-    if m == 0:
-        if start_rank == 0 and count > 0:
-            yield 0
-        return
-    mask = _unrank_colex(start_rank, m)
-    for _ in range(count):
-        yield mask
-        mask = _next_same_popcount(mask)
-
-
 def _check_full_cap(bits: int) -> None:
     if bits > FULL_ENUMERATION_MAX_BITS:
         raise TooLarge(f"full enumeration of 2^{bits} = {1 << bits} graphs exceeds the cap")
@@ -166,9 +143,11 @@ def enumerate_graphs(r: int, s: int, m: int | None = None) -> Iterator[Bipartite
         return
     if m < 0:
         raise ValueError("edge count must be nonnegative")
-    total = _fixed_m_count(bits, m)
-    for mask in _iter_fixed_popcount(bits, m, 0, total):
+    mask = (1 << m) - 1
+    for _ in range(_fixed_m_count(bits, m)):
         yield BipartiteGraph.from_mask(r, s, mask)
+        if mask:
+            mask = _next_same_popcount(mask)
 
 
 def shapes_within(max_n: int) -> list[tuple[int, int]]:
@@ -267,17 +246,17 @@ _KINDS = ("edge", "vertex", "delta")
 def _chunk(args):
     """Worker: fold the metric values of one chunk of a mask source into cells by edge count.
 
-    [lo, hi) is a range of the source. With ``orbits`` it ranks the multisets
-    of column types: each orbit representative (``orbits.orbit_reps``; with
-    ``m`` given, only the m-edge ones) is filed alone under its smallest labeled
-    mask, counting for every graph of its orbit. Otherwise, with ``m`` None,
-    [lo, hi) is a range of pair masks: a mask and its complement are two
-    labeled graphs, filed in cells popcount and rs - popcount; with ``m``
-    given, it ranks the m-edge masks, each filed alone. Each graph is held to
-    the per-edge-count bounds in ``checks``. Only the kernels the metrics
-    need run (edge pair, vertex pair, minimum degree). At r + s <= 8 the
-    connectivity kernels are the brute-force oracles, and pair ranges
-    cross-check them against max-flow graph by graph.
+    [lo, hi) is a range of one of two sources. With ``orbits`` it ranks the
+    multisets of column types: each orbit representative
+    (``orbits.orbit_reps``; with ``m`` given, only the m-edge ones) is filed
+    alone under its smallest labeled mask, counting for every graph of its
+    orbit. Otherwise ``m`` is None and [lo, hi) is a range of pair masks: a
+    mask and its complement are two labeled graphs, filed in cells popcount
+    and rs - popcount. Each graph is held to the per-edge-count bounds in
+    ``checks``. Only the kernels the metrics need run (edge pair, vertex
+    pair, minimum degree). At r + s <= 8 the connectivity kernels are the
+    brute-force oracles, on either source, and pair ranges cross-check them
+    against max-flow graph by graph.
 
     Returns (graphs covered, graphs evaluated, cells, raw violations,
     mismatches).
@@ -286,13 +265,12 @@ def _chunk(args):
     bits = r * s
     full = (1 << bits) - 1
     use_oracle = (r + s) <= ORACLE_BACKEND_MAX_VERTICES
-    pair_range = m is None and not orbits
     flow = {"edge": edge_connectivity_value, "vertex": vertex_connectivity_value, "delta": _min_degree}
     oracle = {"edge": edge_oracle_value, "vertex": vertex_oracle_value, "delta": _min_degree}
     kinds = [kind for kind in _KINDS if any(metric.endswith(kind) for metric in metrics)]
     kernels = [(oracle if use_oracle else flow)[kind] for kind in kinds]
     cross = []  # (kind, index in kinds, flow kernel) to check against the oracle
-    if pair_range and use_oracle:
+    if use_oracle and not orbits:
         cross = [(kind, i, flow[kind]) for i, kind in enumerate(kinds) if kind != "delta"]
     ops = [(kinds.index(metric.split("_")[1]), add if metric.startswith("sum") else mul) for metric in metrics]
     cells = {metric: [None] * (bits + 1) for metric in metrics}
@@ -303,10 +281,8 @@ def _chunk(args):
         from .orbits import orbit_members, orbit_reps  # loaded by the first orbit scan only
 
         items = orbit_reps(r, s, m, lo, hi)
-    elif pair_range:
-        items = ((mask, 1) for mask in range(lo, hi))
     else:
-        items = ((mask, 1) for mask in _iter_fixed_popcount(bits, m, lo, hi - lo))
+        items = ((mask, 1) for mask in range(lo, hi))
     graphs = evaluated = 0
     for mask, weight in items:
         graphs += weight
@@ -326,7 +302,7 @@ def _chunk(args):
         mc = bits - mm
         for per_m, value in zip(per_metric, values):
             _fold(per_m, mm, value, mask, value, mask, weight)
-            if pair_range:
+            if not orbits:
                 _fold(per_m, mc, value, cmask, value, cmask, 1)
         if checks:
             # The pair value is symmetric, so a pair is held to the bound at
@@ -346,7 +322,7 @@ def _chunk(args):
                     if (em, subject) < (bits - em, full ^ subject):
                         raw += [(theorem, side, metric, vm, subject, value, bound)
                                 for theorem, side, metric, value, bound in failed]
-    return (2 if pair_range else 1) * graphs, evaluated, cells, raw, mismatches
+    return (1 if orbits else 2) * graphs, evaluated, cells, raw, mismatches
 
 
 def _resolve_jobs(jobs: int | None) -> int:
@@ -372,28 +348,27 @@ def _run_chunked(worker, arg_sets, jobs: int):
         return pool.map(worker, arg_sets)
 
 
-# A nine-vertex orbit scan walks at most C(20, 5) = 15,504 multisets (the
-# full sweep of (4, 5); an m-edge scan walks fewer), so it runs as one inline
-# chunk: a pool starts slower than the whole scan.
+# An orbit scan up to nine vertices walks at most C(20, 5) = 15,504 multisets
+# (the full sweep of (4, 5); an m-edge scan walks fewer), so it runs as one
+# inline chunk: a pool starts slower than the whole scan.
 _ORBIT_MIN_CHUNK = 1 << 14
 
 
 def _scan(r: int, s: int, m: int | None, orbits: bool, metrics, checks, jobs: int):
     """Run one mask source (see ``_chunk``) in chunks; merge the results.
 
-    The source is the orbit representatives when ``orbits``, else the pair
-    masks (``m`` None) or the m-edge masks. Returns (graphs covered, orbits
-    evaluated or None for a labeled source, cells as metric -> per-edge-count
-    lists, raw violations in pair-mask order, mismatches in mask order).
+    The source is the orbit representatives (only the m-edge ones when ``m``
+    is given) when ``orbits``, else the pair masks, which cover every edge
+    count and take ``m`` None. Returns (graphs covered, orbits evaluated or
+    None for the labeled source, cells as metric -> per-edge-count lists, raw
+    violations in pair-mask order, mismatches in mask order).
     """
     if orbits:
         from .orbits import multiset_count
 
         count, min_chunk = multiset_count(r, s, m), _ORBIT_MIN_CHUNK
-    elif m is None:
-        count, min_chunk = 1 << (r * s - 1), 1024
     else:
-        count, min_chunk = comb(r * s, m), 4096
+        count, min_chunk = 1 << (r * s - 1), 1024
     arg_sets = [(r, s, m, orbits, lo, hi, metrics, checks) for lo, hi in _chunk_ranges(count, min_chunk, jobs)]
     graphs = evaluated = 0
     cells = {metric: [None] * (r * s + 1) for metric in metrics}
@@ -448,6 +423,7 @@ def shape_sweep(
     """
     if not (1 <= r <= s):
         raise ValueError(f"needs 1 <= r <= s, got r={r}, s={s}")
+    jobs = _resolve_jobs(jobs)
     key = (r, s)
     if use_cache and key in _SWEEP_CACHE:
         cached = _SWEEP_CACHE[key]
@@ -455,7 +431,6 @@ def shape_sweep(
             return cached
     bits = r * s
     _check_full_cap(bits)
-    jobs = _resolve_jobs(jobs)
     started = time.perf_counter()
     metrics = tuple(metric for metric in _ALL_METRICS if include_vertex or not metric.endswith("vertex"))
     orbits = r + s > ORACLE_BACKEND_MAX_VERTICES
@@ -499,7 +474,7 @@ class ExtremalResult:
     min_value: int
     argmin: BipartiteGraph
     graphs_checked: int
-    orbits_checked: int | None = None  # as on ``ShapeSweep``
+    orbits_checked: int  # graphs evaluated, one per orbit with m edges
 
 
 def metric_value(metric: str, g: BipartiteGraph) -> int:
@@ -517,17 +492,18 @@ def extremal_scan(r: int, s: int, m: int, metric: str, jobs: int | None = None) 
     """Extremal metric values over every labeled graph with exactly m edges.
 
     Preconditions: r <= s, m <= floor(rs/2), and the fixed-size enumeration
-    caps (C(rs, m) <= 2^24 masks, rs <= 30). Above eight vertices one graph
-    per orbit is evaluated, as in ``shape_sweep``, from the m-edge column
-    multisets only, which are never more than the m-edge masks; the extremes
-    and their smallest labeled masks are the same.
+    caps (C(rs, m) <= 2^24 masks, rs <= 30). One graph per orbit is
+    evaluated, at any size, from the m-edge column multisets only, which are
+    never more than the m-edge masks; the extremes and their smallest labeled
+    masks are those of a labeled walk. Up to eight vertices the values come
+    from the brute-force oracles, as in ``shape_sweep``, but nothing is
+    cross-checked: the audit is the labeled sweep's.
     """
     if metric not in METRIC_IDS:
         raise ValueError(f"unknown metric {metric!r}; choose one of {METRIC_IDS}")
     ParameterTriple(r, s, m)
     _fixed_m_count(r * s, m)
-    orbits = r + s > ORACLE_BACKEND_MAX_VERTICES
-    graphs, evaluated, cells, _, _ = _scan(r, s, m, orbits, (metric,), (), _resolve_jobs(jobs))
+    graphs, evaluated, cells, _, _ = _scan(r, s, m, True, (metric,), (), _resolve_jobs(jobs))
     max_value, max_mask, min_value, min_mask, _ = cells[metric][m]
     return ExtremalResult(
         metric, r, s, m, max_value,

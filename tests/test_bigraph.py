@@ -143,6 +143,10 @@ def test_json_round_trip():
     {"r": "a", "s": 2, "edges": []},
     {"r": 2, "s": 2},
     [2, 2],
+    {"r": 2.5, "s": 2, "edges": []},
+    {"r": 2, "s": 2, "edges": [[1.9, 1]]},
+    {"r": True, "s": 2, "edges": []},
+    {"r": "2", "s": 2, "edges": []},
 ])
 def test_malformed_json_graph_raises_value_error(obj):
     with pytest.raises(ValueError):

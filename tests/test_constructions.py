@@ -239,6 +239,8 @@ def test_empty_parts_and_missing_m_are_rejected_naming_the_family(family):
 
 
 def test_every_precondition_failure_names_its_family():
+    # The claimed pair refuses exactly the triples the builder refuses, with
+    # the same message, and is a pair of connectivities everywhere else.
     failures = 0
     for family in WitnessFamilyId:
         for r in range(1, 8):
@@ -249,4 +251,10 @@ def test_every_precondition_failure_names_its_family():
                     except PreconditionViolated as exc:
                         failures += 1
                         assert str(exc).startswith(f"{family.value}: "), (family, r, s, m, str(exc))
+                        with pytest.raises(PreconditionViolated) as claimed:
+                            claimed_edge_connectivity_pair(family, r, s, m)
+                        assert str(claimed.value) == str(exc), (family, r, s, m)
+                        continue
+                    pair = claimed_edge_connectivity_pair(family, r, s, m)
+                    assert len(pair) == 2 and all(type(k) is int and k >= 0 for k in pair), (family, r, s, m, pair)
     assert failures > 0

@@ -13,15 +13,13 @@ from graphtools import components_count
 from bipcon import orbits, verifier
 from bipcon.bigraph import BipartiteGraph, bipartite_complement
 from bipcon.bounds import M_upper, ParameterTriple
-from bipcon.connectivity import edge_oracle_value
+from bipcon.connectivity import edge_connectivity_value, edge_oracle_value, vertex_connectivity_value
 from bipcon.constructions import BoundGoal, CayleySubset, WitnessFamilyId, bi_cayley, dispatch_witness
 from bipcon.errors import TooLarge, UnknownTheorem
 from bipcon.verifier import (
     METRIC_IDS,
     Violation,
-    _iter_fixed_popcount,
     _resolve_jobs,
-    _unrank_colex,
     check_theorem,
     enumerate_graphs,
     extremal_scan,
@@ -43,14 +41,6 @@ def test_enumerate_yields_each_graph_once_in_ascending_mask_order():
     fixed = [g.mask for g in enumerate_graphs(2, 3, m=2)]
     assert fixed == sorted(fixed) and len(fixed) == 15
     assert all(BipartiteGraph.from_mask(2, 3, mask).edge_count == 2 for mask in fixed)
-
-
-def test_fixed_popcount_chunks_match_serial_order():
-    serial = list(_iter_fixed_popcount(6, 3, 0, 20))
-    assert len(serial) == 20 and serial == sorted(serial)
-    for lo, hi in ((0, 7), (7, 13), (13, 20)):
-        assert list(_iter_fixed_popcount(6, 3, lo, hi - lo)) == serial[lo:hi]
-    assert _unrank_colex(0, 2) == 0b11
 
 
 def test_enumerate_caps():
@@ -92,11 +82,8 @@ def test_prod_bound_feasible_at_4_5_10():
     assert family is WitnessFamilyId.S4_G6
     assert metric_value("prod_edge", witness) == bound
     rng = random.Random(41)
-    from math import comb
-
-    total = comb(20, 10)
     for _ in range(500):
-        g = BipartiteGraph.from_mask(4, 5, _unrank_colex(rng.randrange(total), 10))
+        g = BipartiteGraph.from_mask(4, 5, sum(1 << bit for bit in rng.sample(range(20), 10)))
         assert metric_value("prod_edge", g) <= bound
 
 
@@ -125,12 +112,24 @@ def test_shape_sweep_cell_counts_are_binomials():
 
 
 def test_shape_sweep_agrees_with_extremal_scan():
-    sweep = shape_sweep(2, 3, jobs=1)
-    for m in range(4):
-        scan = extremal_scan(2, 3, m, "sum_edge", jobs=1)
-        cell = sweep.cells["sum_edge"][m]
-        assert (scan.max_value, scan.min_value) == (cell.max_value, cell.min_value)
-        assert scan.argmax.mask == cell.max_mask
+    # The scan walks one graph per class with m edges; the sweep walks every
+    # labeled graph and audits the oracle values against max-flow.
+    for r, s in shapes_within(7):
+        sweep = shape_sweep(r, s, jobs=1)
+        assert sweep.orbits_checked is None and sweep.mismatches == []
+        for m in range(r * s // 2 + 1):
+            for metric in METRIC_IDS:
+                scan = extremal_scan(r, s, m, metric, jobs=1)
+                cell = sweep.cells[metric][m]
+                assert (scan.max_value, scan.argmax.mask, scan.min_value, scan.argmin.mask, scan.graphs_checked) == (
+                    cell.max_value, cell.max_mask, cell.min_value, cell.min_mask, cell.count), (r, s, m, metric)
+
+
+def test_shape_sweep_checks_jobs_when_served_from_the_cache():
+    shape_sweep(2, 3, jobs=1)
+    for jobs in (0, -5):
+        with pytest.raises(ValueError):
+            shape_sweep(2, 3, jobs=jobs)
 
 
 def test_edge_only_sweep_matches_full_sweep():
@@ -281,17 +280,43 @@ def test_m_edge_multisets_are_counted_and_ranked():
             assert walked == at_m, (r, s, m)
 
 
+def _labeled_cells(r, s, m, metrics):
+    """[max, argmax mask, min, argmin mask, count] per metric over every m-edge graph.
+
+    Walks ``enumerate_graphs`` in ascending mask order, so the first mask to
+    reach an extreme is the smallest, and evaluates each graph and its
+    complement with the public max-flow kernels.
+    """
+    kernels = {"edge": edge_connectivity_value, "vertex": vertex_connectivity_value}
+    kinds = {metric.split("_")[1] for metric in metrics}
+    cells = {}
+    for g in enumerate_graphs(r, s, m):
+        gc = bipartite_complement(g)
+        pairs = {kind: (kernels[kind](r, s, g.adjacency), kernels[kind](r, s, gc.adjacency)) for kind in kinds}
+        for metric in metrics:
+            op, kind = metric.split("_")
+            a, b = pairs[kind]
+            value = a + b if op == "sum" else a * b
+            cell = cells.setdefault(metric, [value, g.mask, value, g.mask, 0])
+            if value > cell[0]:
+                cell[0:2] = value, g.mask
+            if value < cell[2]:
+                cell[2:4] = value, g.mask
+            cell[4] += 1
+    return cells
+
+
 def test_fixed_m_orbit_scans_equal_the_labeled_scans_at_ten_and_eleven_vertices(monkeypatch):
     # Chunks of 4 multisets over two jobs, so rank ranges start mid-walk and
     # five-row shapes (120 row permutations) are covered.
     monkeypatch.setattr(verifier, "_ORBIT_MIN_CHUNK", 4)
     for r, s, m in ((5, 5, 3), (5, 6, 2), (4, 7, 3), (2, 9, 5)):
-        graphs, _, cells, _, _ = verifier._scan(r, s, m, False, METRIC_IDS, (), 2)
+        cells = _labeled_cells(r, s, m, METRIC_IDS)
         for metric in METRIC_IDS:
             result = extremal_scan(r, s, m, metric, jobs=2)
             assert (result.max_value, result.argmax.mask, result.min_value, result.argmin.mask,
-                    result.graphs_checked) == tuple(cells[metric][m]), (r, s, m, metric)
-            assert result.orbits_checked == len(list(orbits.orbit_reps(r, s, m))) < graphs
+                    result.graphs_checked) == tuple(cells[metric]), (r, s, m, metric)
+            assert result.orbits_checked == len(list(orbits.orbit_reps(r, s, m))) < comb(r * s, m)
 
 
 def _cell_lists(cells):
@@ -318,15 +343,14 @@ def test_orbit_sweeps_and_scans_equal_the_labeled_scans_at_nine_vertices():
         for metric in metrics:
             assert _cell_lists(sweep.cells[metric]) == cells[metric], (r, s, metric)
     for m, scan_metrics in ((5, METRIC_IDS), (10, ("sum_edge", "prod_edge"))):
-        graphs, _, cells, _, _ = verifier._scan(4, 5, m, False, scan_metrics, (), 2)
-        assert graphs == comb(20, m)
+        cells = _labeled_cells(4, 5, m, scan_metrics)
         for metric in scan_metrics:
             result = extremal_scan(4, 5, m, metric, jobs=2)
-            max_value, max_mask, min_value, min_mask, count = cells[metric][m]
+            max_value, max_mask, min_value, min_mask, count = cells[metric]
             assert (result.max_value, result.argmax.mask, result.min_value, result.argmin.mask) == (
                 max_value, max_mask, min_value, min_mask), (m, metric)
-            assert result.graphs_checked == count == graphs
-            assert 0 < result.orbits_checked < graphs
+            assert result.graphs_checked == count == comb(20, m)
+            assert 0 < result.orbits_checked < count
 
 
 def test_oversized_request_is_rejected_before_any_sweep(monkeypatch):
