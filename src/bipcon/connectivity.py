@@ -3,14 +3,18 @@
 The fast path runs unit-capacity max-flow on a residual network held as one
 Python-int bitmask per node, finding each augmenting path by a depth-first
 search over mask operations. Edge connectivity minimizes the flow from vertex
-0 over every sink on the graph itself. Vertex connectivity minimizes over
-non-adjacent pairs (a, b), b > a, on the split-vertex network (each vertex
-becomes an in/out node pair joined by a capacity-1 arc), with sources a = 0,
-1, ... only while a < best (the source bound of Even, SIAM J. Comput. 1975,
-and Esfahanian-Hakimi, Networks 1984), so O(kn) flows instead of O(n^2).
-Both minimizations start from the minimum degree delta, since
-k <= k' <= delta: no flow runs past the best value so far, and a connected
-graph with delta <= 1 needs no flow at all.
+0 over every sink on the graph itself. Vertex connectivity minimizes over the
+pair set of Esfahanian and Hakimi (Networks 14, 1984) on the split-vertex
+network (each vertex becomes an in/out node pair joined by a capacity-1
+arc): with v a vertex of minimum degree delta, v and every vertex outside
+its closed neighbourhood, then every pair of neighbours of v. That is
+(n - delta - 1) + C(delta, 2) flows at most, where Even's source bound (SIAM
+J. Comput. 1975) needs up to delta sources, each against every vertex.
+Both minimizations start from delta, since k <= k' <= delta: no flow runs
+past the best value so far, and a connected graph with delta <= 1 needs no
+flow at all. Before any adjacency is built, a row closure tests whether the
+graph is connected: the columns reached from row 0 absorb every row that
+meets them, so a disconnected graph returns 0 at once.
 
 Both report a certificate, a concrete cut whose removal disconnects the
 graph or leaves one vertex. When the minimum is below delta, the cut is read
@@ -20,9 +24,12 @@ kind) of the last vertex of minimum degree. Identical inputs always yield
 identical certificates.
 
 ``brute_force_edge_connectivity`` and ``brute_force_vertex_connectivity``
-are deliberately independent oracles that enumerate vertex subsets; they
-share no code with the flow path and exist to cross-check it exhaustively
-at small sizes.
+are deliberately independent oracles; they share no code with the flow path
+(not even the adjacency masks or the connectivity test) and exist to
+cross-check it exhaustively at small sizes. The edge oracle enumerates the
+2^(r-1) X parts of the side that holds x1 and places each y on its cheaper
+side in closed form; the vertex oracle enumerates removal sets in
+increasing size and floods what is left.
 
 Vertices are indexed 0..r-1 for X and r..r+s-1 for Y in all internal
 adjacency masks. A graph on a single vertex has connectivity 0 by
@@ -81,27 +88,28 @@ def _adjacency_masks(r: int, s: int, rows: tuple[int, ...]) -> list[int]:
     return adj
 
 
-def _reachable(adj: list[int], start_bit: int, alive: int) -> int:
-    """Bitmask of vertices reachable from start_bit inside the alive set."""
-    reach = start_bit
-    frontier = start_bit
-    while frontier:
-        grow = 0
-        f = frontier
-        while f:
-            low = f & -f
-            grow |= adj[low.bit_length() - 1]
-            f ^= low
-        frontier = grow & alive & ~reach
-        reach |= frontier
-    return reach
+def _rows_connected(r: int, s: int, rows: tuple[int, ...]) -> bool:
+    """True iff the graph is connected and has at least two vertices.
 
-
-def _connected_masks(n: int, adj: list[int], alive: int | None = None) -> bool:
-    if alive is None:
-        alive = (1 << n) - 1
-    start = alive & -alive
-    return _reachable(adj, start, alive) == alive
+    Grows the set of columns reached from row 0 and absorbs every row that
+    meets it. The graph is connected iff every row is absorbed and every
+    column is covered, so no adjacency masks are built.
+    """
+    if not (r and s):
+        return False
+    cols = rows[0]
+    pending = rows[1:]
+    while pending:
+        rest = []
+        for row in pending:
+            if row & cols:
+                cols |= row
+            else:
+                rest.append(row)
+        if len(rest) == len(pending):
+            return False
+        pending = rest
+    return cols == (1 << s) - 1
 
 
 def is_connected(g: BipartiteGraph) -> bool:
@@ -109,10 +117,7 @@ def is_connected(g: BipartiteGraph) -> bool:
     n = g.n
     if n == 0:
         raise EmptyGraph("connectivity of the empty graph is undefined")
-    if n == 1:
-        return True
-    adj = _adjacency_masks(g.left_size, g.right_size, g.adjacency)
-    return _connected_masks(n, adj)
+    return n == 1 or _rows_connected(g.left_size, g.right_size, g.adjacency)
 
 
 # --- unit-capacity max-flow on bitset residual networks ---------------------
@@ -204,10 +209,10 @@ def _edge_min_cut(r: int, s: int, rows: tuple[int, ...]) -> tuple[int, int, list
     source side of the cut of the first sink that attains the minimum, and 0
     when no flow goes below delta.
     """
+    if not _rows_connected(r, s, rows):
+        return 0, 0, []
     n = r + s
     adj = _adjacency_masks(r, s, rows)
-    if n < 2 or not _connected_masks(n, adj):
-        return 0, 0, adj
     best = _min_degree(r, s, rows)
     cut = 0
     if best > 1:
@@ -279,40 +284,41 @@ def _vertex_min_cut(r: int, s: int, rows: tuple[int, ...]) -> tuple[int, int, li
     """(vertex connectivity, reach in the split network, adjacency masks).
 
     Starts from the minimum degree delta (k <= delta) and minimizes the flow
-    from out(a) to in(b) over non-adjacent pairs b > a, for sources a = 0,
-    1, ... while a < best (Even 1975; Esfahanian and Hakimi 1984). That is
-    exact: every vertex below the smallest index a* outside a minimum
-    separator lies in it, so a* <= k, and every vertex on the far side of the
-    separator has a larger index. While best > k, a* < best and the loop
-    reaches a*; once best = k nothing is left to find. A pair whose common
-    neighbours already give best disjoint paths cannot do better and runs no
-    flow. reach is the source side of the cut of the first pair that attains
-    the minimum, and 0 when no flow goes below delta.
+    from out(a) to in(b) over the pairs of Esfahanian and Hakimi (Networks
+    1984): with v the first vertex of degree delta, v and every vertex u
+    outside its closed neighbourhood, then every pair of neighbours of v.
+    That is (n - delta - 1) + C(delta, 2) pairs, and it is exact. Let S be a
+    minimum separator. If v is not in S, some u in a component of G - S
+    that v is not in is outside N[v], and S separates v from u. If v is in
+    S, v has a neighbour in every component of G - S (else S - v would
+    separate too), so two neighbours of v lie in different components and S
+    separates them. No pair is adjacent (the neighbours of v share a part),
+    so every pair's flow is at least k and the minimum is k. A pair whose
+    common neighbours already give best disjoint paths cannot do better and
+    runs no flow. reach is the source side of the cut of the
+    first pair that attains the minimum, and 0 when no flow goes below delta.
     """
+    if not _rows_connected(r, s, rows):
+        return 0, 0, []
     n = r + s
     adj = _adjacency_masks(r, s, rows)
-    if n < 2 or not _connected_masks(n, adj):
-        return 0, 0, adj
-    best = _min_degree(r, s, rows)
+    degrees = [nbrs.bit_count() for nbrs in adj]
+    best = min(degrees)
     cut = 0
     if best > 1:
         arcs, free = _split_network(n, adj)
-        full = (1 << n) - 1
-        a = 0
-        while a < best:
-            far = full & ~adj[a] & ~((2 << a) - 1)
-            while far:
-                low = far & -far
-                far ^= low
-                b = low.bit_length() - 1
-                if (adj[a] & adj[b]).bit_count() >= best:
-                    continue
-                f, reach = _unit_flow(arcs, free, 2 * a + 1, 2 * b, best)
-                if f < best:
-                    best, cut = f, reach
-                    if best == 1:
-                        return best, cut, adj
-            a += 1
+        v = degrees.index(best)
+        near = adj[v]
+        pairs = [(v, u) for u in range(n) if u != v and not near >> u & 1]
+        pairs += combinations([u for u in range(n) if near >> u & 1], 2)
+        for a, b in pairs:
+            if (adj[a] & adj[b]).bit_count() >= best:
+                continue
+            f, reach = _unit_flow(arcs, free, 2 * a + 1, 2 * b, best)
+            if f < best:
+                best, cut = f, reach
+                if best == 1:
+                    break
     return best, cut, adj
 
 
@@ -354,47 +360,72 @@ def vertex_connectivity(g: BipartiteGraph) -> ConnectivityResult:
 # --- independent brute-force oracles ----------------------------------------
 
 
+def _columns(r: int, s: int, rows: tuple[int, ...]) -> list[int]:
+    """The X neighbours of each y_j as a bitmask over 0..r-1."""
+    cols = [0] * s
+    for i in range(r):
+        row = rows[i]
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return cols
+
+
 def edge_oracle_value(r: int, s: int, rows: tuple[int, ...]) -> int:
-    """Oracle core: minimum crossing-edge count over proper vertex bipartitions."""
-    n = r + s
-    if n <= 1:
+    """Oracle core: minimum crossing-edge count over proper vertex bipartitions.
+
+    Enumerates the X part A of the side that holds x1. Each y_j then adds
+    k_j = |N(y_j) & A| or deg(y_j) - k_j crossing edges, whichever side it
+    joins, independently of the other y's, so the best placement of Y costs
+    the sum of min(k_j, deg(y_j) - k_j). A proper subset A makes every
+    placement proper; A = X needs some y on the other side, and the cheapest
+    such placement moves one y of least degree. The minimum is 0 exactly on
+    disconnected graphs, so no connectivity test precedes it. Cost
+    2^(r-1) * s.
+    """
+    if not (r and s):
         return 0
-    adj = _adjacency_masks(r, s, rows)
-    if not _connected_masks(n, adj):
-        return 0
-    smask = (1 << s) - 1
-    best = r * s + 1
-    # Each bipartition is counted once, by its side that holds vertex 0.
-    for side in range(1, (1 << n) - 1, 2):
-        ay = side >> r
+    cols = _columns(r, s, rows)
+    degrees = [col.bit_count() for col in cols]
+    best = min(degrees)
+    pairs = list(zip(cols, degrees))
+    for side in range(1, (1 << r) - 1, 2):
         crossing = 0
-        for i in range(r):
-            row = rows[i]
-            if side >> i & 1:
-                crossing += (row & ~ay & smask).bit_count()
-            else:
-                crossing += (row & ay).bit_count()
-        if crossing < best:
+        for col, d in pairs:
+            k = (col & side).bit_count()
+            crossing += k if 2 * k <= d else d - k
+            if crossing >= best:
+                break
+        else:
             best = crossing
     return best
 
 
 def vertex_oracle_value(r: int, s: int, rows: tuple[int, ...]) -> int:
-    """Oracle core: smallest removal set that disconnects or leaves one vertex."""
+    """Oracle core: smallest removal set that disconnects or leaves one vertex.
+
+    Enumerates removal sets in increasing size, the empty set first, and
+    floods each remainder from its lowest vertex over neighbour masks of
+    its own.
+    """
     n = r + s
     if n <= 1:
         return 0
-    adj = _adjacency_masks(r, s, rows)
+    nbrs = [row << r for row in rows] + _columns(r, s, rows)
     full = (1 << n) - 1
-    if not _connected_masks(n, adj):
-        return 0
-    for k in range(1, n - 1):
+    for k in range(n - 1):
         for combo in combinations(range(n), k):
             alive = full
             for v in combo:
                 alive ^= 1 << v
-            start = alive & -alive
-            if _reachable(adj, start, alive) != alive:
+            reach = todo = alive & -alive
+            while todo:
+                low = todo & -todo
+                grow = nbrs[low.bit_length() - 1] & alive & ~reach
+                reach |= grow
+                todo = (todo ^ low) | grow
+            if reach != alive:
                 return k
     return n - 1
 
@@ -403,7 +434,7 @@ def brute_force_edge_connectivity(g: BipartiteGraph) -> int:
     """Oracle: minimum crossing-edge count over all proper vertex bipartitions.
 
     Returns 0 for disconnected graphs (and for a single vertex, by
-    convention). Cost 2^(r+s); rejects graphs above 16 vertices.
+    convention). Cost 2^(r-1) * s; rejects graphs above 16 vertices.
     """
     if g.n > _BRUTE_FORCE_MAX_VERTICES:
         raise TooLarge(f"brute force capped at {_BRUTE_FORCE_MAX_VERTICES} vertices, got {g.n}")

@@ -54,3 +54,23 @@ def components_count(g: BipartiteGraph) -> int:
                     seen.add(w)
                     queue.append(w)
     return count
+
+
+def min_crossing_edges(g: BipartiteGraph) -> int:
+    """Fewest edges between the two sides of a proper vertex bipartition.
+
+    Tries every one of the 2^(n-1) sides that hold vertex 0 and counts the
+    edges of ``g.edges()`` with one end on it. Returns 0 below two vertices.
+    Shares no code with ``bipcon.connectivity``.
+    """
+    r, n = g.left_size, g.n
+    if n < 2:
+        return 0
+    ends = [(i - 1, r + j - 1) for i, j in g.edges()]
+    everything = (1 << n) - 1
+    best = len(ends)
+    for others in range(1 << (n - 1)):
+        side = others << 1 | 1
+        if side != everything:
+            best = min(best, sum(1 for u, v in ends if (side >> u & 1) != (side >> v & 1)))
+    return best

@@ -12,7 +12,9 @@ from bipcon.bigraph import (
     degrees,
     new_graph,
 )
+from bipcon import connectivity
 from bipcon.connectivity import (
+    ConnectivityResult,
     _adjacency_masks,
     _min_degree,
     _split_network,
@@ -21,15 +23,17 @@ from bipcon.connectivity import (
     brute_force_vertex_connectivity,
     edge_connectivity,
     edge_connectivity_value,
+    edge_oracle_value,
     is_connected,
     vertex_connectivity,
     vertex_connectivity_value,
+    vertex_oracle_value,
 )
 from bipcon.constructions import CayleySubset, bi_cayley
 from bipcon.errors import EmptyGraph, TooLarge, TooSmall
 
 from conftest import graphs
-from graphtools import components_count, delete_edges, delete_vertices
+from graphtools import components_count, delete_edges, delete_vertices, min_crossing_edges
 
 
 def complete(r, s):
@@ -328,3 +332,110 @@ def test_every_pair_cut_matches_its_flow():
                     cut = [v for v in range(n) if reach >> 2 * v & 1 and not reach >> 2 * v + 1 & 1]
                     assert len(cut) == flow and a not in cut and b not in cut
                     assert not _joined(adj, a, b, full & ~sum(1 << v for v in cut))
+
+
+_CUT = ConnectivityResult(0, "disconnected")
+
+
+@pytest.mark.parametrize("r, s, rows, connected, value, certificates", [
+    (0, 0, (), EmptyGraph, 0, TooSmall),
+    (1, 0, (0,), True, 0, TooSmall),
+    (0, 1, (), True, 0, TooSmall),
+    (0, 3, (), False, 0, (_CUT, _CUT)),
+    (2, 0, (0, 0), False, 0, (_CUT, _CUT)),
+    (1, 1, (1,), True, 1, (ConnectivityResult(1, "edge_cut", edges=((1, 1),)),
+                           ConnectivityResult(1, "complete_side", vertices=("x1",)))),
+])
+def test_degenerate_graphs_keep_their_values_and_errors(r, s, rows, connected, value, certificates):
+    # An empty part, a single vertex and K_{1,1}: every entry point, kernels and oracles alike.
+    g = BipartiteGraph(r, s, rows)
+    if connected is EmptyGraph:
+        with pytest.raises(EmptyGraph):
+            is_connected(g)
+    else:
+        assert is_connected(g) is connected
+    for kernel in (edge_connectivity_value, vertex_connectivity_value, edge_oracle_value, vertex_oracle_value):
+        assert kernel(r, s, rows) == value, kernel.__name__
+    assert brute_force_edge_connectivity(g) == brute_force_vertex_connectivity(g) == value
+    if certificates is TooSmall:
+        with pytest.raises(TooSmall):
+            edge_connectivity(g)
+        with pytest.raises(TooSmall):
+            vertex_connectivity(g)
+    else:
+        assert (edge_connectivity(g), vertex_connectivity(g)) == certificates
+
+
+def test_edge_oracle_matches_every_side_on_every_small_graph():
+    # Every labeled graph with r * s <= 12 and at most nine vertices, empty parts included.
+    for r in range(10):
+        for s in range(10 - r):
+            if r * s > 12:
+                continue
+            for mask in range(1 << (r * s)):
+                g = BipartiteGraph.from_mask(r, s, mask)
+                assert edge_oracle_value(r, s, g.adjacency) == min_crossing_edges(g), (r, s, mask)
+
+
+@given(graphs(min_r=0, max_r=6, min_s=0, max_s=6, min_n=1))
+@settings(max_examples=40)
+def test_edge_oracle_matches_every_side_up_to_twelve_vertices(g):
+    assert edge_oracle_value(g.left_size, g.right_size, g.adjacency) == min_crossing_edges(g)
+
+
+def test_vertex_flows_stay_within_the_esfahanian_hakimi_pairs(monkeypatch):
+    # At most (n - delta - 1) + C(delta, 2) flows per graph: every (3,4) graph,
+    # then seeded random graphs of up to 16 vertices.
+    flows = 0
+
+    def counted(*args):
+        nonlocal flows
+        flows += 1
+        return _unit_flow(*args)
+
+    monkeypatch.setattr(connectivity, "_unit_flow", counted)
+    rng = random.Random(1984)
+    samples = [BipartiteGraph.from_mask(3, 4, mask) for mask in range(1 << 12)]
+    for _ in range(300):
+        r = rng.randint(2, 8)
+        s = rng.randint(r, 16 - r)
+        density = rng.choice((0.3, 0.5, 0.7, 0.9))
+        samples.append(BipartiteGraph.from_mask(r, s, sum(1 << bit for bit in range(r * s) if rng.random() < density)))
+    most = 0
+    for g in samples:
+        flows = 0
+        value = vertex_connectivity_value(g.left_size, g.right_size, g.adjacency)
+        delta = degrees(g).min_degree
+        assert flows <= (g.n - delta - 1) + delta * (delta - 1) // 2, (g, flows)
+        if g.n == 7:
+            assert value == brute_force_vertex_connectivity(g), g
+        most = max(most, flows)
+    assert most > 0
+
+
+def test_vertex_connectivity_matches_networkx_on_bi_cayley_graphs():
+    # The family L2.4 checks: every connected BC(Z_r, S) and complement with r <= 7.
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for r in range(1, 8):
+        for smask in range(1 << r):
+            g = bi_cayley(CayleySubset(r, frozenset(a for a in range(r) if smask >> a & 1)))
+            for h in (g, bipartite_complement(g)):
+                if components_count(h) != 1:
+                    continue
+                graph = nx.Graph()
+                graph.add_nodes_from(range(2 * r))
+                graph.add_edges_from((i - 1, r + j - 1) for i, j in h.edges())
+                assert vertex_connectivity_value(r, r, h.adjacency) == nx.node_connectivity(graph), (r, smask)
+                checked += 1
+    assert checked > 200
+
+
+def test_a_minimum_separator_through_the_minimum_degree_vertex():
+    # Two K_{4,4}, x3..x6 with y1..y4 and x7..x10 with y5..y8, joined by x1
+    # (y1, y2, y5, y6) and x2 (y3, y4, y7, y8). x1 is the first vertex of
+    # degree delta = 4 and lies in {x1, x2}, the only 2-separator, so no flow
+    # from x1 finds k = 2; a pair of x1's neighbours in both halves does.
+    g = BipartiteGraph(10, 8, (0b00110011, 0b11001100) + (0b1111,) * 4 + (0b11110000,) * 4)
+    edge, vertex = _assert_valid_certificates(g)
+    assert vertex.value == 2 and vertex.vertices == ("x1", "x2")

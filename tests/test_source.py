@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import bipcon
+from bipcon import connectivity
 
 PACKAGE = Path(bipcon.__file__).resolve().parent
 
@@ -33,3 +34,20 @@ def test_package_imports_only_the_standard_library():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names | {"bipcon"}]
     assert not found, f"imports outside the standard library: {found}"
+
+
+def test_oracles_share_no_code_with_the_flow_path():
+    # The oracles cross-check the max-flow kernels, so neither may reach any
+    # of their helpers, directly or through a helper of its own.
+    flow_path = {"_adjacency_masks", "_rows_connected", "_min_degree", "_unit_flow",
+                 "_split_network", "_edge_min_cut", "_vertex_min_cut"}
+    assert all(callable(getattr(connectivity, name, None)) for name in flow_path)
+    for oracle in ("edge_oracle_value", "vertex_oracle_value"):
+        reached, todo = set(), [oracle]
+        while todo:
+            for name in getattr(connectivity, todo.pop()).__code__.co_names:
+                fn = getattr(connectivity, name, None)
+                if name not in reached and getattr(fn, "__module__", None) == connectivity.__name__:
+                    reached.add(name)
+                    todo.append(name)
+        assert not reached & flow_path, f"{oracle} reaches {sorted(reached & flow_path)}"
