@@ -201,6 +201,8 @@ def _last_of_degree(adj: list[int], degree: int) -> int:
 def _edge_min_cut(r: int, s: int, rows: tuple[int, ...]) -> tuple[int, int, list[int]]:
     """(edge connectivity, reach, adjacency masks).
 
+    The masks are left empty when the graph is disconnected or one vertex.
+
     Minimizes the flow from vertex 0 over every sink, starting from the
     minimum degree delta (k' <= delta), so no flow runs past the best value
     so far and a connected graph with delta <= 1 needs none. A sink whose
@@ -282,6 +284,8 @@ def _split_network(n: int, adj: list[int]) -> tuple[list[int], list[int]]:
 
 def _vertex_min_cut(r: int, s: int, rows: tuple[int, ...]) -> tuple[int, int, list[int]]:
     """(vertex connectivity, reach in the split network, adjacency masks).
+
+    The masks are left empty when the graph is disconnected or one vertex.
 
     Starts from the minimum degree delta (k <= delta) and minimizes the flow
     from out(a) to in(b) over the pairs of Esfahanian and Hakimi (Networks
@@ -402,30 +406,39 @@ def edge_oracle_value(r: int, s: int, rows: tuple[int, ...]) -> int:
     return best
 
 
+def _floods(nbrs: list[int], alive: int) -> bool:
+    """True iff a flood from the lowest vertex of ``alive`` over ``nbrs`` reaches all of it."""
+    reach = frontier = alive & -alive
+    while frontier:
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            grow |= nbrs[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grow & alive & ~reach
+        reach |= frontier
+    return reach == alive
+
+
 def vertex_oracle_value(r: int, s: int, rows: tuple[int, ...]) -> int:
     """Oracle core: smallest removal set that disconnects or leaves one vertex.
 
-    Enumerates removal sets in increasing size, the empty set first, and
-    floods each remainder from its lowest vertex over neighbour masks of
-    its own.
+    Enumerates removal sets in increasing size and floods each remainder
+    over neighbour masks of its own.
     """
     n = r + s
     if n <= 1:
         return 0
     nbrs = [row << r for row in rows] + _columns(r, s, rows)
     full = (1 << n) - 1
-    for k in range(n - 1):
+    if not _floods(nbrs, full):
+        return 0
+    for k in range(1, n - 1):
         for combo in combinations(range(n), k):
             alive = full
             for v in combo:
                 alive ^= 1 << v
-            reach = todo = alive & -alive
-            while todo:
-                low = todo & -todo
-                grow = nbrs[low.bit_length() - 1] & alive & ~reach
-                reach |= grow
-                todo = (todo ^ low) | grow
-            if reach != alive:
+            if not _floods(nbrs, alive):
                 return k
     return n - 1
 
