@@ -3,6 +3,7 @@
 import ast
 import sys
 from pathlib import Path
+from types import FunctionType
 
 import bipcon
 from bipcon import connectivity
@@ -47,7 +48,7 @@ def test_oracles_share_no_code_with_the_flow_path():
         while todo:
             for name in getattr(connectivity, todo.pop()).__code__.co_names:
                 fn = getattr(connectivity, name, None)
-                if name not in reached and getattr(fn, "__module__", None) == connectivity.__name__:
+                if name not in reached and isinstance(fn, FunctionType) and fn.__module__ == connectivity.__name__:
                     reached.add(name)
                     todo.append(name)
         assert not reached & flow_path, f"{oracle} reaches {sorted(reached & flow_path)}"
