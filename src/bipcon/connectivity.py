@@ -201,15 +201,14 @@ def _last_of_degree(adj: list[int], degree: int) -> int:
 def _edge_min_cut(r: int, s: int, rows: tuple[int, ...]) -> tuple[int, int, list[int]]:
     """(edge connectivity, reach, adjacency masks).
 
-    The masks are left empty when the graph is disconnected or one vertex.
-
     Minimizes the flow from vertex 0 over every sink, starting from the
     minimum degree delta (k' <= delta), so no flow runs past the best value
     so far and a connected graph with delta <= 1 needs none. A sink whose
     common neighbours with vertex 0, plus a direct edge, already give that
     many edge-disjoint paths cannot do better and runs no flow. reach is the
     source side of the cut of the first sink that attains the minimum, and 0
-    when no flow goes below delta.
+    when no flow goes below delta. The masks are left empty when the graph
+    is disconnected or a single vertex.
     """
     if not _rows_connected(r, s, rows):
         return 0, 0, []
@@ -285,8 +284,6 @@ def _split_network(n: int, adj: list[int]) -> tuple[list[int], list[int]]:
 def _vertex_min_cut(r: int, s: int, rows: tuple[int, ...]) -> tuple[int, int, list[int]]:
     """(vertex connectivity, reach in the split network, adjacency masks).
 
-    The masks are left empty when the graph is disconnected or one vertex.
-
     Starts from the minimum degree delta (k <= delta) and minimizes the flow
     from out(a) to in(b) over the pairs of Esfahanian and Hakimi (Networks
     1984): with v the first vertex of degree delta, v and every vertex u
@@ -299,8 +296,9 @@ def _vertex_min_cut(r: int, s: int, rows: tuple[int, ...]) -> tuple[int, int, li
     separates them. No pair is adjacent (the neighbours of v share a part),
     so every pair's flow is at least k and the minimum is k. A pair whose
     common neighbours already give best disjoint paths cannot do better and
-    runs no flow. reach is the source side of the cut of the
-    first pair that attains the minimum, and 0 when no flow goes below delta.
+    runs no flow. reach is the source side of the cut of the first pair that
+    attains the minimum, and 0 when no flow goes below delta. The masks are
+    left empty when the graph is disconnected or a single vertex.
     """
     if not _rows_connected(r, s, rows):
         return 0, 0, []
