@@ -136,10 +136,13 @@ def degrees(g: BipartiteGraph) -> DegreeSummary:
     if g.left_size == 0 or g.right_size == 0:
         raise EmptyPart("degrees need both parts nonempty")
     left = tuple(row.bit_count() for row in g.adjacency)
-    right = tuple(
-        sum(g.adjacency[i] >> j & 1 for i in range(g.left_size))
-        for j in range(g.right_size)
-    )
+    counts = [0] * g.right_size
+    for row in g.adjacency:
+        while row:
+            low = row & -row
+            counts[low.bit_length() - 1] += 1
+            row ^= low
+    right = tuple(counts)
     return DegreeSummary(left, right, min(left + right), max(left + right))
 
 

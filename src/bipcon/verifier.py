@@ -75,6 +75,7 @@ from .bigraph import BipartiteGraph, add_left_vertex, add_right_vertex, bipartit
 from .bounds import M_upper, N_upper, ParameterTriple, delta_bounds, sum_lower_sized
 from .connectivity import (
     _min_degree,
+    _rows_connected,
     edge_connectivity_value,
     edge_oracle_value,
     is_connected,
@@ -722,13 +723,14 @@ def _l25_chunk(args):
         r = rng.randint(1, _L25_SHAPE_MAX)
         s = rng.randint(1, _L25_SHAPE_MAX)
         for _ in range(300):
-            g = BipartiteGraph.from_mask(r, s, rng.getrandbits(r * s))
-            if is_connected(g):
+            rows = _rows_of(rng.getrandbits(r * s), r, s)
+            if _rows_connected(r, s, rows):
                 break
         else:
             continue
         checked += 1
-        k = edge_connectivity_value(r, s, g.adjacency)
+        g = BipartiteGraph(r, s, rows)
+        k = edge_connectivity_value(r, s, rows)
         side = "right" if rng.random() < 0.5 else "left"
         opposite = r if side == "right" else s
         neighbors = sorted(rng.sample(range(1, opposite + 1), rng.randint(k, opposite)))

@@ -17,6 +17,7 @@ from bipcon.connectivity import (
     ConnectivityResult,
     _adjacency_masks,
     _min_degree,
+    _short_paths,
     _split_network,
     _unit_flow,
     brute_force_edge_connectivity,
@@ -439,3 +440,140 @@ def test_a_minimum_separator_through_the_minimum_degree_vertex():
     g = BipartiteGraph(10, 8, (0b00110011, 0b11001100) + (0b1111,) * 4 + (0b11110000,) * 4)
     edge, vertex = _assert_valid_certificates(g)
     assert vertex.value == 2 and vertex.vertices == ("x1", "x2")
+
+
+def test_short_paths_never_exceed_the_pair_flow_on_every_small_graph():
+    # Every pair of every labeled graph with r <= s and at most seven vertices,
+    # the first size at which two paths of length 4 could share a vertex.
+    pairs = 0
+    for r in range(1, 4):
+        for s in range(r, 8 - r):
+            n = r + s
+            for mask in range(1 << (r * s)):
+                adj = _adjacency_masks(r, s, BipartiteGraph.from_mask(r, s, mask).adjacency)
+                arcs, free = _split_network(n, adj)
+                for a in range(n):
+                    for b in range(a + 1, n):
+                        bound = _short_paths(r, adj, a, b, n)
+                        assert bound <= _unit_flow(adj, [0] * n, a, b, n)[0], (r, s, mask, a, b)
+                        if not adj[a] >> b & 1:
+                            assert bound <= _unit_flow(arcs, free, 2 * a + 1, 2 * b, n)[0], (r, s, mask, a, b)
+                        pairs += 1
+    assert pairs == 121_822
+
+
+@given(graphs(max_r=6, max_s=6, min_n=6))
+@settings(max_examples=30)
+def test_short_paths_never_exceed_networkx_local_connectivity(g):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import local_edge_connectivity, local_node_connectivity
+
+    r, n = g.left_size, g.n
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from((i - 1, r + j - 1) for i, j in g.edges())
+    adj = _adjacency_masks(r, g.right_size, g.adjacency)
+    for a in range(n):
+        for b in range(a + 1, n):
+            bound = _short_paths(r, adj, a, b, n)
+            assert bound <= local_edge_connectivity(h, a, b)
+            if not adj[a] >> b & 1:
+                assert bound <= local_node_connectivity(h, a, b)
+
+
+# The 6-cycle x1 y2 x2 y1 x3 y3, the 8-cycle x1 y1 x3 y3 x2 y4 x4 y2, and a
+# graph of minimum degree 2 in which x1 and x2 are joined by x1 y1 x4 y4 x2
+# and x1 y2 x3 y3 x2, but the greedy pass gives y1 the middle vertex x3 first.
+# Every path of length 4 from x1 to x2 in _ONE_MIDDLE, and from y1 to y2 in
+# _ONE_END, passes x3, so their count is 1.
+_C6 = new_graph(3, 3, [(1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (3, 3)])
+_C8 = new_graph(4, 4, [(1, 1), (1, 2), (2, 3), (2, 4), (3, 1), (3, 3), (4, 2), (4, 4)])
+_GREEDY_SHORT = new_graph(4, 4, [(1, 1), (1, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 4)])
+_ONE_MIDDLE = new_graph(3, 4, [(1, 1), (1, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4)])
+_ONE_END = new_graph(3, 4, [(1, 1), (1, 3), (2, 1), (2, 4), (3, 2), (3, 3), (3, 4)])
+
+
+@pytest.mark.parametrize("g, a, b, found, kinds", [
+    (complete(3, 3), 0, 1, 3, "three common neighbours"),
+    (complete(2, 2), 0, 2, 2, "the edge x1 y1 and x1 y2 x2 y1"),
+    (_C6, 0, 3, 2, "x1 y2 x2 y1 and x1 y3 x3 y1"),
+    (_C6, 4, 5, 2, "y2 x1 y3 and y2 x2 y1 x3 y3"),
+    (_C8, 0, 1, 2, "x1 y1 x3 y3 x2 and x1 y2 x4 y4 x2"),
+    (_GREEDY_SHORT, 0, 1, 1, "x1 y1 x3 y3 x2 blocks x1 y2 x3 y3 x2"),
+    (_ONE_MIDDLE, 0, 1, 1, "x1 y1 x3 y3 x2 blocks x1 y2 x3 y4 x2"),
+    (_ONE_END, 3, 4, 1, "y1 x1 y3 x3 y2 blocks y1 x2 y4 x3 y2"),
+])
+def test_short_paths_by_path_kind(g, a, b, found, kinds):
+    r = g.left_size
+    adj = _adjacency_masks(r, g.right_size, g.adjacency)
+    assert _short_paths(r, adj, a, b, g.n) == found, kinds
+
+
+def _flows_run(monkeypatch, kernel, g):
+    """The (source, sink) of every flow ``kernel`` runs on g."""
+    pairs = []
+
+    def recorded(arcs, free, source, sink, limit):
+        pairs.append((source, sink))
+        return _unit_flow(arcs, free, source, sink, limit)
+
+    monkeypatch.setattr(connectivity, "_unit_flow", recorded)
+    kernel(g.left_size, g.right_size, g.adjacency)
+    return pairs
+
+
+def test_paths_of_length_three_and_four_settle_every_vertex_pair_of_the_six_cycle(monkeypatch):
+    # delta = 2; the pairs are (x1, y1) and (y2, y3), neither with two common neighbours.
+    assert _flows_run(monkeypatch, vertex_connectivity_value, _C6) == []
+    assert vertex_connectivity(_C6).value == 2
+
+
+def test_a_pair_the_greedy_bound_misses_still_runs_its_flow(monkeypatch):
+    g = _GREEDY_SHORT
+    assert (1, 2) in _flows_run(monkeypatch, vertex_connectivity_value, g)  # out(x1) -> in(x2)
+    assert (0, 1) in _flows_run(monkeypatch, edge_connectivity_value, g)
+    assert vertex_connectivity_value(4, 4, g.adjacency) == 2 == brute_force_vertex_connectivity(g)
+    assert edge_connectivity_value(4, 4, g.adjacency) == 2 == brute_force_edge_connectivity(g)
+
+
+def _seeded_graphs(seed, count, smallest, largest):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(smallest, largest)
+        r = rng.randint(1, n - 1)
+        s = n - r
+        density = rng.choice((0.2, 0.4, 0.6, 0.8, 0.95))
+        yield BipartiteGraph.from_mask(r, s, sum(1 << bit for bit in range(r * s) if rng.random() < density))
+
+
+def test_skipping_pairs_leaves_values_and_certificates_unchanged(monkeypatch):
+    # Every (3,4) graph and 300 seeded graphs of 2 to 20 vertices, with every
+    # pair skipped as usual and then with every pair flowing.
+    samples = [BipartiteGraph.from_mask(3, 4, mask) for mask in range(1 << 12)]
+    samples += _seeded_graphs(10_384, 300, 2, 20)
+
+    def results():
+        return [(edge_connectivity(g), vertex_connectivity(g),
+                 edge_connectivity_value(g.left_size, g.right_size, g.adjacency),
+                 vertex_connectivity_value(g.left_size, g.right_size, g.adjacency)) for g in samples]
+
+    default = results()
+    monkeypatch.setattr(connectivity, "_short_paths", lambda r, adj, a, b, limit: 0)
+    assert results() == default
+
+
+def test_short_paths_settle_almost_every_pair_at_twelve_to_twenty_vertices(monkeypatch):
+    # 150 seeded graphs and their complements. With the common-neighbour skip
+    # alone they took 684 edge and 575 vertex flows.
+    flows = {"edge": 0, "vertex": 0}
+
+    def counted(arcs, free, source, sink, limit):
+        flows["vertex" if len(arcs) == 2 * g.n else "edge"] += 1
+        return _unit_flow(arcs, free, source, sink, limit)
+
+    monkeypatch.setattr(connectivity, "_unit_flow", counted)
+    for g in _seeded_graphs(2026, 150, 12, 20):
+        for h in (g, bipartite_complement(g)):
+            edge_connectivity(h)
+            vertex_connectivity(h)
+    assert flows == {"edge": 6, "vertex": 14}

@@ -366,7 +366,7 @@ def test_oversized_request_is_rejected_before_any_sweep(monkeypatch):
 
 
 def test_vertex_addition_counts_only_checked_trials(monkeypatch):
-    monkeypatch.setattr(verifier, "is_connected", lambda g: False)
+    monkeypatch.setattr(verifier, "_rows_connected", lambda r, s, rows: False)
     report = check_theorem("L2.5", trials=5, seed=7, jobs=1)
     assert report.graphs_checked == 0
 
