@@ -2,19 +2,28 @@
 
 The fast path runs unit-capacity max-flow on a residual network held as one
 Python-int bitmask per node, finding each augmenting path by a depth-first
-search over mask operations. Edge connectivity minimizes the flow from vertex
-0 over every sink on the graph itself. Vertex connectivity minimizes over the
-pair set of Esfahanian and Hakimi (Networks 14, 1984) on the split-vertex
-network (each vertex becomes an in/out node pair joined by a capacity-1
-arc): with v a vertex of minimum degree delta, v and every vertex outside
-its closed neighbourhood, then every pair of neighbours of v. That is
-(n - delta - 1) + C(delta, 2) flows at most, where Even's source bound (SIAM
-J. Comput. 1975) needs up to delta sources, each against every vertex.
-Both minimizations start from delta, since k <= k' <= delta: no flow runs
-past the best value so far, and a connected graph with delta <= 1 needs no
-flow at all. Before any adjacency is built, a row closure tests whether the
-graph is connected: the columns reached from row 0 absorb every row that
-meets them, so a disconnected graph returns 0 at once.
+search over mask operations. Both minimizations start from the minimum
+degree delta, since k <= k' <= delta: no flow runs past the best value so
+far, and a connected graph with delta <= 1 needs no flow at all. Before any
+adjacency is built, a row closure tests whether the graph is connected: the
+columns reached from row 0 absorb every row that meets them, so a
+disconnected graph returns 0 at once.
+
+Both take their pairs from one part, by one fact: in a connected bipartite
+graph, each side of a cut smaller than delta holds vertices of both parts
+(the proofs are in ``_edge_min_cut`` and ``_vertex_min_cut``). So edge
+connectivity needs only the flows from one vertex of the smaller part to
+the other vertices of that part: Matula's dominating-set argument
+("Determining edge connectivity in O(nm)", FOCS 1987), each part of a
+connected bipartite graph being a dominating set. An edge cut below delta
+even leaves delta vertices of each part on each side, so of the
+min(r, s) - 1 sinks the first min(r, s) - delta suffice, and none are
+needed when min(r, s) < 2 delta. Vertex connectivity pairs a vertex v of
+minimum degree with the other vertices of its own part, then every two
+neighbours of v, on the split-vertex network (each vertex becomes an in/out
+node pair joined by a capacity-1 arc): (|part of v| - 1) + C(delta, 2)
+flows at most, the pairs of Esfahanian and Hakimi (Networks 14, 1984)
+restricted to v's part.
 
 Most pairs run no flow. ``_short_paths`` greedily packs internally disjoint
 paths of length at most 4 between the pair: the common neighbours and
@@ -256,41 +265,56 @@ def _short_paths(r: int, adj: list[int], a: int, b: int, limit: int) -> int:
     return found
 
 
-def _last_of_degree(adj: list[int], degree: int) -> int:
+def _last_of_degree(degrees: list[int], degree: int) -> int:
     # The last rather than the first, so the cut of K_{1,1} is x1, its whole X side.
-    return max(v for v, nbrs in enumerate(adj) if nbrs.bit_count() == degree)
+    return len(degrees) - 1 - degrees[::-1].index(degree)
 
 
 def _edge_min_cut(r: int, s: int, rows: tuple[int, ...]) -> tuple[int, int, list[int]]:
-    """(edge connectivity, reach, adjacency masks).
+    """(edge connectivity, reach, degrees).
 
-    Minimizes the flow from vertex 0 over every sink, starting from the
-    minimum degree delta (k' <= delta), so no flow runs past the best value
-    so far and a connected graph with delta <= 1 needs none. A sink to
-    which ``_short_paths`` finds best disjoint paths of length at most 4
-    runs no flow: its flow, capped at best, would reach best and change
-    neither best nor reach, so values and cuts are those of running every
-    flow. reach is the source side of the cut of the first sink that
-    attains the minimum, and 0 when no flow goes below delta. The masks are
-    left empty when the graph is disconnected or a single vertex.
+    Minimizes the flow from the first vertex of the smaller part P (X on a
+    tie) to the next |P| - delta vertices of P, starting from the minimum
+    degree delta (k' <= delta), so no flow runs past the best value so far
+    and a connected graph with delta <= 1 needs none; nor does one with
+    |P| < 2 delta. This is exact. Every flow is at least k', so if k' =
+    delta the minimum stays delta. Let F be an edge cut with |F| < delta. A
+    side of a <= delta vertices sends at least a (delta - a + 1) >= delta
+    edges out, so each side B of F holds more than |F| vertices and some w
+    in B touches no edge of F. The delta or more neighbours of w lie in B,
+    in the other part from w; they too outnumber F, so one of them touches
+    no edge of F and its delta or more neighbours, in w's part, lie in B.
+    Each side of F thus holds delta or more vertices of each part. So k' <
+    delta needs |P| >= 2 delta, and the side without the source holds
+    delta or more sinks of P, at least one of them among the first |P| -
+    delta: its flow is at most |F|, and the minimum is k'. For the same
+    reason the first sink of P that attains k' is among them, so reach is
+    that of trying every sink of P. A sink to which ``_short_paths`` finds
+    best disjoint paths of length at most 4 runs no flow: its flow, capped
+    at best, would reach best and change neither best nor reach, so values
+    and cuts are those of running every flow. reach is the source side of
+    the cut of the first sink that attains the minimum, and 0 when no flow
+    goes below delta. degrees, one per vertex, is left empty when the graph
+    is disconnected or a single vertex.
     """
     if not _rows_connected(r, s, rows):
         return 0, 0, []
-    n = r + s
     adj = _adjacency_masks(r, s, rows)
-    best = _min_degree(r, s, rows)
+    degrees = [nbrs.bit_count() for nbrs in adj]
+    best = min(degrees)
     cut = 0
-    if best > 1:
-        free = [0] * n
-        for t in range(1, n):
-            if _short_paths(r, adj, 0, t, best) >= best:
+    source, part = (0, r) if r <= s else (r, s)
+    if best > 1 and part >= 2 * best:
+        free = [0] * (r + s)
+        for t in range(source + 1, source + 1 + part - best):
+            if _short_paths(r, adj, source, t, best) >= best:
                 continue
-            f, reach = _unit_flow(adj, free, 0, t, best)
+            f, reach = _unit_flow(adj, free, source, t, best)
             if f < best:
                 best, cut = f, reach
                 if best == 1:
                     break
-    return best, cut, adj
+    return best, cut, degrees
 
 
 def edge_connectivity_value(r: int, s: int, rows: tuple[int, ...]) -> int:
@@ -303,27 +327,31 @@ def edge_connectivity(g: BipartiteGraph) -> ConnectivityResult:
 
     The cut is the set of edges leaving the source side of the first
     minimum flow, when that flow is below delta. Otherwise it is the delta
-    edges of the last vertex of minimum degree. Identical inputs always
-    yield identical cuts.
+    edges of the last vertex of minimum degree, read off its row or column.
+    Identical inputs always yield identical cuts.
     """
     if g.n < 2:
         raise TooSmall("edge connectivity needs at least two vertices")
-    r, rows = g.left_size, g.adjacency
-    best, reach, adj = _edge_min_cut(r, g.right_size, rows)
+    r, s, rows = g.left_size, g.right_size, g.adjacency
+    best, reach, degrees = _edge_min_cut(r, s, rows)
     if best == 0:
         return ConnectivityResult(0, "disconnected")
-    if not reach:
-        reach = 1 << _last_of_degree(adj, best)
-    cut = []
-    for i in range(r):
-        row = rows[i]
-        while row:
-            low = row & -row
-            j = low.bit_length() - 1
-            if ((reach >> i) & 1) != ((reach >> (r + j)) & 1):
-                cut.append((i + 1, j + 1))
-            row ^= low
-    cut.sort()
+    if reach:
+        cut = []
+        for i in range(r):
+            row = rows[i]
+            while row:
+                low = row & -row
+                j = low.bit_length() - 1
+                if ((reach >> i) & 1) != ((reach >> (r + j)) & 1):
+                    cut.append((i + 1, j + 1))
+                row ^= low
+    else:
+        v = _last_of_degree(degrees, best)
+        if v < r:
+            cut = [(v + 1, j + 1) for j in range(s) if rows[v] >> j & 1]
+        else:
+            cut = [(i + 1, v - r + 1) for i in range(r) if rows[i] >> (v - r) & 1]
     if len(cut) != best:
         raise RuntimeError(f"edge cut of {len(cut)} edges for a flow of {best}")
     return ConnectivityResult(best, "edge_cut", edges=tuple(cut))
@@ -345,30 +373,33 @@ def _split_network(n: int, adj: list[int]) -> tuple[list[int], list[int]]:
     return arcs, free
 
 
-def _vertex_min_cut(r: int, s: int, rows: tuple[int, ...]) -> tuple[int, int, list[int]]:
-    """(vertex connectivity, reach in the split network, adjacency masks).
+def _vertex_min_cut(r: int, s: int, rows: tuple[int, ...]) -> tuple[int, int, list[int], list[int]]:
+    """(vertex connectivity, reach in the split network, adjacency masks, degrees).
 
     Starts from the minimum degree delta (k <= delta) and minimizes the flow
-    from out(a) to in(b) over the pairs of Esfahanian and Hakimi (Networks
-    1984): with v the first vertex of degree delta, v and every vertex u
-    outside its closed neighbourhood, then every pair of neighbours of v.
-    That is (n - delta - 1) + C(delta, 2) pairs, and it is exact. Let S be a
-    minimum separator. If v is not in S, some u in a component of G - S
-    that v is not in is outside N[v], and S separates v from u. If v is in
-    S, v has a neighbour in every component of G - S (else S - v would
-    separate too), so two neighbours of v lie in different components and S
-    separates them. No pair is adjacent (the neighbours of v share a part),
-    so every pair's flow is at least k and the minimum is k. A pair for
-    which ``_short_paths`` finds best internally disjoint paths of length at
-    most 4 runs no flow: its flow, capped at best, would reach best and
-    change neither best nor reach, so values and cuts are those of running
-    every flow. The split network is built for the first pair that needs a
-    flow. reach is the source side of the cut of the first pair that
-    attains the minimum, and 0 when no flow goes below delta. The masks are
-    left empty when the graph is disconnected or a single vertex.
+    from out(a) to in(b) over these pairs: with v the first vertex of degree
+    delta, v and every other vertex of v's part, then every pair of
+    neighbours of v. That is (|part of v| - 1) + C(delta, 2) pairs, and it
+    is exact. If k = delta, no pair's flow is below k and the minimum stays
+    delta. Otherwise let S be a minimum separator, |S| < delta. No
+    component of G - S is a single vertex u, since N(u) would lie inside S,
+    so each has two or more vertices and meets both parts. If v is not in
+    S, a component that v is not in holds a vertex u of v's part, and S
+    separates v from u. If v is in S, v has a neighbour in every component
+    of G - S (else S - v would separate too), so two neighbours of v lie in
+    different components and S separates them. No pair is adjacent (each
+    lies in one part), so every pair's flow is at least k and the minimum
+    is k. A pair for which ``_short_paths`` finds best internally disjoint
+    paths of length at most 4 runs no flow: its flow, capped at best, would
+    reach best and change neither best nor reach, so values and cuts are
+    those of running every flow. The split network is built for the first
+    pair that needs a flow. reach is the source side of the cut of the
+    first pair that attains the minimum, and 0 when no flow goes below
+    delta. The masks and degrees are left empty when the graph is
+    disconnected or a single vertex.
     """
     if not _rows_connected(r, s, rows):
-        return 0, 0, []
+        return 0, 0, [], []
     n = r + s
     adj = _adjacency_masks(r, s, rows)
     degrees = [nbrs.bit_count() for nbrs in adj]
@@ -378,7 +409,7 @@ def _vertex_min_cut(r: int, s: int, rows: tuple[int, ...]) -> tuple[int, int, li
         arcs: list[int] = []
         v = degrees.index(best)
         near = adj[v]
-        pairs = [(v, u) for u in range(n) if u != v and not near >> u & 1]
+        pairs = [(v, u) for u in (range(r) if v < r else range(r, n)) if u != v]
         pairs += combinations([u for u in range(n) if near >> u & 1], 2)
         for a, b in pairs:
             if _short_paths(r, adj, a, b, best) >= best:
@@ -390,7 +421,7 @@ def _vertex_min_cut(r: int, s: int, rows: tuple[int, ...]) -> tuple[int, int, li
                 best, cut = f, reach
                 if best == 1:
                     break
-    return best, cut, adj
+    return best, cut, adj, degrees
 
 
 def vertex_connectivity_value(r: int, s: int, rows: tuple[int, ...]) -> int:
@@ -412,13 +443,13 @@ def vertex_connectivity(g: BipartiteGraph) -> ConnectivityResult:
     if n < 2:
         raise TooSmall("vertex connectivity needs at least two vertices")
     r = g.left_size
-    best, reach, adj = _vertex_min_cut(r, g.right_size, g.adjacency)
+    best, reach, adj, degrees = _vertex_min_cut(r, g.right_size, g.adjacency)
     if best == 0:
         return ConnectivityResult(0, "disconnected")
     if reach:
         cut = [v for v in range(n) if (reach >> (2 * v) & 1) and not (reach >> (2 * v + 1) & 1)]
     else:
-        nbrs = adj[_last_of_degree(adj, best)]
+        nbrs = adj[_last_of_degree(degrees, best)]
         cut = [v for v in range(n) if nbrs >> v & 1]
     if len(cut) != best:
         raise RuntimeError(f"vertex cut of {len(cut)} vertices for a flow of {best}")

@@ -33,7 +33,9 @@ them.
 At eight vertices and below the connectivity kernels are the brute-force
 oracles, and a shape sweep walks every labeled graph and cross-checks each
 against the max-flow values, so each exhaustive sweep doubles as an
-oracle-equivalence audit. Every other run evaluates one representative per
+oracle-equivalence audit; each disagreement is a violation of every claim
+on that kernel (T3.2, T4.1 and T4.2 for edge connectivity, T3.3 and T4.3
+for vertex connectivity). Every other run evaluates one representative per
 isomorphism class, by max-flow from nine vertices on: every metric and bound
 depends only on the class, a class counts for all its labeled graphs, and it
 is filed under its smallest labeled mask, so cells, extremes and reports are
@@ -178,10 +180,15 @@ def _json(value):
 
 @dataclass(frozen=True)
 class Violation:
-    """One graph that broke one bound (expected never to exist)."""
+    """One graph that broke one bound (expected never to exist).
+
+    A graph whose max-flow value differs from the oracle's in a claim's
+    audited sweep breaks that claim too: side "oracle", metric "edge_flow"
+    or "vertex_flow", the flow value observed and the oracle value as bound.
+    """
 
     theorem: str
-    side: str  # "lower" | "upper"
+    side: str  # "lower" | "upper" | "oracle"
     metric: str
     r: int
     s: int
@@ -746,6 +753,7 @@ def _l25_chunk(args):
 
 def _bound_theorem_report(theorem: str, max_n: int, jobs: int) -> tuple[int, list[Violation], list[AttainmentRecord]]:
     claims = [c for c in _CLAIMS if c.theorem == theorem]
+    kinds = {c.metric.split("_")[1] for c in claims}
     shapes = shapes_within(max_n)
     for r, s in shapes:
         _check_full_cap(r * s)
@@ -756,6 +764,12 @@ def _bound_theorem_report(theorem: str, max_n: int, jobs: int) -> tuple[int, lis
         sweep = shape_sweep(r, s, jobs=jobs, include_vertex=theorem in VERTEX_THEOREMS)
         checked += sweep.graphs_checked
         violations.extend(v for v in sweep.violations if v.theorem == theorem)
+        violations.extend(
+            Violation(theorem, "oracle", f"{kind}_flow", r, s, mask.bit_count(),
+                      tuple(BipartiteGraph.from_mask(r, s, mask).edges()), flow_value, oracle_value)
+            for mask, kind, flow_value, oracle_value in sweep.mismatches
+            if kind in kinds
+        )
         # Records run metric by metric, then edge count by edge count, then
         # claim by claim in table order.
         for _, group in groupby(claims, key=attrgetter("metric")):

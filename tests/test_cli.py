@@ -123,6 +123,16 @@ def test_verify_exit_zero(capsys):
     assert "violations = 0" in out
 
 
+def test_verify_exits_two_on_a_flow_oracle_mismatch(capsys, monkeypatch):
+    from bipcon import verifier
+
+    monkeypatch.setattr(verifier, "edge_connectivity_value", lambda r, s, rows: 99)
+    monkeypatch.setattr(verifier, "_SWEEP_CACHE", {})
+    status, out, _ = run(capsys, "verify", "--theorem", "T3.2", "--max-n", "5", "--jobs", "1")
+    assert status == 2
+    assert "VIOLATION edge_flow oracle" in out and "observed 99" in out
+
+
 def test_verify_json(capsys):
     status, out, _ = run(capsys, "verify", "--theorem", "L2.1", "--max-r", "5", "--format", "json")
     assert status == EXIT_OK

@@ -385,8 +385,9 @@ def test_edge_oracle_matches_every_side_up_to_twelve_vertices(g):
 
 
 def test_vertex_flows_stay_within_the_esfahanian_hakimi_pairs(monkeypatch):
-    # At most (n - delta - 1) + C(delta, 2) flows per graph: every (3,4) graph,
-    # then seeded random graphs of up to 16 vertices.
+    # At most (|part of v| - 1) + C(delta, 2) flows per graph, v the first
+    # vertex of degree delta: every (3,4) graph, then seeded random graphs of
+    # up to 16 vertices.
     flows = 0
 
     def counted(*args):
@@ -406,8 +407,10 @@ def test_vertex_flows_stay_within_the_esfahanian_hakimi_pairs(monkeypatch):
     for g in samples:
         flows = 0
         value = vertex_connectivity_value(g.left_size, g.right_size, g.adjacency)
-        delta = degrees(g).min_degree
-        assert flows <= (g.n - delta - 1) + delta * (delta - 1) // 2, (g, flows)
+        summary = degrees(g)
+        delta = summary.min_degree
+        part = g.left_size if delta in summary.left_degrees else g.right_size
+        assert flows <= (part - 1) + delta * (delta - 1) // 2, (g, flows)
         if g.n == 7:
             assert value == brute_force_vertex_connectivity(g), g
         most = max(most, flows)
@@ -564,7 +567,8 @@ def test_skipping_pairs_leaves_values_and_certificates_unchanged(monkeypatch):
 
 def test_short_paths_settle_almost_every_pair_at_twelve_to_twenty_vertices(monkeypatch):
     # 150 seeded graphs and their complements. With the common-neighbour skip
-    # alone they took 684 edge and 575 vertex flows.
+    # alone they took 684 edge and 575 vertex flows, and with the short paths
+    # over every sink and every non-neighbour 6 and 14.
     flows = {"edge": 0, "vertex": 0}
 
     def counted(arcs, free, source, sink, limit):
@@ -576,4 +580,92 @@ def test_short_paths_settle_almost_every_pair_at_twelve_to_twenty_vertices(monke
         for h in (g, bipartite_complement(g)):
             edge_connectivity(h)
             vertex_connectivity(h)
-    assert flows == {"edge": 6, "vertex": 14}
+    assert flows == {"edge": 1, "vertex": 0}
+
+
+def _transposed(g):
+    """The same graph with X and Y swapped."""
+    return new_graph(g.right_size, g.left_size, [(j, i) for i, j in g.edges()])
+
+
+def test_kernels_match_both_oracles_with_the_larger_part_first():
+    # Every labeled graph with r > s and at most seven vertices: the edge
+    # source and the vertex pairs then come from Y, or from a part of v's.
+    checked = 0
+    for s in range(1, 4):
+        for r in range(s + 1, 8 - s):
+            for mask in range(1 << (r * s)):
+                g = BipartiteGraph.from_mask(r, s, mask)
+                assert edge_connectivity(g).value == edge_oracle_value(r, s, g.adjacency), (r, s, mask)
+                assert vertex_connectivity(g).value == vertex_oracle_value(r, s, g.adjacency), (r, s, mask)
+                checked += 1
+    assert checked == 5_564  # (2..6, 1), (3..5, 2) and (4, 3)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_a_cut_below_delta_is_found_with_only_twice_delta_vertices_in_the_smaller_part(d):
+    # Two K_{d,d}, x1..xd with y1..yd and x(d+1)..x(2d) with y(d+1)..y(2d),
+    # joined by the edge xd - y(d+1), and x(2d+1) next to y(d+1)..y(2d). Y is
+    # the smaller part, with 2d vertices, the fewest that allow k' < delta =
+    # d, and of the sinks y2..y(d+1) only y(d+1) lies beyond the cut.
+    blocks = [(i, j) for b in (0, d) for i in range(b + 1, b + d + 1) for j in range(b + 1, b + d + 1)]
+    g = new_graph(2 * d + 1, 2 * d, blocks + [(d, d + 1)] + [(2 * d + 1, j) for j in range(d + 1, 2 * d + 1)])
+    for h in (g, _transposed(g)):
+        edge, vertex = _assert_valid_certificates(h)
+        assert edge.value == vertex.value == 1 and degrees(h).min_degree == d
+
+
+def _full_pair_values(g):
+    """(k', k) by the unrestricted pair sets, flows only.
+
+    Edge connectivity: vertex 0 against every other vertex. Vertex
+    connectivity: the first vertex v of minimum degree against every vertex
+    outside N[v], then every pair of neighbours of v. Both capped at delta.
+    """
+    r, n = g.left_size, g.n
+    if n < 2 or components_count(g) != 1:
+        return 0, 0
+    adj = _adjacency_masks(r, g.right_size, g.adjacency)
+    delta = min(nbrs.bit_count() for nbrs in adj)
+    edge = min([delta] + [_unit_flow(adj, [0] * n, 0, t, delta)[0] for t in range(1, n)])
+    arcs, free = _split_network(n, adj)
+    v = [nbrs.bit_count() for nbrs in adj].index(delta)
+    near = [u for u in range(n) if adj[v] >> u & 1]
+    pairs = [(v, u) for u in range(n) if u != v and u not in near]
+    pairs += [(a, b) for i, a in enumerate(near) for b in near[i + 1:]]
+    vertex = min([delta] + [_unit_flow(arcs, free, 2 * a + 1, 2 * b, delta)[0] for a, b in pairs])
+    return edge, vertex
+
+
+def test_one_part_pairs_agree_with_the_full_pair_sets():
+    # 300 seeded graphs of 2 to 20 vertices, each in both orientations.
+    for g in _seeded_graphs(1987, 300, 2, 20):
+        for h in (g, _transposed(g)):
+            r, s, rows = h.left_size, h.right_size, h.adjacency
+            assert (edge_connectivity_value(r, s, rows), vertex_connectivity_value(r, s, rows)) == _full_pair_values(h), h
+
+
+@st.composite
+def graphs_up_to_20(draw):
+    r = draw(st.integers(1, 19))
+    s = draw(st.integers(max(1, 2 - r), 20 - r))
+    full = (1 << (r * s)) - 1
+    mask = draw(st.integers(0, full))
+    thin = draw(st.sampled_from(("as is", "and", "or")))
+    if thin == "and":
+        mask &= draw(st.integers(0, full))
+    elif thin == "or":
+        mask |= draw(st.integers(0, full))
+    return BipartiteGraph.from_mask(r, s, mask)
+
+
+@given(graphs_up_to_20())
+@settings(max_examples=60)
+def test_networkx_agrees_up_to_twenty_vertices_in_both_orientations(g):
+    nx = pytest.importorskip("networkx")
+    for h in (g, _transposed(g)):
+        graph = nx.Graph()
+        graph.add_nodes_from(range(h.n))
+        graph.add_edges_from((i - 1, h.left_size + j - 1) for i, j in h.edges())
+        assert edge_connectivity(h).value == nx.edge_connectivity(graph)
+        assert vertex_connectivity(h).value == nx.node_connectivity(graph)

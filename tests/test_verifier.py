@@ -422,6 +422,32 @@ def test_maximal_connectivity_fault_reports_each_shifted_value(monkeypatch, jobs
     assert report.violations == expected
 
 
+def test_flow_oracle_mismatch_is_a_violation_of_every_edge_claim(monkeypatch):
+    # Edge max-flow one high on graphs whose last row is 1 mod 3. Up to eight
+    # vertices the values come from the oracles and the flows only audit
+    # them, so the mismatches are the only violations, on the edge claims.
+    real = verifier.edge_connectivity_value
+    monkeypatch.setattr(verifier, "edge_connectivity_value",
+                        lambda r, s, rows: real(r, s, rows) + (rows[-1] % 3 == 1))
+    monkeypatch.setattr(verifier, "_SWEEP_CACHE", {})
+    expected = []
+    for r, s in shapes_within(5):
+        full = (1 << (r * s)) - 1
+        for mask in range(1 << (r * s - 1)):
+            for subject in (mask, full ^ mask):
+                g = BipartiteGraph.from_mask(r, s, subject)
+                if g.adjacency[-1] % 3 == 1:
+                    value = edge_oracle_value(r, s, g.adjacency)
+                    expected.append(Violation("T3.2", "oracle", "edge_flow", r, s, subject.bit_count(),
+                                              tuple(g.edges()), value + 1, value))
+    report = check_theorem("T3.2", max_n=5, jobs=1)
+    assert expected and report.violations == expected
+    assert report.exit_status == 2
+    assert [dataclasses.replace(v, theorem="T3.2") for v in check_theorem("T4.1", max_n=5, jobs=1).violations] == expected
+    for theorem in ("L3.1", "T3.3"):
+        assert check_theorem(theorem, max_n=5, jobs=1).violations == [], theorem
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_vertex_addition_fault_reports_each_low_value(monkeypatch, jobs):
     # Edge connectivity one low on every 7th call. 400 trials are one chunk,
