@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bipcon import verifier
 from bipcon.bigraph import new_graph, parse_edge_list
 from bipcon.cli import EXIT_DOMAIN, EXIT_FILE, EXIT_OK, EXIT_USAGE, main
 from bipcon.verifier import THEOREM_IDS
@@ -124,8 +125,6 @@ def test_verify_exit_zero(capsys):
 
 
 def test_verify_exits_two_on_a_flow_oracle_mismatch(capsys, monkeypatch):
-    from bipcon import verifier
-
     monkeypatch.setattr(verifier, "edge_connectivity_value", lambda r, s, rows: 99)
     monkeypatch.setattr(verifier, "_SWEEP_CACHE", {})
     status, out, _ = run(capsys, "verify", "--theorem", "T3.2", "--max-n", "5", "--jobs", "1")

@@ -113,8 +113,11 @@ def test_brute_force_size_cap():
 
 
 def test_oracle_equivalence_exhaustive_small():
-    # Every labeled graph on every shape with at most six vertices.
+    # Every labeled graph on every shape with r <= s and at most six vertices,
+    # and with r > s and at most seven, where the edge source and the vertex
+    # pairs can come from Y.
     shapes = [(r, s) for r in range(1, 4) for s in range(r, 7 - r)]
+    shapes += [(r, s) for s in range(1, 4) for r in range(s + 1, 8 - s)]
     for r, s in shapes:
         for mask in range(1 << (r * s)):
             g = BipartiteGraph.from_mask(r, s, mask)
@@ -240,9 +243,10 @@ def test_certificates_beyond_oracle_range():
 
 
 @st.composite
-def graphs_9_to_12(draw):
-    r = draw(st.integers(1, 6))
-    s = draw(st.integers(9 - r, 12 - r))
+def thinned_graphs(draw, max_r, min_n, max_n):
+    """Graphs of min_n to max_n vertices, uniform or thinned or thickened by a second draw."""
+    r = draw(st.integers(1, max_r))
+    s = draw(st.integers(max(1, min_n - r), max_n - r))
     full = (1 << (r * s)) - 1
     mask = draw(st.integers(0, full))
     thin = draw(st.sampled_from(("as is", "and", "or")))
@@ -253,7 +257,7 @@ def graphs_9_to_12(draw):
     return BipartiteGraph.from_mask(r, s, mask)
 
 
-@given(graphs_9_to_12())
+@given(thinned_graphs(6, 9, 12))
 @settings(max_examples=80)
 def test_networkx_agrees_beyond_oracle_range(g):
     nx = pytest.importorskip("networkx")
@@ -588,20 +592,6 @@ def _transposed(g):
     return new_graph(g.right_size, g.left_size, [(j, i) for i, j in g.edges()])
 
 
-def test_kernels_match_both_oracles_with_the_larger_part_first():
-    # Every labeled graph with r > s and at most seven vertices: the edge
-    # source and the vertex pairs then come from Y, or from a part of v's.
-    checked = 0
-    for s in range(1, 4):
-        for r in range(s + 1, 8 - s):
-            for mask in range(1 << (r * s)):
-                g = BipartiteGraph.from_mask(r, s, mask)
-                assert edge_connectivity(g).value == edge_oracle_value(r, s, g.adjacency), (r, s, mask)
-                assert vertex_connectivity(g).value == vertex_oracle_value(r, s, g.adjacency), (r, s, mask)
-                checked += 1
-    assert checked == 5_564  # (2..6, 1), (3..5, 2) and (4, 3)
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_a_cut_below_delta_is_found_with_only_twice_delta_vertices_in_the_smaller_part(d):
     # Two K_{d,d}, x1..xd with y1..yd and x(d+1)..x(2d) with y(d+1)..y(2d),
@@ -645,21 +635,7 @@ def test_one_part_pairs_agree_with_the_full_pair_sets():
             assert (edge_connectivity_value(r, s, rows), vertex_connectivity_value(r, s, rows)) == _full_pair_values(h), h
 
 
-@st.composite
-def graphs_up_to_20(draw):
-    r = draw(st.integers(1, 19))
-    s = draw(st.integers(max(1, 2 - r), 20 - r))
-    full = (1 << (r * s)) - 1
-    mask = draw(st.integers(0, full))
-    thin = draw(st.sampled_from(("as is", "and", "or")))
-    if thin == "and":
-        mask &= draw(st.integers(0, full))
-    elif thin == "or":
-        mask |= draw(st.integers(0, full))
-    return BipartiteGraph.from_mask(r, s, mask)
-
-
-@given(graphs_up_to_20())
+@given(thinned_graphs(19, 2, 20))
 @settings(max_examples=60)
 def test_networkx_agrees_up_to_twenty_vertices_in_both_orientations(g):
     nx = pytest.importorskip("networkx")
