@@ -381,22 +381,22 @@ def _vertex_min_cut(r: int, s: int, rows: tuple[int, ...]) -> tuple[int, int, li
     delta, v and every other vertex of v's part, then every pair of
     neighbours of v. That is (|part of v| - 1) + C(delta, 2) pairs, and it
     is exact. If k = delta, no pair's flow is below k and the minimum stays
-    delta. Otherwise let S be a minimum separator, |S| < delta. No
-    component of G - S is a single vertex u, since N(u) would lie inside S,
-    so each has two or more vertices and meets both parts. If v is not in
-    S, a component that v is not in holds a vertex u of v's part, and S
-    separates v from u. If v is in S, v has a neighbour in every component
-    of G - S (else S - v would separate too), so two neighbours of v lie in
-    different components and S separates them. No pair is adjacent (each
-    lies in one part), so every pair's flow is at least k and the minimum
-    is k. A pair for which ``_short_paths`` finds best internally disjoint
-    paths of length at most 4 runs no flow: its flow, capped at best, would
-    reach best and change neither best nor reach, so values and cuts are
-    those of running every flow. The split network is built for the first
-    pair that needs a flow. reach is the source side of the cut of the
-    first pair that attains the minimum, and 0 when no flow goes below
-    delta. The masks and degrees are left empty when the graph is
-    disconnected or a single vertex.
+    delta. Otherwise let S be a minimum separator, |S| < delta. No component
+    of G - S is a single vertex u, since the delta or more neighbours of u
+    would lie inside S, so each has two or more vertices and meets both
+    parts. If v is not in S, a component that v is not in holds a vertex u
+    of v's part, and S separates v from u. If v is in S, v has a neighbour
+    in every component of G - S (else S - v would separate too), so two
+    neighbours of v lie in different components and S separates them. No
+    pair is adjacent (each lies in one part), so every pair's flow is at
+    least k and the minimum is k. A pair for which ``_short_paths`` finds
+    best internally disjoint paths of length at most 4 runs no flow: its
+    flow, capped at best, would reach best and change neither best nor
+    reach, so values and cuts are those of running every flow. The split
+    network is built for the first pair that needs a flow. reach is the
+    source side of the cut of the first pair that attains the minimum, and 0
+    when no flow goes below delta. The masks and degrees are left empty when
+    the graph is disconnected or a single vertex.
     """
     if not _rows_connected(r, s, rows):
         return 0, 0, [], []
