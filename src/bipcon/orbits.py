@@ -5,14 +5,31 @@ as bipartite graphs with their sides kept exactly when one permutation of
 the rows and one of the columns carry one onto the other. A column type is
 an r-bit int, bit i set when row i has the column. A sorted multiset of s
 column types stands for every graph that lists those columns in some order,
-which absorbs S_s; it is kept only when it is the lexicographically least of
-its r! row-permuted images, which absorbs S_r (Read 1978, McKay 1998).
+which absorbs S_s; it is kept only when it is canonical, the
+lexicographically least of its r! row-permuted images sorted, which absorbs
+S_r.
 
-The multisets are walked in lexicographic order. With an edge count m given,
-only the multisets with m edges in all are walked, so an m-edge scan never
-visits more multisets than there are m-edge labeled graphs, and a rank range
-of them is reached by skipping whole subtrees by their counts, so a chunk of
-a scan costs only its own length.
+The canonical multisets are grown by orderly generation (Read, "Every one a
+winner", Ann. Discrete Math. 1978; Faradzev 1978; McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998): one depth-first tree whose
+nodes are canonical sorted prefixes, each extended by one column type w no
+smaller than its last. Each node keeps the sorted image of its prefix under
+every row permutation; an extension inserts the permuted w into each image,
+and the first image below the extended prefix rejects it with its whole
+subtree. That is exact because canonicity is hereditary: say a row
+permutation maps the sorted prefix P = c_1..c_(k-1) to a sorted image Q < P,
+first differing at index j. Every extension appends c_k >= c_(k-1) to P,
+while inserting the permuted c_k into Q can only lower each of Q's order
+statistics. So each entry of the new image before j is at most that of
+P c_k, and the one at j is at most Q_j < P_j: the new image is smaller than
+P c_k, and by induction no extension of a non-canonical prefix is canonical.
+
+The tree walks the multisets in lexicographic order, and ranks lo..hi-1
+are those of every sorted multiset, canonical or not (only those with m
+edges in all when an edge count m is given). A subtree outside the range,
+or under a rejected prefix, is skipped by its count, so a chunk of a scan
+costs only its own part of the tree, and an m-edge scan never visits more
+multisets than there are m-edge labeled graphs.
 
 The verifier imports this module on its first orbit scan: any fixed-m scan,
 or a shape sweep from nine vertices on. A run of shape sweeps up to eight
@@ -21,9 +38,10 @@ vertices, such as ``verify --max-n 8``, never loads it.
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import cache
-from itertools import combinations_with_replacement, groupby, islice, permutations
-from math import comb, factorial, prod
+from itertools import permutations
+from math import comb, factorial
 from typing import Callable, Iterator
 
 
@@ -50,31 +68,6 @@ def multiset_count(r: int, s: int, m: int | None = None) -> int:
     return _counter(r)(s, 0, m)
 
 
-def _multisets(r: int, s: int, m: int | None, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """The multisets that ``multiset_count`` counts, ranks lo..hi-1 in lexicographic order."""
-    top = 1 << r
-    if m is None:
-        # Skipping to lo in C costs little next to the orbit test of the rest.
-        return islice(combinations_with_replacement(range(top), s), lo, hi)
-    count = _counter(r)
-
-    def walk(prefix: tuple[int, ...], k: int, v: int, p: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-        # Ranks lo..hi-1 (0 <= lo) of the k-tuples over types v.. with p edges that complete prefix.
-        for w in range(v, top):
-            if hi <= 0:
-                return
-            q = p - w.bit_count()
-            n = count(k - 1, w, q)
-            if lo < n:
-                if k == 1:
-                    yield prefix + (w,)
-                else:
-                    yield from walk(prefix + (w,), k - 1, w, q, lo, hi)
-            lo, hi = max(lo - n, 0), hi - n
-
-    return walk((), s, 0, m, lo, hi)
-
-
 def _bit_map(positions) -> list[int]:
     """table[c] for every c < 2^len(positions): bit i of c moved to bit positions[i]."""
     table = [0]
@@ -91,24 +84,53 @@ def orbit_reps(r: int, s: int, m: int | None = None, lo: int = 0, hi: int | None
     r! s! / (|row stabilizer| * prod(multiplicity!)) labeled graphs. For one
     row permutation the smallest mask lists its columns in descending
     order, column 0 first (row r-1 is the most significant), so the orbit's
-    smallest mask is the least of those over its images.
+    smallest mask is the least of those over its images, each folded as
+    ``mask << 1 | spread[c]`` column by column.
     """
     if hi is None:
         hi = multiset_count(r, s, m)
+    top = 1 << r
+    # size(k, w, p): the sorted k-tuples of the types w.. (with p edges when m is given).
+    size = _counter(r) if m is not None else lambda k, w, p: comb(top - w + k - 1, k)
     tables = [_bit_map(perm) for perm in permutations(range(r))]
     spread = _bit_map([i * s for i in range(r)])
     labelings = factorial(r) * factorial(s)
-    for cols in _multisets(r, s, m, lo, hi):
-        images = []
-        for table in tables:
-            image = tuple(sorted([table[c] for c in cols]))
-            if image < cols:
-                break
-            images.append(image)
-        else:
-            stabilizer = images.count(cols) * prod(factorial(len(list(run))) for _, run in groupby(cols))
-            mask = min(sum(spread[c] << j for j, c in enumerate(reversed(image))) for image in images)
-            yield mask, labelings // stabilizer
+
+    def fold(image: list[int]) -> int:
+        mask = 0
+        for c in image:
+            mask = mask << 1 | spread[c]
+        return mask
+
+    def walk(cols: list[int], images: list[list[int]], k: int, v: int, p: int,
+             run: int, mult: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+        # Ranks lo..hi-1 (0 <= lo) of the k-tuples of types v.. (with p edges
+        # when m is given) that complete the canonical prefix cols, whose
+        # sorted images are images; its last run of equal types is run long,
+        # and mult is the product of its runs' factorials.
+        for w in range(v, top):
+            if hi <= 0:
+                return
+            q = p - w.bit_count()
+            n = size(k - 1, w, q)
+            if lo < n:
+                grown = cols + [w]
+                extended = []
+                for table, image in zip(tables, images):
+                    image = image[:]
+                    insort(image, table[w])
+                    if image < grown:
+                        break
+                    extended.append(image)
+                else:
+                    w_run = run + 1 if w == v else 1
+                    if k > 1:
+                        yield from walk(grown, extended, k - 1, w, q, w_run, mult * w_run, lo, hi)
+                    else:
+                        yield min(map(fold, extended)), labelings // (extended.count(grown) * mult * w_run)
+            lo, hi = max(lo - n, 0), hi - n
+
+    return walk([], [[] for _ in tables], s, 0, m or 0, 0, 1, lo, hi)
 
 
 def orbit_members(r: int, s: int, mask: int) -> list[int]:

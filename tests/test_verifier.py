@@ -3,8 +3,9 @@ import json
 import os
 import random
 from collections import Counter
-from itertools import combinations_with_replacement, permutations
-from math import comb, factorial, gcd
+from functools import cache
+from itertools import combinations_with_replacement, groupby, permutations
+from math import comb, factorial, gcd, prod
 
 import pytest
 
@@ -215,6 +216,7 @@ def test_tightened_claim_on_the_orbit_path_reports_every_labeled_graph_in_order(
     assert sweep.violations == labeled == expected
 
 
+@cache
 def _cycle_types(n):
     """Counter of the cycle types (sorted cycle lengths) over all permutations of n points."""
     types = Counter()
@@ -248,14 +250,15 @@ def _burnside_orbits(r, s):
 
 
 def test_orbit_representatives_match_burnside_and_cover_every_labeled_graph():
-    for r, s in shapes_within(9):
+    for r, s in shapes_within(10):
         reps = list(orbits.orbit_reps(r, s))
         assert len(reps) == _burnside_orbits(r, s), (r, s)
         assert sum(weight for _, weight in reps) == 1 << (r * s)
         for m in range(r * s + 1):
             at_m = [(mask, weight) for mask, weight in reps if mask.bit_count() == m]
             assert sum(weight for _, weight in at_m) == comb(r * s, m), (r, s, m)
-            assert list(orbits.orbit_reps(r, s, m)) == at_m
+            if r + s <= 9:
+                assert list(orbits.orbit_reps(r, s, m)) == at_m
         if r + s <= 7:
             # Each representative is the smallest mask of its orbit, and its
             # weight the orbit's size.
@@ -264,20 +267,98 @@ def test_orbit_representatives_match_burnside_and_cover_every_labeled_graph():
                 assert (members[0], len(members)) == (mask, weight)
     assert len(list(orbits.orbit_reps(4, 5))) == 1053
     assert len(list(orbits.orbit_reps(3, 6))) == 386
+    assert len(list(orbits.orbit_reps(5, 5))) == 5624
+
+
+def _row_tables(r):
+    """For each row permutation p: table[c] is column type c with row i moved to row p[i]."""
+    return [[sum(1 << perm[i] for i in range(r) if c >> i & 1) for c in range(1 << r)]
+            for perm in permutations(range(r))]
+
+
+def _canonical_images(cols, tables):
+    """The sorted row-permuted images of cols, or None when one of them is lexicographically smaller."""
+    images = []
+    for table in tables:
+        image = tuple(sorted(table[c] for c in cols))
+        if image < cols:
+            return None
+        images.append(image)
+    return images
+
+
+def _sorted_multisets(r, s, m):
+    """Every sorted s-tuple of r-bit column types in lexicographic order, only those with m edges when m is given."""
+    if m is None:
+        return combinations_with_replacement(range(1 << r), s)
+
+    def grow(k, v, p):
+        if k == 0:
+            if p == 0:
+                yield ()
+            return
+        for w in range(v, 1 << r):
+            if w.bit_count() <= p:
+                for rest in grow(k - 1, w, p - w.bit_count()):
+                    yield (w,) + rest
+
+    return grow(s, 0, m)
+
+
+def _filtered_reps(r, s, m=None):
+    """The reference for ``orbits.orbit_reps``: (rank, (mask, orbit size)) of each canonical multiset.
+
+    Each multiset is tested against all r! row permutations, and kept when
+    none of them sorts it smaller.
+    """
+    tables = _row_tables(r)
+    spread = [sum(1 << (i * s) for i in range(r) if c >> i & 1) for c in range(1 << r)]
+    for rank, cols in enumerate(_sorted_multisets(r, s, m)):
+        images = _canonical_images(cols, tables)
+        if images is not None:
+            stabilizer = images.count(cols) * prod(factorial(len(list(run))) for _, run in groupby(cols))
+            mask = min(sum(spread[c] << j for j, c in enumerate(reversed(image))) for image in images)
+            yield rank, (mask, factorial(r) * factorial(s) // stabilizer)
+
+
+def test_orbit_tree_equals_the_row_permutation_filter():
+    cases = [(r, s, m) for r, s in shapes_within(9) for m in (None, *range(r * s + 1))]
+    for r, s, m in cases + [(5, 5, 8), (4, 7, 6), (5, 6, 5)]:
+        ranked = list(_filtered_reps(r, s, m))
+        assert list(orbits.orbit_reps(r, s, m)) == [rep for _, rep in ranked], (r, s, m)
+        count = orbits.multiset_count(r, s, m)
+        cuts = sorted({0, count, *(count * i // 7 for i in range(1, 7)), min(count, 3)})
+        for lo, hi in zip(cuts, cuts[1:]):
+            expected = [rep for rank, rep in ranked if lo <= rank < hi]
+            assert list(orbits.orbit_reps(r, s, m, lo, hi)) == expected, (r, s, m, lo)
+
+
+def test_every_prefix_of_a_canonical_multiset_is_canonical():
+    # Orderly generation prunes every non-canonical prefix; that is exact only
+    # if canonicity is hereditary.
+    for r, s in shapes_within(8):
+        tables = _row_tables(r)
+        every = combinations_with_replacement(range(1 << r), s)
+        canonical = [cols for cols in every if _canonical_images(cols, tables) is not None]
+        assert len(canonical) == _burnside_orbits(r, s)
+        for cols in canonical:
+            for k in range(1, s):
+                assert _canonical_images(cols[:k], tables) is not None, (r, s, cols, k)
 
 
 def test_m_edge_multisets_are_counted_and_ranked():
     for r, s in shapes_within(9):
         every = list(combinations_with_replacement(range(1 << r), s))
         assert orbits.multiset_count(r, s) == len(every)
-        for m in range(r * s + 1):
-            at_m = [cols for cols in every if sum(c.bit_count() for c in cols) == m]
+        for m in (None, *range(r * s + 1)):
+            if m is not None:
+                at_m = [cols for cols in every if sum(c.bit_count() for c in cols) == m]
+                assert orbits.multiset_count(r, s, m) == len(at_m) <= comb(r * s, m), (r, s, m)
             count = orbits.multiset_count(r, s, m)
-            assert count == len(at_m) <= comb(r * s, m), (r, s, m)
-            # Any cut into rank ranges yields the m-edge multisets once each, in order.
+            # Any cut into rank ranges yields the orbits once each, in order.
             cuts = sorted({0, count, count // 3, count // 2, min(count, 7)})
-            walked = [cols for lo, hi in zip(cuts, cuts[1:]) for cols in orbits._multisets(r, s, m, lo, hi)]
-            assert walked == at_m, (r, s, m)
+            walked = [rep for lo, hi in zip(cuts, cuts[1:]) for rep in orbits.orbit_reps(r, s, m, lo, hi)]
+            assert walked == list(orbits.orbit_reps(r, s, m)), (r, s, m)
 
 
 def _labeled_cells(r, s, m, metrics):
