@@ -10,6 +10,10 @@ for label; no library function tests two graphs for isomorphism. Only the
 verifier's exhaustive scans group graphs into isomorphism classes
 (``bipcon.orbits``), to evaluate one graph per class.
 
+The sweeps also pack a graph into one r*s-bit mask, bit i*s + j for the
+edge x_{i+1} y_{j+1}, so that its complement is an XOR; ``rows_of`` and
+``mask_of`` are the one definition of that layout.
+
 Everything in this module is a pure function over immutable values, safe to
 share between worker processes.
 """
@@ -19,6 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DuplicateEdge, EmptyPart, IndexOutOfRange
+
+
+def rows_of(r: int, s: int, mask: int) -> tuple[int, ...]:
+    """The r bit rows of a packed r*s-bit mask; row i is bits i*s .. i*s + s - 1."""
+    smask = (1 << s) - 1
+    return tuple((mask >> (i * s)) & smask for i in range(r))
+
+
+def mask_of(s: int, rows: tuple[int, ...]) -> int:
+    """Inverse of ``rows_of``: the rows stacked s bits apart, row 0 lowest."""
+    mask = 0
+    for i in range(len(rows)):
+        mask |= rows[i] << (i * s)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -67,19 +85,14 @@ class BipartiteGraph:
     @property
     def mask(self) -> int:
         """The graph packed into a single integer, bit i*s + j for edge (i+1, j+1)."""
-        s = self.right_size
-        packed = 0
-        for i, row in enumerate(self.adjacency):
-            packed |= row << (i * s)
-        return packed
+        return mask_of(self.right_size, self.adjacency)
 
     @classmethod
     def from_mask(cls, r: int, s: int, mask: int) -> "BipartiteGraph":
         """Inverse of ``mask``: unpack an r*s-bit integer into a graph."""
         if mask < 0 or mask >> (r * s):
             raise ValueError("mask has bits outside the r*s grid")
-        smask = (1 << s) - 1
-        return cls(r, s, tuple((mask >> (i * s)) & smask for i in range(r)))
+        return cls(r, s, rows_of(r, s, mask))
 
     def has_edge(self, i: int, j: int) -> bool:
         """Whether the edge x_i y_j (1-based) is present."""

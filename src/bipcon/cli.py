@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .bigraph import (
@@ -151,15 +152,6 @@ def _describe_certificate(result: ConnectivityResult) -> str:
     return f"{label} " + " ".join(result.vertices)
 
 
-def _certificate_json(result: ConnectivityResult) -> dict:
-    return {
-        "value": result.value,
-        "kind": result.kind,
-        "vertices": None if result.vertices is None else list(result.vertices),
-        "edges": None if result.edges is None else [list(e) for e in result.edges],
-    }
-
-
 def _cmd_connectivity(opts) -> int:
     g = _read_graph(opts.file)
     rows = []
@@ -172,8 +164,8 @@ def _cmd_connectivity(opts) -> int:
         payload = {
             name: {
                 "edges": graph_to_json(graph)["edges"],
-                "vertex_connectivity": _certificate_json(kv),
-                "edge_connectivity": _certificate_json(kp),
+                "vertex_connectivity": asdict(kv),
+                "edge_connectivity": asdict(kp),
                 "min_degree": dd,
             }
             for name, graph, kv, kp, dd in rows

@@ -26,17 +26,16 @@ flows at most, the pairs of Esfahanian and Hakimi (Networks 14, 1984)
 restricted to v's part.
 
 Most pairs run no flow. ``_short_paths`` greedily packs internally disjoint
-paths of length at most 4 between the pair: the common neighbours and
-paths a-y-x-y'-b within one part, the edge a-b and paths a-y-x-b across
-the parts. The paths share no inner vertex (the common neighbours,
-N(a) - N(b) and N(b) - N(a) are disjoint, each inner vertex is taken once,
-and the middle vertices x lie in the other part from the neighbours y), so
-their number is a lower bound on the pair's local vertex and edge
-connectivity. Every flow is capped at the best value so far, so a pair
-with that many paths could change neither the value nor the cut, and
-skipping it leaves both exactly as running every flow would. On uniform
-random graphs nearly all pairs are settled this way, since nearly all
-have k = delta.
+paths of length at most 4 between the two vertices of a pair, which lie in
+one part: the common neighbours and paths a-y-x-y'-b. The paths share no
+inner vertex (the common neighbours, N(a) - N(b) and N(b) - N(a) are
+disjoint, each inner vertex is taken once, and the middle vertices x lie in
+the other part from the neighbours y), so their number is a lower bound on
+the pair's local vertex and edge connectivity. Every flow is capped at the
+best value so far, so a pair with that many paths could change neither the
+value nor the cut, and skipping it leaves both exactly as running every
+flow would. On uniform random graphs nearly all pairs are settled this way,
+since nearly all have k = delta.
 
 Both report a certificate, a concrete cut whose removal disconnects the
 graph or leaves one vertex. When the minimum is below delta, the cut is read
@@ -65,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bigraph import BipartiteGraph
+from .bigraph import BipartiteGraph, mask_of
 from .errors import EmptyGraph, TooLarge, TooSmall
 
 _BRUTE_FORCE_MAX_VERTICES = 16
@@ -155,9 +154,7 @@ def is_connected(g: BipartiteGraph) -> bool:
 def _min_degree(r: int, s: int, rows: tuple[int, ...]) -> int:
     """Minimum degree over both parts, read from the X rows (needs r, s >= 1)."""
     # Stacking the rows s bits apart puts column j at bits j, j + s, j + 2s, ...
-    stacked = 0
-    for i in range(r):
-        stacked |= rows[i] << (i * s)
+    stacked = mask_of(s, rows)
     column = ((1 << (r * s)) - 1) // ((1 << s) - 1)
     dmin = min(row.bit_count() for row in rows)
     for j in range(s):
@@ -216,52 +213,38 @@ def _unit_flow(arcs: list[int], free: list[int], source: int, sink: int, limit: 
 
 
 def _short_paths(r: int, adj: list[int], a: int, b: int, limit: int) -> int:
-    """Greedily packed internally disjoint a-b paths of length at most 4.
+    """Greedily packed internally disjoint a-b paths of length <= 4; a and b share a part.
 
     Stops once it has ``limit`` or more and returns how many it found, a
-    lower bound on the local vertex connectivity of a non-adjacent pair and
-    on the local edge connectivity of any pair. With a and b in one part, every
-    common neighbour is a path a-y-b; then each y in N(a) - N(b), in index
-    order, takes the first unused x of that part adjacent to y and to an
-    unused y' in N(b) - N(a) (so x is neither a nor b), and the first such
-    y', for a path a-y-x-y'-b. With a and b in different parts, the edge
-    a-b counts if present, and each y in N(a) - b takes the first unused x
-    in N(b) - a adjacent to it, for a path a-y-x-b. The paths share no
-    inner vertex: the common neighbours, N(a) - N(b) and N(b) - N(a) are
-    disjoint, each y, x and y' is taken once, and the x's lie in the other
-    part from the y's. Vertex-disjoint paths are edge-disjoint too.
+    lower bound on the local vertex and edge connectivity of the pair (two
+    vertices of one part are never adjacent). Every common neighbour is a
+    path a-y-b; then each y in N(a) - N(b), in index order, takes the first
+    unused x of the pair's part adjacent to y and to an unused y' in
+    N(b) - N(a) (so x is neither a nor b), and the first such y', for a
+    path a-y-x-y'-b. The paths share no inner vertex: the common
+    neighbours, N(a) - N(b) and N(b) - N(a) are disjoint, each y, x and y'
+    is taken once, and the x's lie in the other part from the y's.
+    Vertex-disjoint paths are edge-disjoint too.
     """
     na, nb = adj[a], adj[b]
-    if (a < r) == (b < r):
-        found = (na & nb).bit_count()
-        ends = nb & ~na
-        # a and b are never middles: one is not next to y, the other not to y'.
-        middles = (1 << r) - 1 if a < r else (1 << len(adj)) - (1 << r)
-        starts = na & ~nb
-        while found < limit and starts and ends:
-            low = starts & -starts
-            starts ^= low
-            xs = adj[low.bit_length() - 1] & middles
-            while xs:
-                x = xs & -xs
-                hit = adj[x.bit_length() - 1] & ends
-                if hit:
-                    middles ^= x
-                    ends ^= hit & -hit
-                    found += 1
-                    break
-                xs ^= x
-    else:
-        found = na >> b & 1
-        ends = nb & ~(1 << a)
-        starts = na & ~(1 << b)
-        while found < limit and starts and ends:
-            low = starts & -starts
-            starts ^= low
-            hit = adj[low.bit_length() - 1] & ends
+    found = (na & nb).bit_count()
+    ends = nb & ~na
+    # a and b are never middles: one is not next to y, the other not to y'.
+    middles = (1 << r) - 1 if a < r else (1 << len(adj)) - (1 << r)
+    starts = na & ~nb
+    while found < limit and starts and ends:
+        low = starts & -starts
+        starts ^= low
+        xs = adj[low.bit_length() - 1] & middles
+        while xs:
+            x = xs & -xs
+            hit = adj[x.bit_length() - 1] & ends
             if hit:
+                middles ^= x
                 ends ^= hit & -hit
                 found += 1
+                break
+            xs ^= x
     return found
 
 

@@ -51,14 +51,8 @@ class CayleySubset:
         return CayleySubset(self.modulus, frozenset(range(self.modulus)) - self.members)
 
 
-def bi_cayley(subset: CayleySubset, extra_right: int = 0) -> BipartiteGraph:
-    """BC(Z_r, S), optionally with ``extra_right`` unconnected right vertices appended.
-
-    The appended vertices y_{r+1}.. exist so that callers can attach them;
-    this builder leaves them isolated.
-    """
-    if extra_right < 0:
-        raise ValueError("extra_right must be nonnegative")
+def bi_cayley(subset: CayleySubset) -> BipartiteGraph:
+    """BC(Z_r, S)."""
     r = subset.modulus
     rows = []
     for g in range(r):
@@ -66,7 +60,7 @@ def bi_cayley(subset: CayleySubset, extra_right: int = 0) -> BipartiteGraph:
         for a in subset.members:
             row |= 1 << ((a + g) % r)
         rows.append(row)
-    return BipartiteGraph(r, r + extra_right, tuple(rows))
+    return BipartiteGraph(r, r, tuple(rows))
 
 
 class WitnessFamilyId(Enum):
@@ -108,7 +102,7 @@ def _bi_cayley_with_attachments(r: int, s: int, d: int) -> BipartiteGraph:
     The appended vertex y_{r+k} attaches round-robin to x-indices
     (k-1)d, ..., (k-1)d + d - 1 (mod r), spreading the extra degree evenly.
     """
-    rows = list(bi_cayley(CayleySubset(r, frozenset(range(d))), extra_right=s - r).adjacency)
+    rows = list(bi_cayley(CayleySubset(r, frozenset(range(d)))).adjacency)
     for k in range(1, s - r + 1):
         col = r + k - 1
         for i in _round_robin_targets(r, d, k):

@@ -44,6 +44,8 @@ from itertools import permutations
 from math import comb, factorial
 from typing import Callable, Iterator
 
+from .bigraph import mask_of, rows_of
+
 
 def _counter(r: int) -> Callable[[int, int, int], int]:
     """count(k, v, p): sorted k-tuples of the column types v..2^r - 1 with p edges in all."""
@@ -139,8 +141,7 @@ def orbit_members(r: int, s: int, mask: int) -> list[int]:
     The closure of the graph under swaps of adjacent rows and of adjacent
     columns, which generate S_r x S_s.
     """
-    smask = (1 << s) - 1
-    start = tuple((mask >> (i * s)) & smask for i in range(r))
+    start = rows_of(r, s, mask)
     seen = {start}
     todo = [start]
     while todo:
@@ -151,4 +152,4 @@ def orbit_members(r: int, s: int, mask: int) -> list[int]:
             if other not in seen:
                 seen.add(other)
                 todo.append(other)
-    return sorted(sum(row << (i * s) for i, row in enumerate(rows)) for rows in seen)
+    return sorted(mask_of(s, rows) for rows in seen)

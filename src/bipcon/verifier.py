@@ -73,7 +73,7 @@ from multiprocessing import Pool
 from operator import add, attrgetter, mul
 from typing import Callable, Iterator
 
-from .bigraph import BipartiteGraph, add_left_vertex, add_right_vertex, bipartite_complement
+from .bigraph import BipartiteGraph, add_left_vertex, add_right_vertex, bipartite_complement, rows_of
 from .bounds import M_upper, N_upper, ParameterTriple, delta_bounds, sum_lower_sized
 from .connectivity import (
     _min_degree,
@@ -159,11 +159,6 @@ def shapes_within(max_n: int) -> list[tuple[int, int]]:
 
 
 # --- scan engine: mask sources, one chunk worker, one reducer -----------------
-
-
-def _rows_of(mask: int, r: int, s: int) -> tuple[int, ...]:
-    smask = (1 << s) - 1
-    return tuple((mask >> (i * s)) & smask for i in range(r))
 
 
 _JSON_NAMES = {"witness_edges": "witness", "range_spec": "range"}
@@ -296,8 +291,8 @@ def _chunk(args):
         graphs += weight
         evaluated += 1
         cmask = full ^ mask
-        rows = _rows_of(mask, r, s)
-        rows_c = _rows_of(cmask, r, s)
+        rows = rows_of(r, s, mask)
+        rows_c = rows_of(r, s, cmask)
         pairs = [(fn(r, s, rows), fn(r, s, rows_c)) for fn in kernels]
         if cross:
             for side, side_mask, side_rows in ((0, mask, rows), (1, cmask, rows_c)):
@@ -730,7 +725,7 @@ def _l25_chunk(args):
         r = rng.randint(1, _L25_SHAPE_MAX)
         s = rng.randint(1, _L25_SHAPE_MAX)
         for _ in range(300):
-            rows = _rows_of(rng.getrandbits(r * s), r, s)
+            rows = rows_of(r, s, rng.getrandbits(r * s))
             if _rows_connected(r, s, rows):
                 break
         else:

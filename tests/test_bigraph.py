@@ -13,8 +13,10 @@ from bipcon.bigraph import (
     graph_from_json,
     graph_to_json,
     graphs_equal,
+    mask_of,
     new_graph,
     parse_edge_list,
+    rows_of,
 )
 from bipcon.constructions import CayleySubset, bi_cayley
 from bipcon.errors import DuplicateEdge, EmptyPart, IndexOutOfRange
@@ -107,6 +109,16 @@ def test_graphs_equal():
 def test_mask_round_trip():
     g = new_graph(3, 4, [(1, 2), (2, 4), (3, 1)])
     assert BipartiteGraph.from_mask(3, 4, g.mask) == g
+    # The packed layout: bit i*s + j is the edge x_{i+1} y_{j+1}, for every
+    # (2,3) mask and a few of other shapes, r = 1 and s = 1 included.
+    for r, s, masks in ((2, 3, range(1 << 6)), (3, 4, (0, 0b1010_0110_0001, (1 << 12) - 1)),
+                        (1, 5, (0b10110,)), (4, 1, (0b1001,))):
+        for mask in masks:
+            rows = rows_of(r, s, mask)
+            assert mask_of(s, rows) == mask
+            g = BipartiteGraph(r, s, rows)
+            assert g.mask == mask
+            assert [(i + 1, j + 1) for i in range(r) for j in range(s) if mask >> (i * s + j) & 1] == g.edges()
 
 
 def test_edge_list_text_round_trip():

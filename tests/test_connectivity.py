@@ -450,8 +450,9 @@ def test_a_minimum_separator_through_the_minimum_degree_vertex():
 
 
 def test_short_paths_never_exceed_the_pair_flow_on_every_small_graph():
-    # Every pair of every labeled graph with r <= s and at most seven vertices,
-    # the first size at which two paths of length 4 could share a vertex.
+    # Every pair within one part of every labeled graph with r <= s and at
+    # most seven vertices, the first size at which two paths of length 4
+    # could share a vertex. No such pair is adjacent, so both flows bound it.
     pairs = 0
     for r in range(1, 4):
         for s in range(r, 8 - r):
@@ -460,13 +461,12 @@ def test_short_paths_never_exceed_the_pair_flow_on_every_small_graph():
                 adj = _adjacency_masks(r, s, BipartiteGraph.from_mask(r, s, mask).adjacency)
                 arcs, free = _split_network(n, adj)
                 for a in range(n):
-                    for b in range(a + 1, n):
+                    for b in range(a + 1, r if a < r else n):
                         bound = _short_paths(r, adj, a, b, n)
                         assert bound <= _unit_flow(adj, [0] * n, a, b, n)[0], (r, s, mask, a, b)
-                        if not adj[a] >> b & 1:
-                            assert bound <= _unit_flow(arcs, free, 2 * a + 1, 2 * b, n)[0], (r, s, mask, a, b)
+                        assert bound <= _unit_flow(arcs, free, 2 * a + 1, 2 * b, n)[0], (r, s, mask, a, b)
                         pairs += 1
-    assert pairs == 121_822
+    assert pairs == 54_684
 
 
 @given(graphs(max_r=6, max_s=6, min_n=6))
@@ -481,11 +481,10 @@ def test_short_paths_never_exceed_networkx_local_connectivity(g):
     h.add_edges_from((i - 1, r + j - 1) for i, j in g.edges())
     adj = _adjacency_masks(r, g.right_size, g.adjacency)
     for a in range(n):
-        for b in range(a + 1, n):
+        for b in range(a + 1, r if a < r else n):
             bound = _short_paths(r, adj, a, b, n)
             assert bound <= local_edge_connectivity(h, a, b)
-            if not adj[a] >> b & 1:
-                assert bound <= local_node_connectivity(h, a, b)
+            assert bound <= local_node_connectivity(h, a, b)
 
 
 # The 6-cycle x1 y2 x2 y1 x3 y3, the 8-cycle x1 y1 x3 y3 x2 y4 x4 y2, and a
@@ -502,8 +501,6 @@ _ONE_END = new_graph(3, 4, [(1, 1), (1, 3), (2, 1), (2, 4), (3, 2), (3, 3), (3, 
 
 @pytest.mark.parametrize("g, a, b, found, kinds", [
     (complete(3, 3), 0, 1, 3, "three common neighbours"),
-    (complete(2, 2), 0, 2, 2, "the edge x1 y1 and x1 y2 x2 y1"),
-    (_C6, 0, 3, 2, "x1 y2 x2 y1 and x1 y3 x3 y1"),
     (_C6, 4, 5, 2, "y2 x1 y3 and y2 x2 y1 x3 y3"),
     (_C8, 0, 1, 2, "x1 y1 x3 y3 x2 and x1 y2 x4 y4 x2"),
     (_GREEDY_SHORT, 0, 1, 1, "x1 y1 x3 y3 x2 blocks x1 y2 x3 y3 x2"),
@@ -633,6 +630,23 @@ def test_one_part_pairs_agree_with_the_full_pair_sets():
         for h in (g, _transposed(g)):
             r, s, rows = h.left_size, h.right_size, h.adjacency
             assert (edge_connectivity_value(r, s, rows), vertex_connectivity_value(r, s, rows)) == _full_pair_values(h), h
+
+
+def test_both_kernels_pass_short_paths_only_pairs_within_one_part(monkeypatch):
+    # 300 seeded graphs of 2 to 20 vertices, each in both orientations.
+    samples = [h for g in _seeded_graphs(4_096, 300, 2, 20) for h in (g, _transposed(g))]
+    for kernel in (edge_connectivity_value, vertex_connectivity_value):
+        pairs = []
+
+        def recorded(r, adj, a, b, limit):
+            pairs.append((r, a, b))
+            return _short_paths(r, adj, a, b, limit)
+
+        monkeypatch.setattr(connectivity, "_short_paths", recorded)
+        for h in samples:
+            kernel(h.left_size, h.right_size, h.adjacency)
+        assert pairs, kernel.__name__
+        assert [(r, a, b) for r, a, b in pairs if (a < r) != (b < r)] == [], kernel.__name__
 
 
 @given(thinned_graphs(19, 2, 20))

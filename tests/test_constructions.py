@@ -42,12 +42,6 @@ def test_bi_cayley_four_with_two_generators_is_eight_cycle():
     assert edge_connectivity(g).value == 2
 
 
-def test_bi_cayley_extra_right_vertices_start_isolated():
-    g = bi_cayley(CayleySubset(3, frozenset({0, 1})), extra_right=2)
-    assert (g.left_size, g.right_size) == (3, 5)
-    assert degrees(g).right_degrees[3:] == (0, 0)
-
-
 def test_complement_of_bicayley_flips_the_subset_exhaustively():
     for r in range(1, 6):
         for smask in range(1 << r):

@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 from types import FunctionType
@@ -52,3 +54,23 @@ def test_oracles_share_no_code_with_the_flow_path():
                     reached.add(name)
                     todo.append(name)
         assert not reached & flow_path, f"{oracle} reaches {sorted(reached & flow_path)}"
+
+
+_LAZY_ORBITS = """
+import sys
+from bipcon import cli, shape_sweep, extremal_scan
+shape_sweep(3, 4, jobs=1)
+assert cli.main(["connectivity", "-", "--format", "json"]) == 0
+assert "bipcon.orbits" not in sys.modules, "loaded by a sweep of seven vertices or by connectivity"
+extremal_scan(2, 3, 2, "sum_edge", jobs=1)
+assert "bipcon.orbits" in sys.modules, "not loaded by a fixed-m scan"
+"""
+
+
+def test_orbits_stay_unloaded_until_the_first_orbit_scan():
+    # Sweeps up to eight vertices and the connectivity command never import
+    # bipcon.orbits, which imports bigraph; bigraph must not import it back.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _LAZY_ORBITS], input="2 2\n1 1\n2 2\n",
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr

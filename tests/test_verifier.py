@@ -3,7 +3,6 @@ import json
 import os
 import random
 from collections import Counter
-from functools import cache
 from itertools import combinations_with_replacement, groupby, permutations
 from math import comb, factorial, gcd, prod
 
@@ -216,9 +215,27 @@ def test_tightened_claim_on_the_orbit_path_reports_every_labeled_graph_in_order(
     assert sweep.violations == labeled == expected
 
 
-@cache
 def _cycle_types(n):
-    """Counter of the cycle types (sorted cycle lengths) over all permutations of n points."""
+    """Counter of the cycle types (sorted cycle lengths) over all permutations of n points.
+
+    The types are the partitions of n, and a type with a_k cycles of length
+    k is shared by n! / prod(k^(a_k) a_k!) permutations.
+    """
+
+    def partitions(left, largest):
+        # Parts of at most largest summing to left, ascending.
+        if left == 0:
+            yield ()
+        for k in range(min(left, largest), 0, -1):
+            for rest in partitions(left - k, k):
+                yield rest + (k,)
+
+    return Counter({lengths: factorial(n) // prod(k ** a * factorial(a) for k, a in Counter(lengths).items())
+                    for lengths in partitions(n, n)})
+
+
+def _walked_cycle_types(n):
+    """``_cycle_types(n)`` by walking the cycles of every permutation of n points."""
     types = Counter()
     for perm in permutations(range(n)):
         seen, lengths = set(), []
@@ -232,6 +249,12 @@ def _cycle_types(n):
                 lengths.append(length)
         types[tuple(sorted(lengths))] += 1
     return types
+
+
+def test_cycle_type_counts_match_the_permutation_walk():
+    for n in range(8):
+        assert _cycle_types(n) == _walked_cycle_types(n), n
+    assert len(_cycle_types(11)) == 56 and sum(_cycle_types(11).values()) == factorial(11)
 
 
 def _burnside_orbits(r, s):
@@ -250,7 +273,7 @@ def _burnside_orbits(r, s):
 
 
 def test_orbit_representatives_match_burnside_and_cover_every_labeled_graph():
-    for r, s in shapes_within(10):
+    for r, s in shapes_within(10) + [(1, 10), (2, 9), (3, 8), (4, 7)]:
         reps = list(orbits.orbit_reps(r, s))
         assert len(reps) == _burnside_orbits(r, s), (r, s)
         assert sum(weight for _, weight in reps) == 1 << (r * s)
@@ -268,6 +291,7 @@ def test_orbit_representatives_match_burnside_and_cover_every_labeled_graph():
     assert len(list(orbits.orbit_reps(4, 5))) == 1053
     assert len(list(orbits.orbit_reps(3, 6))) == 386
     assert len(list(orbits.orbit_reps(5, 5))) == 5624
+
 
 
 def _row_tables(r):
