@@ -26,10 +26,26 @@ P c_k, and by induction no extension of a non-canonical prefix is canonical.
 
 The tree walks the multisets in lexicographic order, and ranks lo..hi-1
 are those of every sorted multiset, canonical or not (only those with m
-edges in all when an edge count m is given). A subtree outside the range,
-or under a rejected prefix, is skipped by its count, so a chunk of a scan
-costs only its own part of the tree, and an m-edge scan never visits more
-multisets than there are m-edge labeled graphs.
+edges in all when an edge count m is given, and only those with at most
+floor(rs/2) edges for the pairs of ``orbit_pairs``). A subtree outside the
+range, or under a rejected prefix, is skipped by its count, so a chunk of a
+scan costs only its own part of the tree, and an m-edge scan never visits
+more multisets than there are m-edge labeled graphs.
+
+Complementing every graph maps orbits onto orbits, so a full sweep walks
+only the orbits O with at most floor(rs/2) edges and covers the complement
+orbit O^c with each: its smallest mask is ``full ^`` the largest mask of O.
+
+At each leaf only some images are folded, which is exact. Folded in
+descending column order, an image's top s bits are its top row r-1; a type
+has that row exactly when it is >= 2^(r-1), and the sorted image puts its t
+such types in the lowest columns, so those bits read 2^t - 1. Folded in
+ascending order, for the largest mask, they read (2^t - 1) << (s - t). Both
+grow with t, and a mask with smaller top bits is smaller whatever its lower
+bits, so the smallest mask comes from an image of least t and the largest
+from one of greatest t. t is the degree of the row moved to the top, so it
+is read once per row. The other images are not folded, while every image
+still takes part in the canonicity test.
 
 The verifier imports this module on its first orbit scan: any fixed-m scan,
 or a shape sweep from nine vertices on. A run of shape sweeps up to eight
@@ -38,17 +54,20 @@ vertices, such as ``verify --max-n 8``, never loads it.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from functools import cache
 from itertools import permutations
 from math import comb, factorial
 from typing import Callable, Iterator
 
-from .bigraph import mask_of, rows_of
 
+@cache
+def _counter(r: int, at_most: bool) -> Callable[[int, int, int], int]:
+    """count(k, v, p): sorted k-tuples of the column types v..2^r - 1 with p edges in all (at most p with at_most).
 
-def _counter(r: int) -> Callable[[int, int, int], int]:
-    """count(k, v, p): sorted k-tuples of the column types v..2^r - 1 with p edges in all."""
+    One table per (r, at_most) for the whole process: a scan's count and
+    each of its chunks share it.
+    """
     top = 1 << r
 
     @cache
@@ -56,7 +75,7 @@ def _counter(r: int) -> Callable[[int, int, int], int]:
         if p < 0 or (k and v == top):
             return 0
         if k == 0:
-            return int(p == 0)
+            return int(at_most or p == 0)
         # The first type is either above v, or v itself.
         return count(k, v + 1, p) + count(k - 1, v, p - v.bit_count())
 
@@ -67,7 +86,12 @@ def multiset_count(r: int, s: int, m: int | None = None) -> int:
     """The number of sorted multisets of s column types, only those with m edges when m is given."""
     if m is None:
         return comb((1 << r) + s - 1, s)
-    return _counter(r)(s, 0, m)
+    return _counter(r, False)(s, 0, m)
+
+
+def pair_count(r: int, s: int) -> int:
+    """The number of sorted multisets of s column types with at most floor(rs/2) edges: the ranks of ``orbit_pairs``."""
+    return _counter(r, True)(s, 0, r * s // 2)
 
 
 def _bit_map(positions) -> list[int]:
@@ -91,25 +115,48 @@ def orbit_reps(r: int, s: int, m: int | None = None, lo: int = 0, hi: int | None
     """
     if hi is None:
         hi = multiset_count(r, s, m)
-    top = 1 << r
-    # size(k, w, p): the sorted k-tuples of the types w.. (with p edges when m is given).
-    size = _counter(r) if m is not None else lambda k, w, p: comb(top - w + k - 1, k)
-    tables = [_bit_map(perm) for perm in permutations(range(r))]
+    return _walk(r, s, m is None, r * s if m is None else m, lo, hi, False)
+
+
+def orbit_pairs(r: int, s: int, lo: int = 0, hi: int | None = None) -> Iterator[tuple[int, int, int]]:
+    """(smallest mask, orbit size, smallest mask of the complement orbit) of each orbit ranked lo..hi-1.
+
+    The ranks are those of ``pair_count(r, s)``: only the orbits with at
+    most floor(rs/2) edges. The complement orbit's smallest mask is
+    ``full ^`` the orbit's largest, the greatest of its images folded in
+    ascending order.
+    """
+    if hi is None:
+        hi = pair_count(r, s)
+    return _walk(r, s, True, r * s // 2, lo, hi, True)
+
+
+def _walk(r: int, s: int, at_most: bool, edges: int, lo: int, hi: int, pairs: bool) -> Iterator[tuple]:
+    """The orderly tree over the multisets with ``edges`` edges (at most that many with ``at_most``).
+
+    Yields the items of ``orbit_reps``, or of ``orbit_pairs`` with ``pairs``.
+    """
+    top, half, full = 1 << r, 1 << r >> 1, (1 << r * s) - 1
+    size = _counter(r, at_most)  # size(k, w, p): the sorted k-tuples of the types w.. with (at most) p edges
+    perms = list(permutations(range(r)))
+    tables = [_bit_map(perm) for perm in perms]
+    # The images of the permutations that move row i to the top, for each row i.
+    by_top = [[k for k, perm in enumerate(perms) if perm[i] == r - 1] for i in range(r)]
     spread = _bit_map([i * s for i in range(r)])
     labelings = factorial(r) * factorial(s)
 
-    def fold(image: list[int]) -> int:
+    def fold(image) -> int:
         mask = 0
         for c in image:
             mask = mask << 1 | spread[c]
         return mask
 
     def walk(cols: list[int], images: list[list[int]], k: int, v: int, p: int,
-             run: int, mult: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
-        # Ranks lo..hi-1 (0 <= lo) of the k-tuples of types v.. (with p edges
-        # when m is given) that complete the canonical prefix cols, whose
-        # sorted images are images; its last run of equal types is run long,
-        # and mult is the product of its runs' factorials.
+             run: int, mult: int, lo: int, hi: int) -> Iterator[tuple]:
+        # Ranks lo..hi-1 (0 <= lo) of the k-tuples of types v.. (with p edges,
+        # or at most p) that complete the canonical prefix cols, whose sorted
+        # images are images; its last run of equal types is run long, and
+        # mult is the product of its runs' factorials.
         for w in range(v, top):
             if hi <= 0:
                 return
@@ -129,27 +176,19 @@ def orbit_reps(r: int, s: int, m: int | None = None, lo: int = 0, hi: int | None
                     if k > 1:
                         yield from walk(grown, extended, k - 1, w, q, w_run, mult * w_run, lo, hi)
                     else:
-                        yield min(map(fold, extended)), labelings // (extended.count(grown) * mult * w_run)
+                        # s - t for the images of each row's group, t their types
+                        # with the top row (see the module docstring).
+                        below = [bisect_left(extended[group[0]], half) for group in by_top]
+                        least = max(below)
+                        mask = min(fold(extended[i]) for group, b in zip(by_top, below) if b == least for i in group)
+                        weight = labelings // (extended.count(grown) * mult * w_run)
+                        if pairs:
+                            most = min(below)
+                            largest = max(fold(reversed(extended[i]))
+                                          for group, b in zip(by_top, below) if b == most for i in group)
+                            yield mask, weight, full ^ largest
+                        else:
+                            yield mask, weight
             lo, hi = max(lo - n, 0), hi - n
 
-    return walk([], [[] for _ in tables], s, 0, m or 0, 0, 1, lo, hi)
-
-
-def orbit_members(r: int, s: int, mask: int) -> list[int]:
-    """Every labeled mask in the S_r x S_s orbit of ``mask``, ascending.
-
-    The closure of the graph under swaps of adjacent rows and of adjacent
-    columns, which generate S_r x S_s.
-    """
-    start = rows_of(r, s, mask)
-    seen = {start}
-    todo = [start]
-    while todo:
-        rows = todo.pop()
-        neighbours = [rows[:i] + (rows[i + 1], rows[i]) + rows[i + 2:] for i in range(r - 1)]
-        neighbours += [tuple(row ^ ((row >> j ^ row >> (j + 1)) & 1) * (3 << j) for row in rows) for j in range(s - 1)]
-        for other in neighbours:
-            if other not in seen:
-                seen.add(other)
-                todo.append(other)
-    return sorted(mask_of(s, rows) for rows in seen)
+    return walk([], [[] for _ in tables], s, 0, edges, 0, 1, lo, hi)

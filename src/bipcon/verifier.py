@@ -5,11 +5,13 @@ f(G) * f(G^bc), with f the minimum degree, the edge connectivity or the
 vertex connectivity, stays on one side of a closed form in (r, s, m). The
 engine that checks them has three pieces:
 
-* two mask sources: the 2^(rs-1) graph/complement pair masks of a shape
-  (``shape_sweep`` up to eight vertices), or one representative per
-  S_r x S_s orbit, weighted by its orbit size (``orbits.orbit_reps``; the
-  sweeps from nine vertices on, and every ``extremal_scan``, which walks only
-  the orbits with m edges);
+* two mask sources, each of which evaluates a graph/complement pair once
+  on a full sweep: the 2^(rs-1) pair masks of a shape (``shape_sweep`` up
+  to eight vertices), or one representative per S_r x S_s orbit, weighted
+  by its orbit size: from nine vertices on, each orbit with at most
+  floor(rs/2) edges, which also stands for its complement orbit
+  (``orbits.orbit_pairs``), and in every ``extremal_scan`` the orbits with
+  m edges (``orbits.orbit_reps``);
 * one chunk worker that runs only the kernels the requested metrics need
   and folds each value into per-edge-count cells through one reducer (max
   and min with a smallest-mask tie-break, plus a count), the same reducer
@@ -39,8 +41,9 @@ for vertex connectivity). Every other run evaluates one representative per
 isomorphism class, by max-flow from nine vertices on: every metric and bound
 depends only on the class, a class counts for all its labeled graphs, and it
 is filed under its smallest labeled mask, so cells, extremes and reports are
-those of a labeled walk. Only a class that breaks a bound is expanded, to
-report each of its labeled graphs.
+those of a labeled walk. Only a class pair that breaks a bound is expanded,
+to report each of its labeled graphs that has fewer edges than its
+complement.
 
 Claim identifiers accepted by ``check_theorem``:
 
@@ -73,7 +76,7 @@ from multiprocessing import Pool
 from operator import add, attrgetter, mul
 from typing import Callable, Iterator
 
-from .bigraph import BipartiteGraph, add_left_vertex, add_right_vertex, bipartite_complement, rows_of
+from .bigraph import BipartiteGraph, add_left_vertex, add_right_vertex, bipartite_complement, orbit_members, rows_of
 from .bounds import M_upper, N_upper, ParameterTriple, delta_bounds, sum_lower_sized
 from .connectivity import (
     _min_degree,
@@ -217,7 +220,7 @@ class ShapeSweep:
     mismatches: list[tuple]  # (mask, invariant, flow_value, oracle_value)
     wall_ms: int
     has_vertex: bool = True
-    orbits_checked: int | None = None  # graphs evaluated, one per orbit; None when every labeled graph was
+    orbits_checked: int | None = None  # classes covered, one evaluation per class pair; None on a labeled sweep
 
     def envelope_max(self, metric: str) -> int:
         if metric.endswith("vertex") and not self.has_vertex:
@@ -249,19 +252,25 @@ _KINDS = ("edge", "vertex", "delta")
 def _chunk(args):
     """Worker: fold the metric values of one chunk of a mask source into cells by edge count.
 
-    [lo, hi) is a range of one of two sources. With ``orbits`` it ranks the
-    multisets of column types: each orbit representative
-    (``orbits.orbit_reps``; with ``m`` given, only the m-edge ones) is filed
-    alone under its smallest labeled mask, counting for every graph of its
-    orbit. Otherwise ``m`` is None and [lo, hi) is a range of pair masks: a
-    mask and its complement are two labeled graphs, filed in cells popcount
-    and rs - popcount. Each graph is held to the per-edge-count bounds in
-    ``checks``. Only the kernels the metrics need run (edge pair, vertex
-    pair, minimum degree). At r + s <= 8 the connectivity kernels are the
-    brute-force oracles, on either source, and pair ranges cross-check them
-    against max-flow graph by graph.
+    [lo, hi) is a range of one of two sources; each item is a class of
+    weight w (graphs) with its smallest mask, and on a full sweep the
+    smallest mask of its complement class too. With ``orbits`` [lo, hi)
+    ranks multisets of column types: with ``m`` given, the m-edge orbits
+    (``orbits.orbit_reps``), each filed alone; with ``m`` None, the orbits
+    with at most floor(rs/2) edges (``orbits.orbit_pairs``). Otherwise ``m``
+    is None and [lo, hi) is a range of pair masks, each a class of one graph
+    whose complement class is the complement mask. A full sweep files the
+    pair in cell popcount under the class's mask and in cell rs - popcount
+    under the complement class's, both with weight w. At popcount rs/2 both
+    orbits of a pair are walked, so the one with the larger mask is skipped
+    and its partner files both; a self-complementary orbit is filed once.
+    Each decision is local to the item, so chunking never changes the
+    cells. Each pair is held to the per-edge-count bounds in ``checks``. Only the kernels the metrics need
+    run (edge pair, vertex pair, minimum degree). At r + s <= 8 the
+    connectivity kernels are the brute-force oracles, on either source, and
+    pair ranges cross-check them against max-flow graph by graph.
 
-    Returns (graphs covered, graphs evaluated, cells, raw violations,
+    Returns (graphs covered, classes covered, cells, raw violations,
     mismatches).
     """
     r, s, m, orbits, lo, hi, metrics, checks = args
@@ -281,15 +290,25 @@ def _chunk(args):
     raw = []  # (theorem, side, metric, m, subject_mask, observed, bound)
     mismatches = []
     if orbits:
-        from .orbits import orbit_members, orbit_reps  # loaded by the first orbit scan only
+        from .orbits import orbit_pairs, orbit_reps  # loaded by the first orbit scan only
 
-        items = orbit_reps(r, s, m, lo, hi)
+        if m is None:
+            items = orbit_pairs(r, s, lo, hi)
+        else:
+            items = ((mask, weight, None) for mask, weight in orbit_reps(r, s, m, lo, hi))
     else:
-        items = ((mask, 1) for mask in range(lo, hi))
-    graphs = evaluated = 0
-    for mask, weight in items:
-        graphs += weight
-        evaluated += 1
+        items = ((mask, 1, full ^ mask) for mask in range(lo, hi))
+    graphs = classes = 0
+    for mask, weight, twin in items:
+        mm = mask.bit_count()
+        mc = bits - mm
+        if twin is not None and mm == mc and mask > twin:
+            continue  # the complement orbit, walked too, files this pair
+        if twin == mask:
+            twin = None  # a self-complementary orbit is filed once
+        sides = 1 if twin is None else 2
+        graphs += sides * weight
+        classes += sides
         cmask = full ^ mask
         rows = rows_of(r, s, mask)
         rows_c = rows_of(r, s, cmask)
@@ -301,12 +320,10 @@ def _chunk(args):
                     if flow_value != pairs[i][side]:
                         mismatches.append((side_mask, kind, flow_value, pairs[i][side]))
         values = [op(*pairs[i]) for i, op in ops]
-        mm = mask.bit_count()
-        mc = bits - mm
         for per_m, value in zip(per_metric, values):
             _fold(per_m, mm, value, mask, value, mask, weight)
-            if not orbits:
-                _fold(per_m, mc, value, cmask, value, cmask, 1)
+            if twin is not None:
+                _fold(per_m, mc, value, twin, value, twin, weight)
         if checks:
             # The pair value is symmetric, so a pair is held to the bound at
             # its smaller edge count.
@@ -318,14 +335,17 @@ def _chunk(args):
                 if value > bound if upper else value < bound:
                     failed.append((theorem, side, metric, value, bound))
             if failed:
-                # Reported on the pair's graph with fewer edges, the smaller
-                # mask on a tie; an orbit reports every labeled pair it holds.
-                for subject in orbit_members(r, s, mask) if orbits else (mask, cmask):
+                # Reported on every labeled graph of the pair's classes that
+                # has fewer edges than its complement, the smaller mask on a tie.
+                subjects = [mask] if twin is None else [mask, twin]
+                if orbits:
+                    subjects = [member for rep in subjects for member in orbit_members(r, s, rep)]
+                for subject in subjects:
                     em = subject.bit_count()
                     if (em, subject) < (bits - em, full ^ subject):
                         raw += [(theorem, side, metric, vm, subject, value, bound)
                                 for theorem, side, metric, value, bound in failed]
-    return (1 if orbits else 2) * graphs, evaluated, cells, raw, mismatches
+    return graphs, classes, cells, raw, mismatches
 
 
 def _resolve_jobs(jobs: int | None) -> int:
@@ -351,35 +371,37 @@ def _run_chunked(worker, arg_sets, jobs: int):
         return pool.map(worker, arg_sets)
 
 
-# An orbit scan up to nine vertices walks at most C(20, 5) = 15,504 multisets
-# (the full sweep of (4, 5); an m-edge scan walks fewer), so it runs as one
-# inline chunk: a pool starts slower than the whole scan.
+# An orbit scan up to nine vertices walks at most 9,005 multisets (the full
+# sweep of (4, 5), which walks those with at most 10 edges; an m-edge scan
+# walks at most 2,506), so it runs as one inline chunk: a pool starts slower
+# than the whole scan.
 _ORBIT_MIN_CHUNK = 1 << 14
 
 
 def _scan(r: int, s: int, m: int | None, orbits: bool, metrics, checks, jobs: int):
     """Run one mask source (see ``_chunk``) in chunks; merge the results.
 
-    The source is the orbit representatives (only the m-edge ones when ``m``
-    is given) when ``orbits``, else the pair masks, which cover every edge
-    count and take ``m`` None. Returns (graphs covered, orbits evaluated or
-    None for the labeled source, cells as metric -> per-edge-count lists, raw
+    The source is the orbit representatives when ``orbits`` (the m-edge ones
+    when ``m`` is given, else those with at most floor(rs/2) edges, each with
+    its complement orbit), else the pair masks, which cover every edge count
+    and take ``m`` None. Returns (graphs covered, classes covered or None
+    for the labeled source, cells as metric -> per-edge-count lists, raw
     violations in pair-mask order, mismatches in mask order).
     """
     if orbits:
-        from .orbits import multiset_count
+        from .orbits import multiset_count, pair_count
 
-        count, min_chunk = multiset_count(r, s, m), _ORBIT_MIN_CHUNK
+        count, min_chunk = multiset_count(r, s, m) if m is not None else pair_count(r, s), _ORBIT_MIN_CHUNK
     else:
         count, min_chunk = 1 << (r * s - 1), 1024
     arg_sets = [(r, s, m, orbits, lo, hi, metrics, checks) for lo, hi in _chunk_ranges(count, min_chunk, jobs)]
-    graphs = evaluated = 0
+    graphs = classes = 0
     cells = {metric: [None] * (r * s + 1) for metric in metrics}
     raw: list[tuple] = []
     mismatches: list[tuple] = []
-    for chunk_graphs, chunk_evaluated, chunk_cells, chunk_raw, chunk_mismatches in _run_chunked(_chunk, arg_sets, jobs):
+    for chunk_graphs, chunk_classes, chunk_cells, chunk_raw, chunk_mismatches in _run_chunked(_chunk, arg_sets, jobs):
         graphs += chunk_graphs
-        evaluated += chunk_evaluated
+        classes += chunk_classes
         for metric, per_m in chunk_cells.items():
             for em, cell in enumerate(per_m):
                 if cell is not None:
@@ -389,7 +411,7 @@ def _scan(r: int, s: int, m: int | None, orbits: bool, metrics, checks, jobs: in
     # Orbit chunks interleave the pairs; labeled chunks are already in order.
     full = (1 << (r * s)) - 1
     raw.sort(key=lambda v: min(v[4], full ^ v[4]))
-    return graphs, evaluated if orbits else None, cells, raw, mismatches
+    return graphs, classes if orbits else None, cells, raw, mismatches
 
 
 def _checks(r: int, s: int, metrics) -> list[tuple]:
@@ -417,9 +439,10 @@ def shape_sweep(
     Covers all 2^(rs) labeled graphs. At r + s <= 8 it walks the 2^(rs-1)
     graph/complement pairs, the values come from the brute-force oracle and
     the max-flow results are cross-checked graph by graph. Above that it
-    evaluates one graph per S_r x S_s orbit and weights it by the orbit
-    size: ``graphs_checked`` still counts the labeled graphs covered, and
-    ``orbits_checked`` the graphs evaluated. Vertex connectivity
+    evaluates one graph per pair of an S_r x S_s orbit and its complement
+    orbit and weights each side by its orbit size: ``graphs_checked`` still
+    counts the labeled graphs covered, and ``orbits_checked`` the classes
+    covered, both orbits of each pair. Vertex connectivity
     dominates the cost; edge-only callers pass ``include_vertex=False`` and
     the sweep then carries no vertex cells and no T3.3/T4.3 checks. A cached
     sweep with vertex metrics serves edge-only requests too.
@@ -437,7 +460,7 @@ def shape_sweep(
     started = time.perf_counter()
     metrics = tuple(metric for metric in _ALL_METRICS if include_vertex or not metric.endswith("vertex"))
     orbits = r + s > ORACLE_BACKEND_MAX_VERTICES
-    graphs, evaluated, cells, raw, mismatches = _scan(r, s, None, orbits, metrics, _checks(r, s, metrics), jobs)
+    graphs, classes, cells, raw, mismatches = _scan(r, s, None, orbits, metrics, _checks(r, s, metrics), jobs)
     violations = [
         Violation(
             theorem, side, metric, r, s, vm,
@@ -454,7 +477,7 @@ def shape_sweep(
         r, s, graphs, final_cells, violations, mismatches,
         int((time.perf_counter() - started) * 1000),
         has_vertex=include_vertex,
-        orbits_checked=evaluated,
+        orbits_checked=classes,
     )
     if use_cache:
         _SWEEP_CACHE[key] = sweep
@@ -477,7 +500,7 @@ class ExtremalResult:
     min_value: int
     argmin: BipartiteGraph
     graphs_checked: int
-    orbits_checked: int  # graphs evaluated, one per orbit with m edges
+    orbits_checked: int  # classes covered, one graph evaluated per orbit with m edges
 
 
 def metric_value(metric: str, g: BipartiteGraph) -> int:
@@ -506,7 +529,7 @@ def extremal_scan(r: int, s: int, m: int, metric: str, jobs: int | None = None) 
         raise ValueError(f"unknown metric {metric!r}; choose one of {METRIC_IDS}")
     ParameterTriple(r, s, m)
     _fixed_m_count(r * s, m)
-    graphs, evaluated, cells, _, _ = _scan(r, s, m, True, (metric,), (), _resolve_jobs(jobs))
+    graphs, classes, cells, _, _ = _scan(r, s, m, True, (metric,), (), _resolve_jobs(jobs))
     max_value, max_mask, min_value, min_mask, _ = cells[metric][m]
     return ExtremalResult(
         metric, r, s, m, max_value,
@@ -514,7 +537,7 @@ def extremal_scan(r: int, s: int, m: int, metric: str, jobs: int | None = None) 
         min_value,
         BipartiteGraph.from_mask(r, s, min_mask),
         graphs,
-        evaluated,
+        classes,
     )
 
 

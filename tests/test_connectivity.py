@@ -350,7 +350,7 @@ _CUT = ConnectivityResult(0, "disconnected")
     (2, 0, (0, 0), False, 0, (_CUT, _CUT)),
     (1, 1, (1,), True, 1, (ConnectivityResult(1, "edge_cut", edges=((1, 1),)),
                            ConnectivityResult(1, "complete_side", vertices=("x1",)))),
-])
+], ids=["no vertex", "one left vertex", "one right vertex", "three right vertices", "two left vertices", "K_1,1"])
 def test_degenerate_graphs_keep_their_values_and_errors(r, s, rows, connected, value, certificates):
     # An empty part, a single vertex and K_{1,1}: every entry point, kernels and oracles alike.
     g = BipartiteGraph(r, s, rows)
@@ -499,14 +499,17 @@ _ONE_MIDDLE = new_graph(3, 4, [(1, 1), (1, 2), (2, 3), (2, 4), (3, 1), (3, 2), (
 _ONE_END = new_graph(3, 4, [(1, 1), (1, 3), (2, 1), (2, 4), (3, 2), (3, 3), (3, 4)])
 
 
-@pytest.mark.parametrize("g, a, b, found, kinds", [
+_PATH_KINDS = [
     (complete(3, 3), 0, 1, 3, "three common neighbours"),
     (_C6, 4, 5, 2, "y2 x1 y3 and y2 x2 y1 x3 y3"),
     (_C8, 0, 1, 2, "x1 y1 x3 y3 x2 and x1 y2 x4 y4 x2"),
     (_GREEDY_SHORT, 0, 1, 1, "x1 y1 x3 y3 x2 blocks x1 y2 x3 y3 x2"),
     (_ONE_MIDDLE, 0, 1, 1, "x1 y1 x3 y3 x2 blocks x1 y2 x3 y4 x2"),
     (_ONE_END, 3, 4, 1, "y1 x1 y3 x3 y2 blocks y1 x2 y4 x3 y2"),
-])
+]
+
+
+@pytest.mark.parametrize("g, a, b, found, kinds", _PATH_KINDS, ids=[case[-1] for case in _PATH_KINDS])
 def test_short_paths_by_path_kind(g, a, b, found, kinds):
     r = g.left_size
     adj = _adjacency_masks(r, g.right_size, g.adjacency)

@@ -11,7 +11,7 @@ import pytest
 from graphtools import components_count
 
 from bipcon import orbits, verifier
-from bipcon.bigraph import BipartiteGraph, bipartite_complement
+from bipcon.bigraph import BipartiteGraph, bipartite_complement, orbit_members
 from bipcon.bounds import M_upper, ParameterTriple
 from bipcon.connectivity import edge_connectivity_value, edge_oracle_value, vertex_connectivity_value
 from bipcon.constructions import BoundGoal, CayleySubset, WitnessFamilyId, bi_cayley, dispatch_witness
@@ -112,17 +112,24 @@ def test_shape_sweep_cell_counts_are_binomials():
 
 
 def test_shape_sweep_agrees_with_extremal_scan():
-    # The scan walks one graph per class with m edges; the sweep walks every
-    # labeled graph and audits the oracle values against max-flow.
-    for r, s in shapes_within(7):
+    # The scan walks one graph per class with m edges. The sweep walks every
+    # labeled graph pair up to seven vertices, auditing the oracle values
+    # against max-flow, and at (2, 7) one class per pair; either way the
+    # cells above rs/2 edges are filed from the complements, so they are
+    # held to a walk of every labeled graph (scans stop at rs/2).
+    for r, s in shapes_within(7) + [(2, 7)]:
         sweep = shape_sweep(r, s, jobs=1)
-        assert sweep.orbits_checked is None and sweep.mismatches == []
+        assert (sweep.orbits_checked is None) == (r + s <= 8) and sweep.mismatches == []
         for m in range(r * s // 2 + 1):
             for metric in METRIC_IDS:
                 scan = extremal_scan(r, s, m, metric, jobs=1)
                 cell = sweep.cells[metric][m]
                 assert (scan.max_value, scan.argmax.mask, scan.min_value, scan.argmin.mask, scan.graphs_checked) == (
                     cell.max_value, cell.max_mask, cell.min_value, cell.min_mask, cell.count), (r, s, m, metric)
+        for m in range(r * s // 2 + 1, r * s + 1):
+            cells = _labeled_cells(r, s, m, METRIC_IDS)
+            for metric in METRIC_IDS:
+                assert _cell_lists(sweep.cells[metric])[m] == cells[metric], (r, s, m, metric)
 
 
 def test_shape_sweep_checks_jobs_when_served_from_the_cache():
@@ -212,6 +219,10 @@ def test_tightened_claim_on_the_orbit_path_reports_every_labeled_graph_in_order(
             expected.append(Violation("T4.1", side, "sum_edge", 2, 7, subject.edge_count, tuple(subject.edges()),
                                       observed, bound))
     assert expected
+    # The lower side also breaks at vm = 7 = rs/2, where both classes of a
+    # pair are walked and only one of them files it; the upper side cannot,
+    # since no (2, 7) pair with 7 edges on each side has a connected side.
+    assert any(v.m == 7 for v in expected) == (side == "lower")
     assert sweep.violations == labeled == expected
 
 
@@ -286,11 +297,35 @@ def test_orbit_representatives_match_burnside_and_cover_every_labeled_graph():
             # Each representative is the smallest mask of its orbit, and its
             # weight the orbit's size.
             for mask, weight in reps:
-                members = orbits.orbit_members(r, s, mask)
+                members = orbit_members(r, s, mask)
                 assert (members[0], len(members)) == (mask, weight)
     assert len(list(orbits.orbit_reps(4, 5))) == 1053
     assert len(list(orbits.orbit_reps(3, 6))) == 386
     assert len(list(orbits.orbit_reps(5, 5))) == 5624
+
+
+def test_orbit_pairs_yield_each_class_with_its_complement_class():
+    for r, s in shapes_within(8):
+        bits = r * s
+        full = (1 << bits) - 1
+        pairs = list(orbits.orbit_pairs(r, s))
+        for mask, weight, twin in pairs:
+            members = orbit_members(r, s, mask)
+            assert (members[0], len(members), twin) == (mask, weight, min(full ^ x for x in members)), (r, s, mask)
+        # Every class with at most floor(rs/2) edges comes once, found here
+        # by its smallest mask in an ascending walk of every labeled mask.
+        seen, classes = set(), []
+        for mask in range(full + 1):
+            if mask.bit_count() <= bits // 2 and mask not in seen:
+                seen.update(orbit_members(r, s, mask))
+                classes.append(mask)
+        assert sorted(mask for mask, _, _ in pairs) == classes, (r, s)
+        # Filed as the sweep files them, the weights cover every labeled
+        # graph: a pair twice, a self-complementary class once, and a pair
+        # at rs/2 edges only from its class with the smaller mask.
+        covered = sum(weight * (1 if twin == mask else 2) for mask, weight, twin in pairs
+                      if 2 * mask.bit_count() < bits or mask <= twin)
+        assert covered == 1 << bits, (r, s)
 
 
 
