@@ -33,6 +33,8 @@ class ParameterTriple:
     m: int
 
     def __post_init__(self) -> None:
+        if {type(self.r), type(self.s), type(self.m)} != {int}:  # bool and float excluded
+            raise InvalidTriple(f"needs int r, s and m, got r={self.r!r}, s={self.s!r}, m={self.m!r}")
         if not (1 <= self.r <= self.s):
             raise InvalidTriple(f"needs 1 <= r <= s, got r={self.r}, s={self.s}")
         if not (0 <= self.m <= self.r * self.s // 2):

@@ -39,11 +39,16 @@ class CayleySubset:
     members: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
+        # Only ints: a float or bool would pass the range checks and fail later.
+        if type(self.modulus) is not int:
+            raise BadSubset(f"modulus must be an int, got {self.modulus!r}")
         if self.modulus < 1:
             raise BadSubset(f"modulus must be >= 1, got {self.modulus}")
         members = frozenset(self.members)
         object.__setattr__(self, "members", members)
         for a in members:
+            if type(a) is not int:
+                raise BadSubset(f"member {a!r} is not an int")
             if not (0 <= a < self.modulus):
                 raise BadSubset(f"member {a} outside Z_{self.modulus}")
 

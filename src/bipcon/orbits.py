@@ -25,12 +25,12 @@ P c_k, and the one at j is at most Q_j < P_j: the new image is smaller than
 P c_k, and by induction no extension of a non-canonical prefix is canonical.
 
 The tree walks the multisets in lexicographic order, and ranks lo..hi-1
-are those of every sorted multiset, canonical or not (only those with m
-edges in all when an edge count m is given, and only those with at most
-floor(rs/2) edges for the pairs of ``orbit_pairs``). A subtree outside the
-range, or under a rejected prefix, is skipped by its count, so a chunk of a
-scan costs only its own part of the tree, and an m-edge scan never visits
-more multisets than there are m-edge labeled graphs.
+are those of every sorted multiset in one of two rank spaces, canonical or
+not: those with m edges in all when an edge count m is given, else those
+with at most floor(rs/2) edges. A subtree outside the range, or under a
+rejected prefix, is skipped by its count, so a chunk of a scan costs only
+its own part of the tree, and an m-edge scan never visits more multisets
+than there are m-edge labeled graphs.
 
 Complementing every graph maps orbits onto orbits, so a full sweep walks
 only the orbits O with at most floor(rs/2) edges and covers the complement
@@ -57,7 +57,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from functools import cache
 from itertools import permutations
-from math import comb, factorial
+from math import factorial
 from typing import Callable, Iterator
 
 
@@ -82,16 +82,9 @@ def _counter(r: int, at_most: bool) -> Callable[[int, int, int], int]:
     return count
 
 
-def multiset_count(r: int, s: int, m: int | None = None) -> int:
-    """The number of sorted multisets of s column types, only those with m edges when m is given."""
-    if m is None:
-        return comb((1 << r) + s - 1, s)
-    return _counter(r, False)(s, 0, m)
-
-
-def pair_count(r: int, s: int) -> int:
-    """The number of sorted multisets of s column types with at most floor(rs/2) edges: the ranks of ``orbit_pairs``."""
-    return _counter(r, True)(s, 0, r * s // 2)
+def class_count(r: int, s: int, m: int | None = None) -> int:
+    """The ranks of ``orbit_classes(r, s, m)``: sorted multisets of s column types with m edges, at most floor(rs/2) with m None."""
+    return _counter(r, m is None)(s, 0, r * s // 2 if m is None else m)
 
 
 def _bit_map(positions) -> list[int]:
@@ -102,42 +95,26 @@ def _bit_map(positions) -> list[int]:
     return table
 
 
-def orbit_reps(r: int, s: int, m: int | None = None, lo: int = 0, hi: int | None = None) -> Iterator[tuple[int, int]]:
-    """(smallest labeled mask, orbit size) of each orbit among the multisets ranked lo..hi-1.
+def orbit_classes(r: int, s: int, m: int | None = None, lo: int = 0,
+                  hi: int | None = None) -> Iterator[tuple[int, int, int | None]]:
+    """(smallest mask, orbit size, complement mask) of each orbit among the multisets ranked lo..hi-1.
 
-    The ranks are those of ``multiset_count(r, s, m)``: with ``m`` given,
-    only the orbits with m edges. An orbit holds
-    r! s! / (|row stabilizer| * prod(multiplicity!)) labeled graphs. For one
-    row permutation the smallest mask lists its columns in descending
-    order, column 0 first (row r-1 is the most significant), so the orbit's
-    smallest mask is the least of those over its images, each folded as
-    ``mask << 1 | spread[c]`` column by column.
+    The ranks are those of ``class_count(r, s, m)``. With ``m`` given they
+    are the orbits with m edges, and the complement mask is None. With ``m``
+    None they are the orbits with at most floor(rs/2) edges, and the
+    complement mask is the smallest of the complement orbit: ``full ^`` the
+    orbit's largest mask, the greatest of its images folded in ascending
+    order. An orbit holds r! s! / (|row stabilizer| * prod(multiplicity!))
+    labeled graphs. For one row permutation the smallest mask lists its
+    columns in descending order, column 0 first (row r-1 is the most
+    significant), so the orbit's smallest mask is the least of those over
+    its images, each folded as ``mask << 1 | spread[c]`` column by column.
     """
     if hi is None:
-        hi = multiset_count(r, s, m)
-    return _walk(r, s, m is None, r * s if m is None else m, lo, hi, False)
-
-
-def orbit_pairs(r: int, s: int, lo: int = 0, hi: int | None = None) -> Iterator[tuple[int, int, int]]:
-    """(smallest mask, orbit size, smallest mask of the complement orbit) of each orbit ranked lo..hi-1.
-
-    The ranks are those of ``pair_count(r, s)``: only the orbits with at
-    most floor(rs/2) edges. The complement orbit's smallest mask is
-    ``full ^`` the orbit's largest, the greatest of its images folded in
-    ascending order.
-    """
-    if hi is None:
-        hi = pair_count(r, s)
-    return _walk(r, s, True, r * s // 2, lo, hi, True)
-
-
-def _walk(r: int, s: int, at_most: bool, edges: int, lo: int, hi: int, pairs: bool) -> Iterator[tuple]:
-    """The orderly tree over the multisets with ``edges`` edges (at most that many with ``at_most``).
-
-    Yields the items of ``orbit_reps``, or of ``orbit_pairs`` with ``pairs``.
-    """
+        hi = class_count(r, s, m)
+    pairs = m is None
     top, half, full = 1 << r, 1 << r >> 1, (1 << r * s) - 1
-    size = _counter(r, at_most)  # size(k, w, p): the sorted k-tuples of the types w.. with (at most) p edges
+    size = _counter(r, pairs)  # size(k, w, p): the sorted k-tuples of the types w.. with p edges (at most p for pairs)
     perms = list(permutations(range(r)))
     tables = [_bit_map(perm) for perm in perms]
     # The images of the permutations that move row i to the top, for each row i.
@@ -152,7 +129,7 @@ def _walk(r: int, s: int, at_most: bool, edges: int, lo: int, hi: int, pairs: bo
         return mask
 
     def walk(cols: list[int], images: list[list[int]], k: int, v: int, p: int,
-             run: int, mult: int, lo: int, hi: int) -> Iterator[tuple]:
+             run: int, mult: int, lo: int, hi: int) -> Iterator[tuple[int, int, int | None]]:
         # Ranks lo..hi-1 (0 <= lo) of the k-tuples of types v.. (with p edges,
         # or at most p) that complete the canonical prefix cols, whose sorted
         # images are images; its last run of equal types is run long, and
@@ -182,13 +159,12 @@ def _walk(r: int, s: int, at_most: bool, edges: int, lo: int, hi: int, pairs: bo
                         least = max(below)
                         mask = min(fold(extended[i]) for group, b in zip(by_top, below) if b == least for i in group)
                         weight = labelings // (extended.count(grown) * mult * w_run)
+                        twin = None
                         if pairs:
                             most = min(below)
-                            largest = max(fold(reversed(extended[i]))
-                                          for group, b in zip(by_top, below) if b == most for i in group)
-                            yield mask, weight, full ^ largest
-                        else:
-                            yield mask, weight
+                            twin = full ^ max(fold(reversed(extended[i]))
+                                              for group, b in zip(by_top, below) if b == most for i in group)
+                        yield mask, weight, twin
             lo, hi = max(lo - n, 0), hi - n
 
-    return walk([], [[] for _ in tables], s, 0, edges, 0, 1, lo, hi)
+    yield from walk([], [[] for _ in tables], s, 0, r * s // 2 if pairs else m, 0, 1, lo, hi)

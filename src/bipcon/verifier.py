@@ -8,10 +8,9 @@ engine that checks them has three pieces:
 * two mask sources, each of which evaluates a graph/complement pair once
   on a full sweep: the 2^(rs-1) pair masks of a shape (``shape_sweep`` up
   to eight vertices), or one representative per S_r x S_s orbit, weighted
-  by its orbit size: from nine vertices on, each orbit with at most
-  floor(rs/2) edges, which also stands for its complement orbit
-  (``orbits.orbit_pairs``), and in every ``extremal_scan`` the orbits with
-  m edges (``orbits.orbit_reps``);
+  by its orbit size, from ``orbits.orbit_classes``: from nine vertices on,
+  each orbit with at most floor(rs/2) edges, which also stands for its
+  complement orbit, and in every ``extremal_scan`` the orbits with m edges;
 * one chunk worker that runs only the kernels the requested metrics need
   and folds each value into per-edge-count cells through one reducer (max
   and min with a smallest-mask tie-break, plus a count), the same reducer
@@ -255,20 +254,21 @@ def _chunk(args):
     [lo, hi) is a range of one of two sources; each item is a class of
     weight w (graphs) with its smallest mask, and on a full sweep the
     smallest mask of its complement class too. With ``orbits`` [lo, hi)
-    ranks multisets of column types: with ``m`` given, the m-edge orbits
-    (``orbits.orbit_reps``), each filed alone; with ``m`` None, the orbits
-    with at most floor(rs/2) edges (``orbits.orbit_pairs``). Otherwise ``m``
-    is None and [lo, hi) is a range of pair masks, each a class of one graph
+    ranks the multisets of column types of ``orbits.orbit_classes(r, s,
+    m)``: with ``m`` given, the m-edge orbits, each filed alone; with ``m``
+    None, the orbits with at most floor(rs/2) edges. Otherwise ``m`` is
+    None and [lo, hi) is a range of pair masks, each a class of one graph
     whose complement class is the complement mask. A full sweep files the
     pair in cell popcount under the class's mask and in cell rs - popcount
     under the complement class's, both with weight w. At popcount rs/2 both
     orbits of a pair are walked, so the one with the larger mask is skipped
     and its partner files both; a self-complementary orbit is filed once.
     Each decision is local to the item, so chunking never changes the
-    cells. Each pair is held to the per-edge-count bounds in ``checks``. Only the kernels the metrics need
-    run (edge pair, vertex pair, minimum degree). At r + s <= 8 the
-    connectivity kernels are the brute-force oracles, on either source, and
-    pair ranges cross-check them against max-flow graph by graph.
+    cells. Each pair is held to the per-edge-count bounds in ``checks``.
+    Only the kernels the metrics need run (edge pair, vertex pair, minimum
+    degree). At r + s <= 8 the connectivity kernels are the brute-force
+    oracles, on either source, and pair ranges cross-check them against
+    max-flow graph by graph.
 
     Returns (graphs covered, classes covered, cells, raw violations,
     mismatches).
@@ -290,12 +290,9 @@ def _chunk(args):
     raw = []  # (theorem, side, metric, m, subject_mask, observed, bound)
     mismatches = []
     if orbits:
-        from .orbits import orbit_pairs, orbit_reps  # loaded by the first orbit scan only
+        from .orbits import orbit_classes  # loaded by the first orbit scan only
 
-        if m is None:
-            items = orbit_pairs(r, s, lo, hi)
-        else:
-            items = ((mask, weight, None) for mask, weight in orbit_reps(r, s, m, lo, hi))
+        items = orbit_classes(r, s, m, lo, hi)
     else:
         items = ((mask, 1, full ^ mask) for mask in range(lo, hi))
     graphs = classes = 0
@@ -381,17 +378,18 @@ _ORBIT_MIN_CHUNK = 1 << 14
 def _scan(r: int, s: int, m: int | None, orbits: bool, metrics, checks, jobs: int):
     """Run one mask source (see ``_chunk``) in chunks; merge the results.
 
-    The source is the orbit representatives when ``orbits`` (the m-edge ones
-    when ``m`` is given, else those with at most floor(rs/2) edges, each with
-    its complement orbit), else the pair masks, which cover every edge count
-    and take ``m`` None. Returns (graphs covered, classes covered or None
+    The source is the orbit representatives when ``orbits``, ranked by
+    ``orbits.class_count(r, s, m)`` (the m-edge ones when ``m`` is given,
+    else those with at most floor(rs/2) edges, each with its complement
+    orbit), else the pair masks, which cover every edge count and take
+    ``m`` None. Returns (graphs covered, classes covered or None
     for the labeled source, cells as metric -> per-edge-count lists, raw
     violations in pair-mask order, mismatches in mask order).
     """
     if orbits:
-        from .orbits import multiset_count, pair_count
+        from .orbits import class_count
 
-        count, min_chunk = multiset_count(r, s, m) if m is not None else pair_count(r, s), _ORBIT_MIN_CHUNK
+        count, min_chunk = class_count(r, s, m), _ORBIT_MIN_CHUNK
     else:
         count, min_chunk = 1 << (r * s - 1), 1024
     arg_sets = [(r, s, m, orbits, lo, hi, metrics, checks) for lo, hi in _chunk_ranges(count, min_chunk, jobs)]

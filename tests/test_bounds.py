@@ -60,6 +60,9 @@ def test_invalid_triples_rejected():
         ParameterTriple(4, 5, 11)  # m above floor(rs/2)
     with pytest.raises(InvalidTriple):
         ParameterTriple(4, 5, -1)
+    for triple in ((2, 3.5, 1), (2.0, 3, 1), (2, 3, 1.0), (True, 3, 1), (2, 3, False)):
+        with pytest.raises(InvalidTriple):
+            ParameterTriple(*triple)  # not ints
 
 
 def all_valid_triples(max_s):

@@ -26,6 +26,9 @@ def test_cayley_subset_validation():
         CayleySubset(3, frozenset({3}))
     with pytest.raises(BadSubset):
         CayleySubset(0, frozenset())
+    for modulus, members in ((3, {1.5}), (3.0, {1}), (True, set()), (3, {True})):
+        with pytest.raises(BadSubset):
+            CayleySubset(modulus, frozenset(members))  # not ints
     assert CayleySubset(4, frozenset({1, 2})).complement().members == frozenset({0, 3})
 
 

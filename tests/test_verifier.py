@@ -15,7 +15,7 @@ from bipcon.bigraph import BipartiteGraph, bipartite_complement, orbit_members
 from bipcon.bounds import M_upper, ParameterTriple
 from bipcon.connectivity import edge_connectivity_value, edge_oracle_value, vertex_connectivity_value
 from bipcon.constructions import BoundGoal, CayleySubset, WitnessFamilyId, bi_cayley, dispatch_witness
-from bipcon.errors import TooLarge, UnknownTheorem
+from bipcon.errors import InvalidTriple, TooLarge, UnknownTheorem
 from bipcon.verifier import (
     METRIC_IDS,
     Violation,
@@ -284,31 +284,42 @@ def _burnside_orbits(r, s):
 
 
 def test_orbit_representatives_match_burnside_and_cover_every_labeled_graph():
+    counted = {}
     for r, s in shapes_within(10) + [(1, 10), (2, 9), (3, 8), (4, 7)]:
-        reps = list(orbits.orbit_reps(r, s))
-        assert len(reps) == _burnside_orbits(r, s), (r, s)
-        assert sum(weight for _, weight in reps) == 1 << (r * s)
-        for m in range(r * s + 1):
-            at_m = [(mask, weight) for mask, weight in reps if mask.bit_count() == m]
-            assert sum(weight for _, weight in at_m) == comb(r * s, m), (r, s, m)
+        bits = r * s
+        # (smallest mask, orbit size) of every class by edge count, from the
+        # pair walk: a class below rs/2 edges stands for its complement class
+        # too, and at rs/2 a pair counts from its class with the smaller mask.
+        filed = [[] for _ in range(bits + 1)]
+        for mask, weight, twin in orbits.orbit_classes(r, s):
+            m = mask.bit_count()
+            if 2 * m < bits or mask < twin:
+                filed[m].append((mask, weight))
+                filed[bits - m].append((twin, weight))
+            elif mask == twin:
+                filed[m].append((mask, weight))
+        counted[r, s] = sum(map(len, filed))
+        assert counted[r, s] == _burnside_orbits(r, s), (r, s)
+        for m, at_m in enumerate(filed):
+            assert sum(weight for _, weight in at_m) == comb(bits, m), (r, s, m)
             if r + s <= 9:
-                assert list(orbits.orbit_reps(r, s, m)) == at_m
+                assert sorted(orbits.orbit_classes(r, s, m)) == sorted((mask, weight, None) for mask, weight in at_m)
         if r + s <= 7:
             # Each representative is the smallest mask of its orbit, and its
             # weight the orbit's size.
-            for mask, weight in reps:
+            for mask, weight in (rep for at_m in filed for rep in at_m):
                 members = orbit_members(r, s, mask)
                 assert (members[0], len(members)) == (mask, weight)
-    assert len(list(orbits.orbit_reps(4, 5))) == 1053
-    assert len(list(orbits.orbit_reps(3, 6))) == 386
-    assert len(list(orbits.orbit_reps(5, 5))) == 5624
+    assert counted[4, 5] == 1053
+    assert counted[3, 6] == 386
+    assert counted[5, 5] == 5624
 
 
 def test_orbit_pairs_yield_each_class_with_its_complement_class():
     for r, s in shapes_within(8):
         bits = r * s
         full = (1 << bits) - 1
-        pairs = list(orbits.orbit_pairs(r, s))
+        pairs = list(orbits.orbit_classes(r, s))
         for mask, weight, twin in pairs:
             members = orbit_members(r, s, mask)
             assert (members[0], len(members), twin) == (mask, weight, min(full ^ x for x in members)), (r, s, mask)
@@ -347,9 +358,10 @@ def _canonical_images(cols, tables):
 
 
 def _sorted_multisets(r, s, m):
-    """Every sorted s-tuple of r-bit column types in lexicographic order, only those with m edges when m is given."""
+    """The sorted s-tuples of r-bit column types with m edges (at most floor(rs/2) with m None), in lexicographic order."""
     if m is None:
-        return combinations_with_replacement(range(1 << r), s)
+        every = combinations_with_replacement(range(1 << r), s)
+        return (cols for cols in every if sum(c.bit_count() for c in cols) <= r * s // 2)
 
     def grow(k, v, p):
         if k == 0:
@@ -365,31 +377,34 @@ def _sorted_multisets(r, s, m):
 
 
 def _filtered_reps(r, s, m=None):
-    """The reference for ``orbits.orbit_reps``: (rank, (mask, orbit size)) of each canonical multiset.
+    """The reference for ``orbits.orbit_classes``: (rank, (mask, orbit size, complement mask)) of each canonical multiset.
 
     Each multiset is tested against all r! row permutations, and kept when
-    none of them sorts it smaller.
+    none of them sorts it smaller. The complement mask, given with ``m``
+    None only, is ``full ^`` the orbit's largest mask.
     """
     tables = _row_tables(r)
     spread = [sum(1 << (i * s) for i in range(r) if c >> i & 1) for c in range(1 << r)]
+    full = (1 << (r * s)) - 1
     for rank, cols in enumerate(_sorted_multisets(r, s, m)):
         images = _canonical_images(cols, tables)
         if images is not None:
             stabilizer = images.count(cols) * prod(factorial(len(list(run))) for _, run in groupby(cols))
             mask = min(sum(spread[c] << j for j, c in enumerate(reversed(image))) for image in images)
-            yield rank, (mask, factorial(r) * factorial(s) // stabilizer)
+            largest = max(sum(spread[c] << j for j, c in enumerate(image)) for image in images)
+            yield rank, (mask, factorial(r) * factorial(s) // stabilizer, full ^ largest if m is None else None)
 
 
 def test_orbit_tree_equals_the_row_permutation_filter():
     cases = [(r, s, m) for r, s in shapes_within(9) for m in (None, *range(r * s + 1))]
     for r, s, m in cases + [(5, 5, 8), (4, 7, 6), (5, 6, 5)]:
         ranked = list(_filtered_reps(r, s, m))
-        assert list(orbits.orbit_reps(r, s, m)) == [rep for _, rep in ranked], (r, s, m)
-        count = orbits.multiset_count(r, s, m)
+        assert list(orbits.orbit_classes(r, s, m)) == [rep for _, rep in ranked], (r, s, m)
+        count = orbits.class_count(r, s, m)
         cuts = sorted({0, count, *(count * i // 7 for i in range(1, 7)), min(count, 3)})
         for lo, hi in zip(cuts, cuts[1:]):
             expected = [rep for rank, rep in ranked if lo <= rank < hi]
-            assert list(orbits.orbit_reps(r, s, m, lo, hi)) == expected, (r, s, m, lo)
+            assert list(orbits.orbit_classes(r, s, m, lo, hi)) == expected, (r, s, m, lo)
 
 
 def test_every_prefix_of_a_canonical_multiset_is_canonical():
@@ -407,17 +422,16 @@ def test_every_prefix_of_a_canonical_multiset_is_canonical():
 
 def test_m_edge_multisets_are_counted_and_ranked():
     for r, s in shapes_within(9):
-        every = list(combinations_with_replacement(range(1 << r), s))
-        assert orbits.multiset_count(r, s) == len(every)
+        edges = [sum(c.bit_count() for c in cols) for cols in combinations_with_replacement(range(1 << r), s)]
+        assert orbits.class_count(r, s) == sum(e <= r * s // 2 for e in edges), (r, s)
         for m in (None, *range(r * s + 1)):
             if m is not None:
-                at_m = [cols for cols in every if sum(c.bit_count() for c in cols) == m]
-                assert orbits.multiset_count(r, s, m) == len(at_m) <= comb(r * s, m), (r, s, m)
-            count = orbits.multiset_count(r, s, m)
+                assert orbits.class_count(r, s, m) == edges.count(m) <= comb(r * s, m), (r, s, m)
+            count = orbits.class_count(r, s, m)
             # Any cut into rank ranges yields the orbits once each, in order.
             cuts = sorted({0, count, count // 3, count // 2, min(count, 7)})
-            walked = [rep for lo, hi in zip(cuts, cuts[1:]) for rep in orbits.orbit_reps(r, s, m, lo, hi)]
-            assert walked == list(orbits.orbit_reps(r, s, m)), (r, s, m)
+            walked = [rep for lo, hi in zip(cuts, cuts[1:]) for rep in orbits.orbit_classes(r, s, m, lo, hi)]
+            assert walked == list(orbits.orbit_classes(r, s, m)), (r, s, m)
 
 
 def _labeled_cells(r, s, m, metrics):
@@ -456,7 +470,7 @@ def test_fixed_m_orbit_scans_equal_the_labeled_scans_at_ten_and_eleven_vertices(
             result = extremal_scan(r, s, m, metric, jobs=2)
             assert (result.max_value, result.argmax.mask, result.min_value, result.argmin.mask,
                     result.graphs_checked) == tuple(cells[metric]), (r, s, m, metric)
-            assert result.orbits_checked == len(list(orbits.orbit_reps(r, s, m))) < comb(r * s, m)
+            assert result.orbits_checked == len(list(orbits.orbit_classes(r, s, m))) < comb(r * s, m)
 
 
 def _cell_lists(cells):
@@ -491,6 +505,11 @@ def test_orbit_sweeps_and_scans_equal_the_labeled_scans_at_nine_vertices():
                 max_value, max_mask, min_value, min_mask), (m, metric)
             assert result.graphs_checked == count == comb(20, m)
             assert 0 < result.orbits_checked < count
+
+
+def test_extremal_scan_rejects_a_triple_that_is_not_ints():
+    with pytest.raises(InvalidTriple):
+        extremal_scan(2, 3, 1.0, "sum_edge", jobs=1)
 
 
 def test_oversized_request_is_rejected_before_any_sweep(monkeypatch):
