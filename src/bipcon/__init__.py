@@ -69,7 +69,6 @@ from .verifier import (
     THEOREM_IDS,
     Violation,
     check_theorem,
-    enumerate_graphs,
     extremal_scan,
     metric_value,
     shape_sweep,

@@ -8,8 +8,8 @@ set exactly when the edge x_i y_j is present. Vertex labels are fixed
 (graph equality, the complement, the Bi-Cayley identity) is checked label
 for label; no library function tests two graphs for isomorphism. Only the
 verifier's exhaustive scans group graphs into isomorphism classes
-(``bipcon.orbits``), to evaluate one graph per class, and list the masks of
-a class that breaks a bound (``orbit_members``).
+(``bipcon.orbits``), to evaluate one graph per class and to report a class
+that breaks a bound once, on its smallest mask.
 
 The sweeps also pack a graph into one r*s-bit mask, bit i*s + j for the
 edge x_{i+1} y_{j+1}, so that its complement is an XOR; ``rows_of`` and
@@ -38,26 +38,6 @@ def mask_of(s: int, rows: tuple[int, ...]) -> int:
     for i in range(len(rows)):
         mask |= rows[i] << (i * s)
     return mask
-
-
-def orbit_members(r: int, s: int, mask: int) -> list[int]:
-    """Every labeled mask in the S_r x S_s orbit of ``mask``, ascending.
-
-    The closure of the graph under swaps of adjacent rows and of adjacent
-    columns, which generate S_r x S_s.
-    """
-    start = rows_of(r, s, mask)
-    seen = {start}
-    todo = [start]
-    while todo:
-        rows = todo.pop()
-        neighbours = [rows[:i] + (rows[i + 1], rows[i]) + rows[i + 2:] for i in range(r - 1)]
-        neighbours += [tuple(row ^ ((row >> j ^ row >> (j + 1)) & 1) * (3 << j) for row in rows) for j in range(s - 1)]
-        for other in neighbours:
-            if other not in seen:
-                seen.add(other)
-                todo.append(other)
-    return sorted(mask_of(s, rows) for rows in seen)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ the claim's inputs through ``_run_chunked`` (inline for one job or one chunk,
 else in a process pool), and the results merge in chunk order. The bound
 claims' worker returns cells, merged by the reducer. The Bi-Cayley claims
 (L2.1, L2.4; both enumerate the 2^(max_r+1) - 2 subsets S of Z_r with
-r <= max_r, held to the full-enumeration cap) and the vertex-addition claim
+r <= max_r, at most 2^24) and the vertex-addition claim
 (L2.5) have workers that return (graphs checked, violations), merged by
 ``_run_claim``. ``_chunk_ranges`` sizes the chunks of the sweeps, the scans
 and L2.4; L2.1 runs as one inline chunk, and L2.5 keeps fixed 500-trial
@@ -40,9 +40,14 @@ for vertex connectivity). Every other run evaluates one representative per
 isomorphism class, by max-flow from nine vertices on: every metric and bound
 depends only on the class, a class counts for all its labeled graphs, and it
 is filed under its smallest labeled mask, so cells, extremes and reports are
-those of a labeled walk. Only a class pair that breaks a bound is expanded,
-to report each of its labeled graphs that has fewer edges than its
-complement.
+those of a labeled walk. A pair that breaks a bound is reported once, on
+its side with fewer edges (the smaller mask on a tie): on the labeled walk
+a graph or its complement, on the class walk the smallest mask of a class
+or of its complement class, which stands for all their labeled graphs.
+
+Every sweep and scan is held to one cap on its shape, rs <= 30, checked
+before any work; ``check_theorem`` checks it on the largest shape within
+``max_n`` before it lists the shapes, so full sweeps run through n = 11.
 
 Claim identifiers accepted by ``check_theorem``:
 
@@ -70,12 +75,11 @@ import random
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import groupby
-from math import comb
 from multiprocessing import Pool
 from operator import add, attrgetter, mul
-from typing import Callable, Iterator
+from typing import Callable
 
-from .bigraph import BipartiteGraph, add_left_vertex, add_right_vertex, bipartite_complement, orbit_members, rows_of
+from .bigraph import BipartiteGraph, add_left_vertex, add_right_vertex, bipartite_complement, rows_of
 from .bounds import M_upper, N_upper, ParameterTriple, delta_bounds, sum_lower_sized
 from .connectivity import (
     _min_degree,
@@ -96,9 +100,8 @@ from .constructions import (
 )
 from .errors import NoWitness, PreconditionViolated, TooLarge, UnknownTheorem
 
-FULL_ENUMERATION_MAX_BITS = 24
-FIXED_M_MAX_BITS = 30
-FIXED_M_MAX_COUNT = 1 << 24
+SHAPE_MAX_BITS = 30
+BI_CAYLEY_MAX_BITS = 24
 ORACLE_BACKEND_MAX_VERTICES = 8
 
 METRIC_IDS = ("sum_edge", "prod_edge", "sum_vertex", "prod_vertex")
@@ -107,52 +110,19 @@ _ALL_METRICS = METRIC_IDS + ("sum_delta", "prod_delta")
 THEOREM_IDS = ("L2.1", "L2.4", "L2.5", "L3.1", "T3.2", "T3.3", "T4.1", "T4.2", "T4.3")
 
 
-# --- enumeration -------------------------------------------------------------
+# --- shapes and size caps ------------------------------------------------------
 
 
-def _next_same_popcount(mask: int) -> int:
-    """Gosper's hack: the next larger integer with the same popcount."""
-    low = mask & -mask
-    ripple = mask + low
-    return (((ripple ^ mask) >> 2) // low) | ripple
+def _check_shape(r: int, s: int) -> None:
+    """Refuse a sweep or scan of a shape with rs > SHAPE_MAX_BITS, before any work.
 
-
-def _check_full_cap(bits: int) -> None:
-    if bits > FULL_ENUMERATION_MAX_BITS:
-        raise TooLarge(f"full enumeration of 2^{bits} = {1 << bits} graphs exceeds the cap")
-
-
-def _fixed_m_count(bits: int, m: int) -> int:
-    """C(bits, m), the number of m-edge masks, or TooLarge past the caps."""
-    total = comb(bits, m)
-    if bits > FIXED_M_MAX_BITS or total > FIXED_M_MAX_COUNT:
-        raise TooLarge(f"enumeration of C({bits}, {m}) = {total} graphs exceeds the cap")
-    return total
-
-
-def enumerate_graphs(r: int, s: int, m: int | None = None) -> Iterator[BipartiteGraph]:
-    """Every labeled graph on the shape exactly once, in ascending mask order.
-
-    With ``m`` given, only the graphs with exactly m edges. Raises TooLarge,
-    carrying the estimated count, when the scan caps are exceeded (2^(rs)
-    masks for a full enumeration with rs <= 24; C(rs, m) <= 2^24 masks with
-    rs <= 30 for a fixed edge count).
+    The cap bounds what the orbit walk costs: r <= s puts r at most 5, which
+    bounds the r! images of ``orbits.orbit_classes`` and the recursion of
+    ``class_count``, and the largest shape admitted, (5, 6), walks 1.32 M
+    ranks.
     """
-    if r < 0 or s < 0:
-        raise ValueError("part sizes must be nonnegative")
-    bits = r * s
-    if m is None:
-        _check_full_cap(bits)
-        for mask in range(1 << bits):
-            yield BipartiteGraph.from_mask(r, s, mask)
-        return
-    if m < 0:
-        raise ValueError("edge count must be nonnegative")
-    mask = (1 << m) - 1
-    for _ in range(_fixed_m_count(bits, m)):
-        yield BipartiteGraph.from_mask(r, s, mask)
-        if mask:
-            mask = _next_same_popcount(mask)
+    if r * s > SHAPE_MAX_BITS:
+        raise TooLarge(f"shape ({r}, {s}) has rs = {r * s} > {SHAPE_MAX_BITS}, the cap on rs of a sweep or scan")
 
 
 def shapes_within(max_n: int) -> list[tuple[int, int]]:
@@ -179,7 +149,10 @@ def _json(value):
 class Violation:
     """One graph that broke one bound (expected never to exist).
 
-    A graph whose max-flow value differs from the oracle's in a claim's
+    A graph/complement pair is reported on its side with fewer edges, the
+    smaller mask on a tie; from nine vertices on that side is a class, given
+    by its smallest mask, and the violation stands for all its graphs. A
+    graph whose max-flow value differs from the oracle's in a claim's
     audited sweep breaks that claim too: side "oracle", metric "edge_flow"
     or "vertex_flow", the flow value observed and the oracle value as bound.
     """
@@ -264,14 +237,16 @@ def _chunk(args):
     orbits of a pair are walked, so the one with the larger mask is skipped
     and its partner files both; a self-complementary orbit is filed once.
     Each decision is local to the item, so chunking never changes the
-    cells. Each pair is held to the per-edge-count bounds in ``checks``.
-    Only the kernels the metrics need run (edge pair, vertex pair, minimum
-    degree). At r + s <= 8 the connectivity kernels are the brute-force
-    oracles, on either source, and pair ranges cross-check them against
-    max-flow graph by graph.
+    cells. Each pair is held to the per-edge-count bounds in ``checks``,
+    and a pair that breaks one is reported once, on the item's mask or its
+    complement class's, whichever has fewer edges (the smaller on a tie),
+    so the raw violations come in walk order. Only the kernels the metrics
+    need run (edge pair, vertex pair, minimum degree). At r + s <= 8 the
+    connectivity kernels are the brute-force oracles, on either source, and
+    pair ranges cross-check them against max-flow graph by graph.
 
-    Returns (graphs covered, classes covered, cells, raw violations,
-    mismatches).
+    Returns (graphs covered, classes covered, cells, raw violations as
+    (theorem, side, metric, m, subject mask, observed, bound), mismatches).
     """
     r, s, m, orbits, lo, hi, metrics, checks = args
     bits = r * s
@@ -332,16 +307,12 @@ def _chunk(args):
                 if value > bound if upper else value < bound:
                     failed.append((theorem, side, metric, value, bound))
             if failed:
-                # Reported on every labeled graph of the pair's classes that
-                # has fewer edges than its complement, the smaller mask on a tie.
-                subjects = [mask] if twin is None else [mask, twin]
-                if orbits:
-                    subjects = [member for rep in subjects for member in orbit_members(r, s, rep)]
-                for subject in subjects:
-                    em = subject.bit_count()
-                    if (em, subject) < (bits - em, full ^ subject):
-                        raw += [(theorem, side, metric, vm, subject, value, bound)
-                                for theorem, side, metric, value, bound in failed]
+                # Reported once per pair, on the side with fewer edges, the
+                # smaller mask on a tie: a graph or its complement, or the
+                # smallest mask of a class or of its complement class.
+                subject = mask if twin is None or (mm, mask) < (mc, twin) else twin
+                raw += [(theorem, side, metric, vm, subject, value, bound)
+                        for theorem, side, metric, value, bound in failed]
     return graphs, classes, cells, raw, mismatches
 
 
@@ -384,7 +355,8 @@ def _scan(r: int, s: int, m: int | None, orbits: bool, metrics, checks, jobs: in
     orbit), else the pair masks, which cover every edge count and take
     ``m`` None. Returns (graphs covered, classes covered or None
     for the labeled source, cells as metric -> per-edge-count lists, raw
-    violations in pair-mask order, mismatches in mask order).
+    violations and mismatches in walk order, which chunks of contiguous
+    ranges merged in order keep for any worker count).
     """
     if orbits:
         from .orbits import class_count
@@ -406,9 +378,6 @@ def _scan(r: int, s: int, m: int | None, orbits: bool, metrics, checks, jobs: in
                     _fold(cells[metric], em, *cell)
         raw += chunk_raw
         mismatches += chunk_mismatches
-    # Orbit chunks interleave the pairs; labeled chunks are already in order.
-    full = (1 << (r * s)) - 1
-    raw.sort(key=lambda v: min(v[4], full ^ v[4]))
     return graphs, classes if orbits else None, cells, raw, mismatches
 
 
@@ -440,10 +409,12 @@ def shape_sweep(
     evaluates one graph per pair of an S_r x S_s orbit and its complement
     orbit and weights each side by its orbit size: ``graphs_checked`` still
     counts the labeled graphs covered, and ``orbits_checked`` the classes
-    covered, both orbits of each pair. Vertex connectivity
+    covered, both orbits of each pair. A pair that breaks a bound is one
+    violation, on its side with fewer edges. Vertex connectivity
     dominates the cost; edge-only callers pass ``include_vertex=False`` and
     the sweep then carries no vertex cells and no T3.3/T4.3 checks. A cached
-    sweep with vertex metrics serves edge-only requests too.
+    sweep with vertex metrics serves edge-only requests too. Raises TooLarge
+    for rs > SHAPE_MAX_BITS before any work.
     """
     if not (1 <= r <= s):
         raise ValueError(f"needs 1 <= r <= s, got r={r}, s={s}")
@@ -453,8 +424,8 @@ def shape_sweep(
         cached = _SWEEP_CACHE[key]
         if cached.has_vertex or not include_vertex:
             return cached
+    _check_shape(r, s)
     bits = r * s
-    _check_full_cap(bits)
     started = time.perf_counter()
     metrics = tuple(metric for metric in _ALL_METRICS if include_vertex or not metric.endswith("vertex"))
     orbits = r + s > ORACLE_BACKEND_MAX_VERTICES
@@ -515,8 +486,8 @@ def metric_value(metric: str, g: BipartiteGraph) -> int:
 def extremal_scan(r: int, s: int, m: int, metric: str, jobs: int | None = None) -> ExtremalResult:
     """Extremal metric values over every labeled graph with exactly m edges.
 
-    Preconditions: r <= s, m <= floor(rs/2), and the fixed-size enumeration
-    caps (C(rs, m) <= 2^24 masks, rs <= 30). One graph per orbit is
+    Preconditions: r <= s, m <= floor(rs/2), and rs <= SHAPE_MAX_BITS, else
+    TooLarge before any work. One graph per orbit is
     evaluated, at any size, from the m-edge column multisets only, which are
     never more than the m-edge masks; the extremes and their smallest labeled
     masks are those of a labeled walk. Up to eight vertices the values come
@@ -526,7 +497,7 @@ def extremal_scan(r: int, s: int, m: int, metric: str, jobs: int | None = None) 
     if metric not in METRIC_IDS:
         raise ValueError(f"unknown metric {metric!r}; choose one of {METRIC_IDS}")
     ParameterTriple(r, s, m)
-    _fixed_m_count(r * s, m)
+    _check_shape(r, s)
     graphs, classes, cells, _, _ = _scan(r, s, m, True, (metric,), (), _resolve_jobs(jobs))
     max_value, max_mask, min_value, min_mask, _ = cells[metric][m]
     return ExtremalResult(
@@ -770,9 +741,9 @@ def _l25_chunk(args):
 def _bound_theorem_report(theorem: str, max_n: int, jobs: int) -> tuple[int, list[Violation], list[AttainmentRecord]]:
     claims = [c for c in _CLAIMS if c.theorem == theorem]
     kinds = {c.metric.split("_")[1] for c in claims}
+    # The largest rs within max_n is that of (floor(max_n/2), ceil(max_n/2)).
+    _check_shape(max_n // 2, (max_n + 1) // 2)
     shapes = shapes_within(max_n)
-    for r, s in shapes:
-        _check_full_cap(r * s)
     checked = 0
     violations: list[Violation] = []
     attainment: list[AttainmentRecord] = []
@@ -810,15 +781,19 @@ def check_theorem(
     the randomized claim (L2.5), and ``max_n`` the exhaustive bound claims.
     Exit semantics: a report with an empty violations list means the claim
     held everywhere it was evaluated. Raises ValueError for a negative
-    ``max_n``, ``max_r`` or ``trials``, and TooLarge past the enumeration
-    caps, both before any work.
+    ``max_n``, ``max_r`` or ``trials``, and TooLarge, both before any work,
+    for a ``max_r`` past the Bi-Cayley cap of 2^24 subsets (max_r <= 23)
+    or, on a bound claim, a ``max_n`` whose largest shape has rs > 30
+    (max_n <= 11).
     """
     if theorem not in THEOREM_IDS:
         raise UnknownTheorem(f"unknown claim id {theorem!r}; choose one of {THEOREM_IDS}")
     for name, value in (("max_n", max_n), ("max_r", max_r), ("trials", trials)):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
-    _check_full_cap(max_r + 1)  # the Bi-Cayley claims take 2^(max_r + 1) - 2 subsets over r = 1..max_r
+    if max_r + 1 > BI_CAYLEY_MAX_BITS:  # the subsets S of Z_r over r = 1..max_r
+        raise TooLarge(f"max_r = {max_r} takes 2^{max_r + 1} - 2 Bi-Cayley subsets, "
+                       f"more than the cap of 2^{BI_CAYLEY_MAX_BITS}")
     jobs = _resolve_jobs(jobs)
     started = time.perf_counter()
     attainment: list[AttainmentRecord] = []

@@ -176,17 +176,18 @@ def test_file_errors(tmp_path, capsys):
 
 
 def test_too_large_exit_code(capsys):
-    status, _, err = run(capsys, "scan", "--r", "5", "--s", "6", "--m", "15",
+    # One edge on (6, 6): a tiny walk, but the shape is past the cap.
+    status, _, err = run(capsys, "scan", "--r", "6", "--s", "6", "--m", "1",
                          "--metric", "sum_edge", "--jobs", "1")
     assert status == EXIT_DOMAIN
-    assert "too large" in err
-    status, _, err = run(capsys, "verify", "--theorem", "T4.1", "--max-n", "10", "--jobs", "1")
+    assert "too large" in err and "rs = 36 > 30" in err
+    status, _, err = run(capsys, "verify", "--theorem", "T4.1", "--max-n", "12", "--jobs", "1")
     assert status == EXIT_DOMAIN
-    assert "too large" in err
+    assert "too large" in err and "rs = 36 > 30" in err
     # 2^41 Bi-Cayley subsets: refused before the first one is built.
     status, _, err = run(capsys, "verify", "--theorem", "L2.1", "--max-r", "40", "--jobs", "1")
     assert status == EXIT_DOMAIN
-    assert "too large" in err
+    assert "too large" in err and "Bi-Cayley subsets" in err
     status, _, err = run(capsys, "verify", "--theorem", "L2.5", "--trials", "-3", "--jobs", "1")
     assert status == EXIT_DOMAIN
     assert "trials must be >= 0" in err

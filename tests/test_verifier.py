@@ -11,7 +11,7 @@ import pytest
 from graphtools import components_count
 
 from bipcon import orbits, verifier
-from bipcon.bigraph import BipartiteGraph, bipartite_complement, orbit_members
+from bipcon.bigraph import BipartiteGraph, bipartite_complement, mask_of, new_graph, rows_of
 from bipcon.bounds import M_upper, ParameterTriple
 from bipcon.connectivity import edge_connectivity_value, edge_oracle_value, vertex_connectivity_value
 from bipcon.constructions import BoundGoal, CayleySubset, WitnessFamilyId, bi_cayley, dispatch_witness
@@ -21,12 +21,52 @@ from bipcon.verifier import (
     Violation,
     _resolve_jobs,
     check_theorem,
-    enumerate_graphs,
     extremal_scan,
     metric_value,
     shape_sweep,
     shapes_within,
 )
+
+
+def _next_same_popcount(mask):
+    """Gosper's hack: the next larger integer with the same popcount."""
+    low = mask & -mask
+    ripple = mask + low
+    return (((ripple ^ mask) >> 2) // low) | ripple
+
+
+def enumerate_graphs(r, s, m=None):
+    """The labeled reference walk: every graph on the shape once, in ascending mask order (only m-edge ones with m)."""
+    if m is None:
+        for mask in range(1 << (r * s)):
+            yield BipartiteGraph.from_mask(r, s, mask)
+        return
+    mask = (1 << m) - 1
+    for _ in range(comb(r * s, m)):
+        yield BipartiteGraph.from_mask(r, s, mask)
+        if mask:
+            mask = _next_same_popcount(mask)
+
+
+def orbit_members(r, s, mask):
+    """Every labeled mask in the S_r x S_s orbit of ``mask``, ascending.
+
+    The closure of the graph under swaps of adjacent rows and of adjacent
+    columns, which generate S_r x S_s: the reference for orbit masks and
+    weights.
+    """
+    start = rows_of(r, s, mask)
+    seen = {start}
+    todo = [start]
+    while todo:
+        rows = todo.pop()
+        neighbours = [rows[:i] + (rows[i + 1], rows[i]) + rows[i + 2:] for i in range(r - 1)]
+        neighbours += [tuple(row ^ ((row >> j ^ row >> (j + 1)) & 1) * (3 << j) for row in rows) for j in range(s - 1)]
+        for other in neighbours:
+            if other not in seen:
+                seen.add(other)
+                todo.append(other)
+    return sorted(mask_of(s, rows) for rows in seen)
 
 
 def test_enumerate_counts():
@@ -41,15 +81,6 @@ def test_enumerate_yields_each_graph_once_in_ascending_mask_order():
     fixed = [g.mask for g in enumerate_graphs(2, 3, m=2)]
     assert fixed == sorted(fixed) and len(fixed) == 15
     assert all(BipartiteGraph.from_mask(2, 3, mask).edge_count == 2 for mask in fixed)
-
-
-def test_enumerate_caps():
-    with pytest.raises(TooLarge):
-        next(enumerate_graphs(5, 5))
-    with pytest.raises(TooLarge):
-        next(enumerate_graphs(5, 6, m=15))
-    with pytest.raises(TooLarge):
-        next(enumerate_graphs(4, 8, m=16))
 
 
 def test_extremal_scan_degenerate_cell():
@@ -188,11 +219,13 @@ def test_tightened_claim_reports_every_violating_graph(monkeypatch, side, shift)
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("side, shift", [("upper", -1), ("lower", 1)])
 def test_tightened_claim_on_the_orbit_path_reports_every_labeled_graph_in_order(monkeypatch, side, shift, jobs):
-    # At (2, 7), nine vertices, the sweep evaluates one graph per orbit. A
-    # violating orbit must still yield every labeled violation, in pair-mask
-    # order, as the labeled scan and an enumeration through metric_value do.
-    # With two jobs the multisets are cut into chunks of 16, so the merge must
-    # restore that order across chunks.
+    # At (2, 7), nine vertices, the sweep evaluates one graph per orbit and
+    # reports a violating pair of a class and its complement class once, on
+    # the class's smallest mask. Expanded into the labeled graphs of both
+    # classes, each pair on its side with fewer edges (the smaller mask on a
+    # tie), the report is the labeled scan's, in pair-mask order, which is
+    # also that of an enumeration through metric_value. With two jobs the
+    # multisets are cut into chunks of 16, and the merge must keep the order.
     claims = list(verifier._CLAIMS)
     index = next(i for i, c in enumerate(claims) if (c.theorem, c.side) == ("T4.1", side))
     loose = claims[index].bound
@@ -202,6 +235,8 @@ def test_tightened_claim_on_the_orbit_path_reports_every_labeled_graph_in_order(
         monkeypatch.setattr(verifier, "_ORBIT_MIN_CHUNK", 16)
     sweep = shape_sweep(2, 7, jobs=jobs, use_cache=False, include_vertex=False)
     assert sweep.orbits_checked == 70 and sweep.mismatches == []
+    if jobs == 2:
+        assert sweep.violations == shape_sweep(2, 7, jobs=1, use_cache=False, include_vertex=False).violations
     metrics = ("sum_edge", "prod_edge", "sum_delta", "prod_delta")
     _, evaluated, _, raw, _ = verifier._scan(2, 7, None, False, metrics, verifier._checks(2, 7, metrics), 1)
     assert evaluated is None
@@ -223,7 +258,22 @@ def test_tightened_claim_on_the_orbit_path_reports_every_labeled_graph_in_order(
     # pair are walked and only one of them files it; the upper side cannot,
     # since no (2, 7) pair with 7 edges on each side has a connected side.
     assert any(v.m == 7 for v in expected) == (side == "lower")
-    assert sweep.violations == labeled == expected
+    assert labeled == expected
+    per_check = Counter((v.theorem, v.side, v.metric) for v in sweep.violations)
+    assert list(per_check) == [("T4.1", side, "sum_edge")]
+    assert per_check["T4.1", side, "sum_edge"] <= sweep.orbits_checked
+    assert len(sweep.violations) < len(expected)
+    full = (1 << 14) - 1
+    expanded = []
+    for v in sweep.violations:
+        mask = new_graph(2, 7, v.edges).mask
+        members = orbit_members(2, 7, mask)
+        assert members[0] == mask, v
+        for x in set(members) | {full ^ y for y in members}:
+            if (x.bit_count(), x) < ((full ^ x).bit_count(), full ^ x):
+                graph = BipartiteGraph.from_mask(2, 7, x)
+                expanded.append((min(x, full ^ x), dataclasses.replace(v, edges=tuple(graph.edges()))))
+    assert [v for _, v in sorted(expanded, key=lambda e: e[0])] == expected
 
 
 def _cycle_types(n):
@@ -489,9 +539,13 @@ def test_orbit_cells_equal_the_audited_labeled_cells_up_to_eight_vertices():
 
 
 def test_orbit_sweeps_and_scans_equal_the_labeled_scans_at_nine_vertices():
-    metrics = ("sum_edge", "prod_edge", "sum_delta", "prod_delta")
-    for r, s in ((1, 8), (2, 7), (3, 6)):
-        sweep = shape_sweep(r, s, jobs=2, use_cache=False, include_vertex=False)
+    # Also the full sweeps of (1, 9) and (2, 8) at ten vertices, all six
+    # metrics, which the shape cap admits.
+    edge_metrics = ("sum_edge", "prod_edge", "sum_delta", "prod_delta")
+    shapes = [(1, 8, edge_metrics), (2, 7, edge_metrics), (3, 6, edge_metrics),
+              (1, 9, verifier._ALL_METRICS), (2, 8, verifier._ALL_METRICS)]
+    for r, s, metrics in shapes:
+        sweep = shape_sweep(r, s, jobs=2, use_cache=False, include_vertex="sum_vertex" in metrics)
         graphs, evaluated, cells, _, _ = verifier._scan(r, s, None, False, metrics, (), 2)
         assert (sweep.graphs_checked, sweep.orbits_checked) == (graphs, _burnside_orbits(r, s))
         for metric in metrics:
@@ -517,11 +571,45 @@ def test_oversized_request_is_rejected_before_any_sweep(monkeypatch):
         raise AssertionError("swept a shape before checking the size caps")
 
     monkeypatch.setattr(verifier, "shape_sweep", no_sweep)
-    with pytest.raises(TooLarge):
-        check_theorem("T4.1", max_n=10, jobs=1)
+    with pytest.raises(TooLarge, match=r"rs = 36 > 30"):
+        check_theorem("T4.1", max_n=12, jobs=1)
     # `verify --theorem all` passes --max-r to every claim and runs T3.3 first.
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="Bi-Cayley subsets"):
         check_theorem("T3.3", max_r=40, jobs=1)
+    with pytest.raises(TooLarge, match="Bi-Cayley subsets"):
+        check_theorem("L2.1", max_r=24, jobs=1)
+
+
+def test_huge_max_n_is_refused_before_the_shapes_are_listed(monkeypatch):
+    def no_shapes(max_n):
+        raise AssertionError("listed the shapes before checking the shape cap")
+
+    monkeypatch.setattr(verifier, "shapes_within", no_shapes)
+    with pytest.raises(TooLarge, match=r"rs = 250000000000 > 30"):
+        check_theorem("T4.1", max_n=10**6, jobs=1)
+
+
+def test_every_shape_up_to_eleven_vertices_is_swept(monkeypatch):
+    # The shape cap alone decides: max_n = 11 reaches (5, 6), rs = 30.
+    swept = []
+
+    def record(r, s, jobs=None, use_cache=True, include_vertex=True):
+        swept.append((r, s))
+        cells = {metric: [verifier._Cell(0, 0, 0, 0, 1)] * (r * s + 1) for metric in verifier._ALL_METRICS}
+        return verifier.ShapeSweep(r, s, 1 << (r * s), cells, [], [], 0, orbits_checked=1)
+
+    monkeypatch.setattr(verifier, "shape_sweep", record)
+    report = check_theorem("T4.1", max_n=11, jobs=1)
+    assert swept == shapes_within(11) and swept[-1] == (5, 6)
+    assert report.graphs_checked == sum(1 << (r * s) for r, s in swept)
+
+
+def test_extremal_scan_runs_at_the_largest_admitted_shape():
+    result = extremal_scan(5, 6, 15, "prod_edge", jobs=1)
+    assert (result.max_value, result.orbits_checked, result.graphs_checked) == (4, 3616, comb(30, 15))
+    assert metric_value("prod_edge", result.argmax) == 4 and result.argmax.edge_count == 15
+    with pytest.raises(TooLarge, match=r"rs = 36 > 30"):
+        extremal_scan(6, 6, 1, "prod_edge", jobs=1)
 
 
 def test_vertex_addition_counts_only_checked_trials(monkeypatch):
