@@ -279,11 +279,12 @@ def _verify_all(opts) -> int:
     if opts.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     else:
+        width = max(len(str(r.graphs_checked)) for r in reports)  # the wall= column lines up
         for report in reports:
             attained = sum(1 for a in report.attainment if a.attained)
             attain_note = f", attainment {attained}/{len(report.attainment)}" if report.attainment else ""
             status = "ok" if not report.violations else f"{len(report.violations)} VIOLATIONS"
-            print(f"{report.theorem:5s} {status:>14s}  graphs={report.graphs_checked:<7d} "
+            print(f"{report.theorem:5s} {status:>14s}  graphs={report.graphs_checked:<{width}d} "
                   f"wall={report.wall_ms} ms{attain_note}")
     return max(r.exit_status for r in reports)
 

@@ -19,17 +19,16 @@ engine that checks them has three pieces:
   drives both the per-graph violation checks and the attainment records;
   each record's witness is derived from its row (``_witness``).
 
-All claims share one chunk path: a worker runs over contiguous chunks of
-the claim's inputs through ``_run_chunked`` (inline for one job or one chunk,
-else in a process pool), and the results merge in chunk order. The bound
-claims' worker returns cells, merged by the reducer. The Bi-Cayley claims
-(L2.1, L2.4; both enumerate the 2^(max_r+1) - 2 subsets S of Z_r with
-r <= max_r, at most 2^24) and the vertex-addition claim
-(L2.5) have workers that return (graphs checked, violations), merged by
-``_run_claim``. ``_chunk_ranges`` sizes the chunks of the sweeps, the scans
-and L2.4; L2.1 runs as one inline chunk, and L2.5 keeps fixed 500-trial
-chunks, each seeded from the seed and its index, since the draws depend on
-them.
+All claims share one chunk path: ``_chunk_ranges`` cuts a claim's index
+range [0, count) into contiguous chunks, a worker runs over each through
+``_run_chunked`` (inline for one job or one chunk, else in a process pool),
+and the results merge in chunk order. The bound claims' worker ranges over
+pair masks or orbit ranks and returns cells, merged by the reducer. The
+others return (graphs checked, violations): the Bi-Cayley claims (L2.1,
+L2.4) range over the 2^(max_r+1) - 2 subsets S of Z_1, ..., Z_max_r, at
+most 2^24, numbered in order by ``_cayley_subsets``, and L2.1 runs as one
+inline chunk; the vertex-addition claim (L2.5) ranges over blocks of 500
+trials, block i seeded from the seed and i, so no draw depends on the chunks.
 
 At eight vertices and below the connectivity kernels are the brute-force
 oracles, and a shape sweep walks every labeled graph and cross-checks each
@@ -321,14 +320,14 @@ def _resolve_jobs(jobs: int | None) -> int:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return max(1, os.cpu_count() or 1)
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    if type(jobs) is not int or jobs < 1:  # bool and float excluded
+        raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
     return jobs
 
 
 def _chunk_ranges(count: int, min_chunk: int, jobs: int) -> list[tuple[int, int]]:
     """Contiguous [lo, hi) ranges covering 0..count: one for one job, else about 8 per job."""
-    size = max(min_chunk, count // (jobs * 8)) if jobs > 1 else max(count, 1)
+    size = max(1, min_chunk, count if jobs == 1 else count // (jobs * 8))
     return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
@@ -416,8 +415,8 @@ def shape_sweep(
     sweep with vertex metrics serves edge-only requests too. Raises TooLarge
     for rs > SHAPE_MAX_BITS before any work.
     """
-    if not (1 <= r <= s):
-        raise ValueError(f"needs 1 <= r <= s, got r={r}, s={s}")
+    if type(r) is not int or type(s) is not int or not (1 <= r <= s):  # bool and float excluded
+        raise ValueError(f"needs ints 1 <= r <= s, got r={r!r}, s={s!r}")
     jobs = _resolve_jobs(jobs)
     key = (r, s)
     if use_cache and key in _SWEEP_CACHE:
@@ -656,42 +655,40 @@ def _attainment(claim: _Claim, sweep: ShapeSweep, m: int | None) -> AttainmentRe
     )
 
 
-# Claim workers: each takes one chunk of its claim's inputs and returns
-# (graphs checked, violations in input order); ``_run_claim`` merges them.
+# Claim workers: each takes one index range [lo, hi) of its claim and returns
+# (graphs checked, violations in index order).
 
 
-def _run_claim(worker, chunks: list, jobs: int) -> tuple[int, list[Violation]]:
-    checked = 0
-    violations: list[Violation] = []
-    for chunk_checked, chunk_violations in _run_chunked(worker, chunks, jobs):
-        checked += chunk_checked
-        violations += chunk_violations
-    return checked, violations
+def _cayley_subsets(lo: int, hi: int):
+    """The subsets S of Z_1, Z_2, ... numbered in order, those of Z_r from 2^r - 2 by S-mask: [lo, hi)."""
+    for i in range(lo + 2, hi + 2):
+        r = i.bit_length() - 1
+        yield CayleySubset(r, frozenset(a for a in range(r) if i >> a & 1))
 
 
-def _l21_chunk(tasks):
+def _l21_chunk(args):
+    lo, hi = args
     violations = []
-    for r, smask in tasks:
-        subset = CayleySubset(r, frozenset(a for a in range(r) if smask >> a & 1))
+    for subset in _cayley_subsets(lo, hi):
         g = bi_cayley(subset)
         if bipartite_complement(g) != bi_cayley(subset.complement()):
+            r = subset.modulus
             violations.append(
                 Violation("L2.1", "upper", "labeled_equality", r, r, len(subset.members), tuple(g.edges()), 0, 0)
             )
-    return len(tasks), violations
+    return hi - lo, violations
 
 
-def _l24_chunk(tasks):
+def _l24_chunk(args):
     checked = 0
     violations = []
-    for r, smask in tasks:
-        members = frozenset(a for a in range(r) if smask >> a & 1)
-        g = bi_cayley(CayleySubset(r, members))
+    for subset in _cayley_subsets(*args):
+        g = bi_cayley(subset)
         gc = bipartite_complement(g)
         if not (is_connected(g) and is_connected(gc)):
-            continue
+            continue  # every r = 1 subset stops here
         checked += 2
-        k = len(members)
+        r, k = subset.modulus, len(subset.members)
         for label, graph, expected in (("graph", g, k), ("complement", gc, r - k)):
             rows = graph.adjacency
             for what, kernel in (("delta", _min_degree), ("edge", edge_connectivity_value),
@@ -705,15 +702,16 @@ def _l24_chunk(tasks):
 
 
 _L25_SHAPE_MAX = 4  # parts drawn from 1..4, so trial graphs have at most 8 vertices
-_L25_CHUNK = 500  # trials per chunk: chunk i draws from seed * 1_000_003 + i, so the draws depend on it
+_L25_CHUNK = 500  # trials per block, block i drawn from seed * 1_000_003 + i: the draws depend on it, not on the chunks
 
 
 def _l25_chunk(args):
-    chunk_seed, count = args
-    rng = random.Random(chunk_seed)
+    lo, hi, seed, trials = args
     checked = 0
     violations = []
-    for _ in range(count):
+    for trial in range(lo * _L25_CHUNK, min(hi * _L25_CHUNK, trials)):
+        if trial % _L25_CHUNK == 0:
+            rng = random.Random(seed * 1_000_003 + trial // _L25_CHUNK)
         r = rng.randint(1, _L25_SHAPE_MAX)
         s = rng.randint(1, _L25_SHAPE_MAX)
         for _ in range(300):
@@ -780,16 +778,19 @@ def check_theorem(
     ``max_r`` scopes the Bi-Cayley claims (L2.1, L2.4), ``trials``/``seed``
     the randomized claim (L2.5), and ``max_n`` the exhaustive bound claims.
     Exit semantics: a report with an empty violations list means the claim
-    held everywhere it was evaluated. Raises ValueError for a negative
-    ``max_n``, ``max_r`` or ``trials``, and TooLarge, both before any work,
+    held everywhere it was evaluated. Raises ValueError for an argument
+    that is not an int or a negative ``max_n``, ``max_r`` or ``trials``,
+    and TooLarge, both before any work,
     for a ``max_r`` past the Bi-Cayley cap of 2^24 subsets (max_r <= 23)
     or, on a bound claim, a ``max_n`` whose largest shape has rs > 30
     (max_n <= 11).
     """
     if theorem not in THEOREM_IDS:
         raise UnknownTheorem(f"unknown claim id {theorem!r}; choose one of {THEOREM_IDS}")
-    for name, value in (("max_n", max_n), ("max_r", max_r), ("trials", trials)):
-        if value < 0:
+    for name, value in (("max_n", max_n), ("max_r", max_r), ("trials", trials), ("seed", seed)):
+        if type(value) is not int:  # bool and float excluded
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value < 0 and name != "seed":
             raise ValueError(f"{name} must be >= 0, got {value}")
     if max_r + 1 > BI_CAYLEY_MAX_BITS:  # the subsets S of Z_r over r = 1..max_r
         raise TooLarge(f"max_r = {max_r} takes 2^{max_r + 1} - 2 Bi-Cayley subsets, "
@@ -798,21 +799,20 @@ def check_theorem(
     started = time.perf_counter()
     attainment: list[AttainmentRecord] = []
     notes: list[str] = []
-    if theorem in ("L2.1", "L2.4"):
-        range_spec = {"max_r": max_r}
-        tasks = [(r, smask) for r in range(1, max_r + 1) for smask in range(1 << r)]
-        if theorem == "L2.1":
-            # Milliseconds of work: one inline chunk, no pool.
-            checked, violations = _run_claim(_l21_chunk, [tasks], jobs)
+    if theorem in ("L2.1", "L2.4", "L2.5"):
+        if theorem == "L2.5":
+            range_spec = {"trials": trials, "seed": seed, "max_part": _L25_SHAPE_MAX}
+            worker, count, min_chunk, extra = _l25_chunk, -(-trials // _L25_CHUNK), 1, (seed, trials)
         else:
-            tasks = tasks[2:]  # at r = 1 no pair is connected on both sides
-            chunks = [tasks[lo:hi] for lo, hi in _chunk_ranges(len(tasks), 16, jobs)]
-            checked, violations = _run_claim(_l24_chunk, chunks, jobs)
-    elif theorem == "L2.5":
-        range_spec = {"trials": trials, "seed": seed, "max_part": _L25_SHAPE_MAX}
-        starts = range(0, trials, _L25_CHUNK)
-        chunks = [(seed * 1_000_003 + i, min(_L25_CHUNK, trials - lo)) for i, lo in enumerate(starts)]
-        checked, violations = _run_claim(_l25_chunk, chunks, jobs)
+            range_spec = {"max_r": max_r}
+            count, extra = (1 << (max_r + 1)) - 2, ()  # the subsets S of Z_1..Z_max_r
+            # L2.1 is milliseconds of work: one inline chunk, no pool.
+            worker, min_chunk = (_l21_chunk, count) if theorem == "L2.1" else (_l24_chunk, 16)
+        checked, violations = 0, []
+        arg_sets = [(lo, hi, *extra) for lo, hi in _chunk_ranges(count, min_chunk, jobs)]
+        for chunk_checked, chunk_violations in _run_chunked(worker, arg_sets, jobs):
+            checked += chunk_checked
+            violations += chunk_violations
     else:
         range_spec = {"max_n": max_n}
         checked, violations, attainment = _bound_theorem_report(theorem, max_n, jobs)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bipcon import verifier
+from bipcon import cli, verifier
 from bipcon.bigraph import new_graph, parse_edge_list
 from bipcon.cli import EXIT_DOMAIN, EXIT_FILE, EXIT_OK, EXIT_USAGE, main
 from bipcon.verifier import THEOREM_IDS
@@ -150,6 +150,20 @@ def test_verify_all(capsys):
     status, out, _ = run(capsys, *argv, "--format", "json")
     assert status == EXIT_OK
     assert [report["theorem"] for report in json.loads(out)] == list(THEOREM_IDS)
+
+
+def test_verify_all_columns_line_up_at_any_count(capsys, monkeypatch):
+    # From --max-n 10 on the bound claims cover ten-digit counts.
+    def report(theorem, **kwargs):
+        checked = 1_413_148_494 if theorem.startswith("T") else 1_234_567
+        return verifier.TheoremReport(theorem, {}, checked, [], [], 0)
+
+    monkeypatch.setattr(cli, "check_theorem", report)
+    status, out, _ = run(capsys, "verify", "--theorem", "all", "--jobs", "1")
+    lines = out.splitlines()
+    assert status == EXIT_OK and len(lines) == len(THEOREM_IDS)
+    assert "graphs=1234567    wall=" in lines[0] and "graphs=1413148494 wall=" in lines[-1]
+    assert len({line.index("wall=") for line in lines}) == 1
 
 
 def test_scan_command(capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement, groupby, permutations
 from math import comb, factorial, gcd, prod
@@ -165,9 +166,15 @@ def test_shape_sweep_agrees_with_extremal_scan():
 
 def test_shape_sweep_checks_jobs_when_served_from_the_cache():
     shape_sweep(2, 3, jobs=1)
-    for jobs in (0, -5):
+    for jobs in (0, -5, 2.0, True):
         with pytest.raises(ValueError):
             shape_sweep(2, 3, jobs=jobs)
+    # A shape that is not ints is refused too, though it hashes like a cached one.
+    for r, s in ((2.0, 3.0), (2, 3.0), (True, 3)):
+        with pytest.raises(ValueError, match="needs ints"):
+            shape_sweep(r, s, jobs=1)
+    with pytest.raises(ValueError, match="jobs must be an int"):
+        extremal_scan(2, 3, 1, "sum_edge", jobs=2.0)
 
 
 def test_edge_only_sweep_matches_full_sweep():
@@ -578,6 +585,52 @@ def test_oversized_request_is_rejected_before_any_sweep(monkeypatch):
         check_theorem("T3.3", max_r=40, jobs=1)
     with pytest.raises(TooLarge, match="Bi-Cayley subsets"):
         check_theorem("L2.1", max_r=24, jobs=1)
+    # Arguments that are not ints (bool included), and negative counts.
+    monkeypatch.setattr(verifier, "_run_chunked", no_sweep)
+    for theorem, kwargs, message in (
+        ("L3.1", {"max_n": 5.0}, "max_n must be an int"),
+        ("T4.1", {"max_n": True}, "max_n must be an int"),
+        ("L2.4", {"max_r": 3.0}, "max_r must be an int"),
+        ("L2.5", {"trials": 600, "jobs": 2.0}, "jobs must be an int"),
+        ("L2.1", {"jobs": True}, "jobs must be an int"),
+        ("L2.5", {"trials": 1e4}, "trials must be an int"),
+        ("L2.5", {"seed": 1.5}, "seed must be an int"),
+        ("L2.5", {"seed": False}, "seed must be an int"),
+        ("L2.4", {"max_r": -1}, "max_r must be >= 0"),
+        ("L2.5", {"trials": -3}, "trials must be >= 0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            check_theorem(theorem, **kwargs)
+
+
+@pytest.mark.parametrize("theorem, kwargs, count", [
+    ("L2.1", {"max_r": 20}, (1 << 21) - 2),
+    ("L2.4", {"max_r": 20}, (1 << 21) - 2),
+    ("L2.5", {"trials": 10**7}, 10**7 // 500),
+])
+def test_enumerated_claims_hand_over_index_ranges(monkeypatch, theorem, kwargs, count):
+    # Bi-Cayley subsets and 500-trial blocks are numbered, never listed: the
+    # chunks are a few ranges covering [0, count), built in constant memory.
+    handed = []
+
+    def record(worker, arg_sets, jobs):
+        handed.extend(arg_sets)
+        return []
+
+    monkeypatch.setattr(verifier, "_run_chunked", record)
+    tracemalloc.start()
+    try:
+        report = check_theorem(theorem, jobs=2, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (report.graphs_checked, report.violations) == (0, [])
+    assert 1 <= len(handed) <= 8 * 2 + 1
+    assert theorem != "L2.1" or len(handed) == 1  # one inline chunk, no pool
+    ranges = [args[:2] for args in handed]
+    assert ranges[0][0] == 0 and ranges[-1][1] == count
+    assert all(lo < hi == next_lo for (lo, hi), (next_lo, _) in zip(ranges, ranges[1:]))
 
 
 def test_huge_max_n_is_refused_before_the_shapes_are_listed(monkeypatch):
@@ -779,8 +832,9 @@ def test_check_theorem_bicayley_complement():
 def test_check_theorem_maximal_connectivity():
     report = check_theorem("L2.4", max_r=5, jobs=1)
     assert report.violations == []
-    # r = 1 gives no task at all, for any worker count.
+    # No r = 1 pair is connected on both sides, for any worker count.
     assert check_theorem("L2.4", max_r=1, jobs=1).graphs_checked == 0
+    assert check_theorem("L2.4", max_r=1, jobs=2).graphs_checked == 0
 
 
 def test_check_theorem_vertex_addition():
@@ -813,6 +867,27 @@ def test_t41_attainment_flags_degenerate_cell():
     assert not record.attained
     assert record.witness_family is None
     assert report.exit_status == 0  # recorded, not a violation
+
+
+def test_bound_claims_miss_exactly_the_proved_cells():
+    # The README proves each miss: at r = 2 no graph and its complement are
+    # both connected, nor at (2, s, s) either one; at r = 3 no pair has one
+    # side 2-edge-connected and the other connected.
+    product_misses = [(2, s) for s in range(2, 7)] + [(3, 3), (3, 4), (3, 5)]
+    expected = {
+        "L3.1": [],
+        "T3.2": [(r, s, None, "prod_edge", "upper") for r, s in product_misses],
+        "T3.3": [(r, s, None, "prod_vertex", "upper") for r, s in product_misses],
+        "T4.1": [(2, s, s, "sum_edge", "upper") for s in range(2, 7)],
+        "T4.2": [],
+        "T4.3": [(2, s, s, "sum_vertex", "upper") for s in range(2, 7)],
+    }
+    for theorem, cells in expected.items():
+        report = check_theorem(theorem, max_n=8, jobs=2)
+        missed = [a for a in report.attainment if not a.attained]
+        assert [(a.r, a.s, a.m, a.metric, a.bound) for a in missed] == cells, theorem
+        assert all(a.enumerated < a.formula for a in missed), theorem
+        assert all(a.enumerated == 0 for a in missed if a.r == 2), theorem
 
 
 def test_attainment_witnesses_match_enumerated_extremes():
