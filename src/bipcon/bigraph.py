@@ -13,7 +13,8 @@ that breaks a bound once, on its smallest mask.
 
 The sweeps also pack a graph into one r*s-bit mask, bit i*s + j for the
 edge x_{i+1} y_{j+1}, so that its complement is an XOR; ``rows_of`` and
-``mask_of`` are the one definition of that layout.
+``mask_of`` are the one definition of that layout, and ``attach_vertex``
+the one place that grows rows by a vertex.
 
 Everything in this module is a pure function over immutable values, safe to
 share between worker processes.
@@ -29,7 +30,7 @@ from .errors import DuplicateEdge, EmptyPart, IndexOutOfRange
 def rows_of(r: int, s: int, mask: int) -> tuple[int, ...]:
     """The r bit rows of a packed r*s-bit mask; row i is bits i*s .. i*s + s - 1."""
     smask = (1 << s) - 1
-    return tuple((mask >> (i * s)) & smask for i in range(r))
+    return tuple([mask >> i * s & smask for i in range(r)])
 
 
 def mask_of(s: int, rows: tuple[int, ...]) -> int:
@@ -165,33 +166,45 @@ def graphs_equal(g1: BipartiteGraph, g2: BipartiteGraph) -> bool:
     return g1 == g2
 
 
+def attach_vertex(r: int, s: int, rows: tuple[int, ...], side: str, attach: int) -> tuple[int, int, tuple[int, ...]]:
+    """(r', s', rows') after adding one vertex to the ``side`` part.
+
+    Bit i of ``attach`` joins the new vertex to x_{i+1} when ``side`` is
+    "right" (it becomes y_{s+1}, bit s of each row) and to y_{i+1} when it
+    is "left" (it becomes x_{r+1}, the new last row). Unchecked: the
+    callers validate ``attach``.
+    """
+    if side == "right":
+        return r, s + 1, tuple([row | (attach >> i & 1) << s for i, row in enumerate(rows)])
+    return r + 1, s, rows + (attach,)
+
+
 def add_right_vertex(g: BipartiteGraph, neighbors: list[int] | tuple[int, ...]) -> BipartiteGraph:
     """Append y_{s+1} adjacent to the given 1-based X indices."""
     r, s = g.left_size, g.right_size
-    rows = list(g.adjacency)
-    seen = set()
+    attach = 0
     for i in neighbors:
         if not (1 <= i <= r):
             raise IndexOutOfRange(f"left index {i} outside [1,{r}]")
-        if i in seen:
+        bit = 1 << (i - 1)
+        if attach & bit:
             raise DuplicateEdge(f"left index {i} given twice")
-        seen.add(i)
-        rows[i - 1] |= 1 << s
-    return BipartiteGraph(r, s + 1, tuple(rows))
+        attach |= bit
+    return BipartiteGraph(*attach_vertex(r, s, g.adjacency, "right", attach))
 
 
 def add_left_vertex(g: BipartiteGraph, neighbors: list[int] | tuple[int, ...]) -> BipartiteGraph:
     """Append x_{r+1} adjacent to the given 1-based Y indices."""
     r, s = g.left_size, g.right_size
-    row = 0
+    attach = 0
     for j in neighbors:
         if not (1 <= j <= s):
             raise IndexOutOfRange(f"right index {j} outside [1,{s}]")
         bit = 1 << (j - 1)
-        if row & bit:
+        if attach & bit:
             raise DuplicateEdge(f"right index {j} given twice")
-        row |= bit
-    return BipartiteGraph(r + 1, s, g.adjacency + (row,))
+        attach |= bit
+    return BipartiteGraph(*attach_vertex(r, s, g.adjacency, "left", attach))
 
 
 # --- interchange formats ---------------------------------------------------

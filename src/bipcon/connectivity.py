@@ -11,7 +11,7 @@ disconnected graph returns 0 at once.
 
 Both take their pairs from one part, by one fact: in a connected bipartite
 graph, each side of a cut smaller than delta holds vertices of both parts
-(the proofs are in ``_edge_min_cut`` and ``_vertex_min_cut``). So edge
+(the proofs are in ``_edge_core`` and ``_vertex_core``). So edge
 connectivity needs only the flows from one vertex of the smaller part to
 the other vertices of that part: Matula's dominating-set argument
 ("Determining edge connectivity in O(nm)", FOCS 1987), each part of a
@@ -36,6 +36,15 @@ best value so far, so a pair with that many paths could change neither the
 value nor the cut, and skipping it leaves both exactly as running every
 flow would. On uniform random graphs nearly all pairs are settled this way,
 since nearly all have k = delta.
+
+The two minimizations share their prework, ``_connected_masks``: the row
+closure, then the adjacency masks and the degree list of a connected graph.
+Each kernel is that prework plus its minimizing core, ``_edge_core`` or
+``_vertex_core``, and no minimization is written twice. A sweep that needs
+delta, k' and k of one graph calls ``_joint_values``, which runs the
+prework once and both cores on it; it takes no shortcut from k = delta to
+k' = delta, so each flow value is still computed, and audited where an
+oracle runs.
 
 Both report a certificate, a concrete cut whose removal disconnects the
 graph or leaves one vertex. When the minimum is below delta, the cut is read
@@ -253,8 +262,21 @@ def _last_of_degree(degrees: list[int], degree: int) -> int:
     return len(degrees) - 1 - degrees[::-1].index(degree)
 
 
-def _edge_min_cut(r: int, s: int, rows: tuple[int, ...]) -> tuple[int, int, list[int]]:
-    """(edge connectivity, reach, degrees).
+def _connected_masks(r: int, s: int, rows: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """(adjacency masks, degrees) of a connected graph, the prework both min cuts share.
+
+    Both are empty when the row closure finds the graph disconnected or a
+    single vertex, so no masks are built for it; every kernel then returns
+    0 or the ``disconnected`` certificate.
+    """
+    if not _rows_connected(r, s, rows):
+        return [], []
+    adj = _adjacency_masks(r, s, rows)
+    return adj, [nbrs.bit_count() for nbrs in adj]
+
+
+def _edge_core(r: int, s: int, adj: list[int], degrees: list[int]) -> tuple[int, int]:
+    """(edge connectivity, reach) of a connected graph from its masks and degrees.
 
     Minimizes the flow from the first vertex of the smaller part P (X on a
     tie) to the next |P| - delta vertices of P, starting from the minimum
@@ -277,13 +299,8 @@ def _edge_min_cut(r: int, s: int, rows: tuple[int, ...]) -> tuple[int, int, list
     at best, would reach best and change neither best nor reach, so values
     and cuts are those of running every flow. reach is the source side of
     the cut of the first sink that attains the minimum, and 0 when no flow
-    goes below delta. degrees, one per vertex, is left empty when the graph
-    is disconnected or a single vertex.
+    goes below delta.
     """
-    if not _rows_connected(r, s, rows):
-        return 0, 0, []
-    adj = _adjacency_masks(r, s, rows)
-    degrees = [nbrs.bit_count() for nbrs in adj]
     best = min(degrees)
     cut = 0
     source, part = (0, r) if r <= s else (r, s)
@@ -297,12 +314,13 @@ def _edge_min_cut(r: int, s: int, rows: tuple[int, ...]) -> tuple[int, int, list
                 best, cut = f, reach
                 if best == 1:
                     break
-    return best, cut, degrees
+    return best, cut
 
 
 def edge_connectivity_value(r: int, s: int, rows: tuple[int, ...]) -> int:
     """Edge connectivity by bitset max-flow seeded with delta (no certificate)."""
-    return _edge_min_cut(r, s, rows)[0]
+    adj, degrees = _connected_masks(r, s, rows)
+    return _edge_core(r, s, adj, degrees)[0] if adj else 0
 
 
 def edge_connectivity(g: BipartiteGraph) -> ConnectivityResult:
@@ -316,9 +334,10 @@ def edge_connectivity(g: BipartiteGraph) -> ConnectivityResult:
     if g.n < 2:
         raise TooSmall("edge connectivity needs at least two vertices")
     r, s, rows = g.left_size, g.right_size, g.adjacency
-    best, reach, degrees = _edge_min_cut(r, s, rows)
-    if best == 0:
+    adj, degrees = _connected_masks(r, s, rows)
+    if not adj:
         return ConnectivityResult(0, "disconnected")
+    best, reach = _edge_core(r, s, adj, degrees)
     if reach:
         cut = []
         for i in range(r):
@@ -356,8 +375,8 @@ def _split_network(n: int, adj: list[int]) -> tuple[list[int], list[int]]:
     return arcs, free
 
 
-def _vertex_min_cut(r: int, s: int, rows: tuple[int, ...]) -> tuple[int, int, list[int], list[int]]:
-    """(vertex connectivity, reach in the split network, adjacency masks, degrees).
+def _vertex_core(r: int, s: int, adj: list[int], degrees: list[int]) -> tuple[int, int]:
+    """(vertex connectivity, reach in the split network) of a connected graph from its masks and degrees.
 
     Starts from the minimum degree delta (k <= delta) and minimizes the flow
     from out(a) to in(b) over these pairs: with v the first vertex of degree
@@ -378,14 +397,9 @@ def _vertex_min_cut(r: int, s: int, rows: tuple[int, ...]) -> tuple[int, int, li
     reach, so values and cuts are those of running every flow. The split
     network is built for the first pair that needs a flow. reach is the
     source side of the cut of the first pair that attains the minimum, and 0
-    when no flow goes below delta. The masks and degrees are left empty when
-    the graph is disconnected or a single vertex.
+    when no flow goes below delta.
     """
-    if not _rows_connected(r, s, rows):
-        return 0, 0, [], []
     n = r + s
-    adj = _adjacency_masks(r, s, rows)
-    degrees = [nbrs.bit_count() for nbrs in adj]
     best = min(degrees)
     cut = 0
     if best > 1:
@@ -404,12 +418,29 @@ def _vertex_min_cut(r: int, s: int, rows: tuple[int, ...]) -> tuple[int, int, li
                 best, cut = f, reach
                 if best == 1:
                     break
-    return best, cut, adj, degrees
+    return best, cut
 
 
 def vertex_connectivity_value(r: int, s: int, rows: tuple[int, ...]) -> int:
     """Vertex connectivity on the split-vertex network, seeded with delta (no certificate)."""
-    return _vertex_min_cut(r, s, rows)[0]
+    adj, degrees = _connected_masks(r, s, rows)
+    return _vertex_core(r, s, adj, degrees)[0] if adj else 0
+
+
+def _joint_values(r: int, s: int, rows: tuple[int, ...]) -> tuple[int, int, int]:
+    """(delta, edge connectivity, vertex connectivity) from one shared prework (needs r, s >= 1).
+
+    One row closure, one set of adjacency masks and one degree list serve
+    all three, and the values are those of ``_min_degree``,
+    ``edge_connectivity_value`` and ``vertex_connectivity_value``. Each
+    minimization runs in full: k' is minimized even where k = delta forces
+    k' = delta, so an audit checks both flows. A disconnected graph builds
+    no masks; its delta comes from ``_min_degree``.
+    """
+    adj, degrees = _connected_masks(r, s, rows)
+    if not adj:
+        return _min_degree(r, s, rows), 0, 0
+    return min(degrees), _edge_core(r, s, adj, degrees)[0], _vertex_core(r, s, adj, degrees)[0]
 
 
 def vertex_connectivity(g: BipartiteGraph) -> ConnectivityResult:
@@ -425,10 +456,11 @@ def vertex_connectivity(g: BipartiteGraph) -> ConnectivityResult:
     n = g.n
     if n < 2:
         raise TooSmall("vertex connectivity needs at least two vertices")
-    r = g.left_size
-    best, reach, adj, degrees = _vertex_min_cut(r, g.right_size, g.adjacency)
-    if best == 0:
+    r, s = g.left_size, g.right_size
+    adj, degrees = _connected_masks(r, s, g.adjacency)
+    if not adj:
         return ConnectivityResult(0, "disconnected")
+    best, reach = _vertex_core(r, s, adj, degrees)
     if reach:
         cut = [v for v in range(n) if (reach >> (2 * v) & 1) and not (reach >> (2 * v + 1) & 1)]
     else:

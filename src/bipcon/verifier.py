@@ -44,6 +44,22 @@ its side with fewer edges (the smaller mask on a tie): on the labeled walk
 a graph or its complement, on the class walk the smallest mask of a class
 or of its complement class, which stands for all their labeled graphs.
 
+The kernels each run calls, per graph:
+
+* a sweep with vertex metrics needs delta, k' and k and calls
+  ``connectivity._joint_values`` once, one row closure, one set of
+  adjacency masks and one degree list for all three: at eight vertices and
+  below its delta fills the delta cells and its k' and k are the flows
+  audited against ``edge_oracle_value`` and ``vertex_oracle_value``, whose
+  values fill the cells; from nine vertices on it supplies all three;
+* an edge-only sweep calls ``_min_degree`` and ``edge_connectivity_value``
+  (audited against the edge oracle up to eight vertices), and a fixed-m
+  scan the one kernel of its metric, the oracle up to eight vertices;
+* L2.4 calls ``_min_degree``, ``edge_connectivity_value`` and
+  ``vertex_connectivity_value`` separately, and L2.5 keeps each trial graph
+  as packed rows and calls ``edge_connectivity_value`` twice per checked
+  trial, before and after the vertex is attached.
+
 Every sweep and scan is held to one cap on its shape, rs <= 30, checked
 before any work; ``check_theorem`` checks it on the largest shape within
 ``max_n`` before it lists the shapes, so full sweeps run through n = 11.
@@ -78,9 +94,10 @@ from multiprocessing import Pool
 from operator import add, attrgetter, mul
 from typing import Callable
 
-from .bigraph import BipartiteGraph, add_left_vertex, add_right_vertex, bipartite_complement, rows_of
+from .bigraph import BipartiteGraph, attach_vertex, bipartite_complement, rows_of
 from .bounds import M_upper, N_upper, ParameterTriple, delta_bounds, sum_lower_sized
 from .connectivity import (
+    _joint_values,
     _min_degree,
     _rows_connected,
     edge_connectivity_value,
@@ -101,6 +118,7 @@ from .errors import NoWitness, PreconditionViolated, TooLarge, UnknownTheorem
 
 SHAPE_MAX_BITS = 30
 BI_CAYLEY_MAX_BITS = 24
+L25_MAX_TRIALS = 1 << 24
 ORACLE_BACKEND_MAX_VERTICES = 8
 
 METRIC_IDS = ("sum_edge", "prod_edge", "sum_vertex", "prod_vertex")
@@ -217,7 +235,7 @@ def _fold(cells: list, m: int, max_value: int, max_mask: int, min_value: int, mi
     cell[4] += count
 
 
-_KINDS = ("edge", "vertex", "delta")
+_KINDS = ("delta", "edge", "vertex")  # the order of ``_joint_values``
 
 
 def _chunk(args):
@@ -240,9 +258,11 @@ def _chunk(args):
     and a pair that breaks one is reported once, on the item's mask or its
     complement class's, whichever has fewer edges (the smaller on a tie),
     so the raw violations come in walk order. Only the kernels the metrics
-    need run (edge pair, vertex pair, minimum degree). At r + s <= 8 the
-    connectivity kernels are the brute-force oracles, on either source, and
-    pair ranges cross-check them against max-flow graph by graph.
+    need run (minimum degree, edge pair, vertex pair), and a sweep that
+    needs all three runs ``_joint_values`` once per graph instead. At r + s
+    <= 8 the connectivity kernels are the brute-force oracles, on either
+    source, and pair ranges cross-check them against max-flow graph by
+    graph: the joint pass's k' and k when it runs, else the value kernels.
 
     Returns (graphs covered, classes covered, cells, raw violations as
     (theorem, side, metric, m, subject mask, observed, bound), mismatches).
@@ -254,6 +274,10 @@ def _chunk(args):
     flow = {"edge": edge_connectivity_value, "vertex": vertex_connectivity_value, "delta": _min_degree}
     oracle = {"edge": edge_oracle_value, "vertex": vertex_oracle_value, "delta": _min_degree}
     kinds = [kind for kind in _KINDS if any(metric.endswith(kind) for metric in metrics)]
+    # A sweep of every kind runs one joint pass per graph instead of the
+    # three flow kernels: its delta is always a value, its k' and k are the
+    # values on the flow path and the flows audited against the oracles.
+    joint = len(kinds) == len(_KINDS)
     kernels = [(oracle if use_oracle else flow)[kind] for kind in kinds]
     cross = []  # (kind, index in kinds, flow kernel) to check against the oracle
     if use_oracle and not orbits:
@@ -283,11 +307,16 @@ def _chunk(args):
         cmask = full ^ mask
         rows = rows_of(r, s, mask)
         rows_c = rows_of(r, s, cmask)
-        pairs = [(fn(r, s, rows), fn(r, s, rows_c)) for fn in kernels]
+        if joint:
+            flows = pairs = list(zip(_joint_values(r, s, rows), _joint_values(r, s, rows_c)))
+            if use_oracle:  # the oracles' k' and k are the values, the joint pass's are audited
+                pairs = flows[:1] + [(fn(r, s, rows), fn(r, s, rows_c)) for fn in kernels[1:]]
+        else:
+            pairs = [(fn(r, s, rows), fn(r, s, rows_c)) for fn in kernels]
         if cross:
             for side, side_mask, side_rows in ((0, mask, rows), (1, cmask, rows_c)):
                 for kind, i, fn in cross:
-                    flow_value = fn(r, s, side_rows)
+                    flow_value = flows[i][side] if joint else fn(r, s, side_rows)
                     if flow_value != pairs[i][side]:
                         mismatches.append((side_mask, kind, flow_value, pairs[i][side]))
         values = [op(*pairs[i]) for i, op in ops]
@@ -706,29 +735,41 @@ _L25_CHUNK = 500  # trials per block, block i drawn from seed * 1_000_003 + i: t
 
 
 def _l25_chunk(args):
+    """Check the vertex-addition claim on the trials of blocks [lo, hi).
+
+    A trial draws a shape, then up to 300 masks until one is connected, and
+    attaches a vertex with at least k' edges to it. Each drawn mask is
+    unpacked and tested by ``_rows_connected`` once per chunk: ``seen``
+    keeps its rows, or () when it is disconnected. A graph is built only
+    for a violation.
+    """
     lo, hi, seed, trials = args
     checked = 0
     violations = []
+    seen: dict[tuple[int, int, int], tuple[int, ...]] = {}
     for trial in range(lo * _L25_CHUNK, min(hi * _L25_CHUNK, trials)):
         if trial % _L25_CHUNK == 0:
             rng = random.Random(seed * 1_000_003 + trial // _L25_CHUNK)
         r = rng.randint(1, _L25_SHAPE_MAX)
         s = rng.randint(1, _L25_SHAPE_MAX)
         for _ in range(300):
-            rows = rows_of(r, s, rng.getrandbits(r * s))
-            if _rows_connected(r, s, rows):
+            key = r, s, rng.getrandbits(r * s)
+            rows = seen.get(key)
+            if rows is None:
+                rows = rows_of(*key)
+                rows = seen[key] = rows if _rows_connected(r, s, rows) else ()
+            if rows:
                 break
         else:
             continue
         checked += 1
-        g = BipartiteGraph(r, s, rows)
         k = edge_connectivity_value(r, s, rows)
         side = "right" if rng.random() < 0.5 else "left"
         opposite = r if side == "right" else s
         neighbors = sorted(rng.sample(range(1, opposite + 1), rng.randint(k, opposite)))
-        extended = (add_right_vertex if side == "right" else add_left_vertex)(g, neighbors)
-        after = edge_connectivity_value(extended.left_size, extended.right_size, extended.adjacency)
+        after = edge_connectivity_value(*attach_vertex(r, s, rows, side, sum(1 << (v - 1) for v in neighbors)))
         if after < k:
+            g = BipartiteGraph(r, s, rows)
             violations.append(
                 Violation("L2.5", "lower", f"attach_{side}:{','.join(map(str, neighbors))}",
                           r, s, g.edge_count, tuple(g.edges()), after, k)
@@ -781,9 +822,9 @@ def check_theorem(
     held everywhere it was evaluated. Raises ValueError for an argument
     that is not an int or a negative ``max_n``, ``max_r`` or ``trials``,
     and TooLarge, both before any work,
-    for a ``max_r`` past the Bi-Cayley cap of 2^24 subsets (max_r <= 23)
-    or, on a bound claim, a ``max_n`` whose largest shape has rs > 30
-    (max_n <= 11).
+    for a ``max_r`` past the Bi-Cayley cap of 2^24 subsets (max_r <= 23),
+    for more than 2^24 ``trials``, or, on a bound claim, a ``max_n`` whose
+    largest shape has rs > 30 (max_n <= 11).
     """
     if theorem not in THEOREM_IDS:
         raise UnknownTheorem(f"unknown claim id {theorem!r}; choose one of {THEOREM_IDS}")
@@ -795,6 +836,8 @@ def check_theorem(
     if max_r + 1 > BI_CAYLEY_MAX_BITS:  # the subsets S of Z_r over r = 1..max_r
         raise TooLarge(f"max_r = {max_r} takes 2^{max_r + 1} - 2 Bi-Cayley subsets, "
                        f"more than the cap of 2^{BI_CAYLEY_MAX_BITS}")
+    if trials > L25_MAX_TRIALS:
+        raise TooLarge(f"trials = {trials} is more than the cap of {L25_MAX_TRIALS} vertex-addition trials")
     jobs = _resolve_jobs(jobs)
     started = time.perf_counter()
     attainment: list[AttainmentRecord] = []

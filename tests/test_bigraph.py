@@ -7,6 +7,7 @@ from bipcon.bigraph import (
     BipartiteGraph,
     add_left_vertex,
     add_right_vertex,
+    attach_vertex,
     bipartite_complement,
     degrees,
     format_edge_list,
@@ -110,9 +111,10 @@ def test_mask_round_trip():
     g = new_graph(3, 4, [(1, 2), (2, 4), (3, 1)])
     assert BipartiteGraph.from_mask(3, 4, g.mask) == g
     # The packed layout: bit i*s + j is the edge x_{i+1} y_{j+1}, for every
-    # (2,3) mask and a few of other shapes, r = 1 and s = 1 included.
+    # (2,3) mask and a few of other shapes, r = 1 and s = 1 included, and
+    # an empty part on either side.
     for r, s, masks in ((2, 3, range(1 << 6)), (3, 4, (0, 0b1010_0110_0001, (1 << 12) - 1)),
-                        (1, 5, (0b10110,)), (4, 1, (0b1001,))):
+                        (1, 5, (0b10110,)), (4, 1, (0b1001,)), (3, 0, (0,)), (0, 2, (0,))):
         for mask in masks:
             rows = rows_of(r, s, mask)
             assert mask_of(s, rows) == mask
@@ -175,6 +177,22 @@ def test_add_vertices():
     assert taller.has_edge(3, 2)
     with pytest.raises(IndexOutOfRange):
         add_right_vertex(g, [5])
+    for add in (add_right_vertex, add_left_vertex):
+        with pytest.raises(DuplicateEdge):
+            add(g, [1, 1])
+
+
+def test_attach_vertex_grows_the_packed_rows():
+    # Every (2,3) graph with every neighbor set of a new y_4 or x_3: the rows
+    # hold exactly the old edges plus those of the new vertex.
+    for mask in range(1 << 6):
+        g = BipartiteGraph.from_mask(2, 3, mask)
+        for attach in range(1 << 2):
+            grown = BipartiteGraph(*attach_vertex(2, 3, g.adjacency, "right", attach))
+            assert grown.edges() == sorted(g.edges() + [(i + 1, 4) for i in range(2) if attach >> i & 1])
+        for attach in range(1 << 3):
+            grown = BipartiteGraph(*attach_vertex(2, 3, g.adjacency, "left", attach))
+            assert grown.edges() == g.edges() + [(3, j + 1) for j in range(3) if attach >> j & 1]
 
 
 @given(graphs())

@@ -11,11 +11,13 @@ from bipcon.bigraph import (
     bipartite_complement,
     degrees,
     new_graph,
+    rows_of,
 )
 from bipcon import connectivity
 from bipcon.connectivity import (
     ConnectivityResult,
     _adjacency_masks,
+    _joint_values,
     _min_degree,
     _short_paths,
     _split_network,
@@ -551,6 +553,23 @@ def _seeded_graphs(seed, count, smallest, largest):
         s = n - r
         density = rng.choice((0.2, 0.4, 0.6, 0.8, 0.95))
         yield BipartiteGraph.from_mask(r, s, sum(1 << bit for bit in range(r * s) if rng.random() < density))
+
+
+def test_joint_kernel_equals_the_three_kernels():
+    # Every labeled graph with r + s <= 8, r > s included, then 300 seeded
+    # graphs of 9 to 16 vertices, each with its complement.
+    def separate(r, s, rows):
+        return _min_degree(r, s, rows), edge_connectivity_value(r, s, rows), vertex_connectivity_value(r, s, rows)
+
+    for r in range(1, 8):
+        for s in range(1, 9 - r):
+            for mask in range(1 << (r * s)):
+                rows = rows_of(r, s, mask)
+                assert _joint_values(r, s, rows) == separate(r, s, rows), (r, s, mask)
+    for g in _seeded_graphs(916, 300, 9, 16):
+        for h in (g, bipartite_complement(g)):
+            r, s, rows = h.left_size, h.right_size, h.adjacency
+            assert _joint_values(r, s, rows) == separate(r, s, rows), h
 
 
 def test_skipping_pairs_leaves_values_and_certificates_unchanged(monkeypatch):

@@ -43,7 +43,7 @@ def test_oracles_share_no_code_with_the_flow_path():
     # The oracles cross-check the max-flow kernels, so neither may reach any
     # of their helpers, directly or through a helper of its own.
     flow_path = {"_adjacency_masks", "_rows_connected", "_min_degree", "_unit_flow",
-                 "_split_network", "_edge_min_cut", "_vertex_min_cut"}
+                 "_split_network", "_connected_masks", "_edge_core", "_vertex_core", "_joint_values"}
     assert all(callable(getattr(connectivity, name, None)) for name in flow_path)
     for oracle in ("edge_oracle_value", "vertex_oracle_value"):
         reached, todo = set(), [oracle]

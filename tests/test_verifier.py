@@ -14,7 +14,8 @@ from graphtools import components_count
 from bipcon import orbits, verifier
 from bipcon.bigraph import BipartiteGraph, bipartite_complement, mask_of, new_graph, rows_of
 from bipcon.bounds import M_upper, ParameterTriple
-from bipcon.connectivity import edge_connectivity_value, edge_oracle_value, vertex_connectivity_value
+from bipcon import cli
+from bipcon.connectivity import edge_connectivity_value, edge_oracle_value, vertex_connectivity_value, vertex_oracle_value
 from bipcon.constructions import BoundGoal, CayleySubset, WitnessFamilyId, bi_cayley, dispatch_witness
 from bipcon.errors import InvalidTriple, TooLarge, UnknownTheorem
 from bipcon.verifier import (
@@ -585,8 +586,13 @@ def test_oversized_request_is_rejected_before_any_sweep(monkeypatch):
         check_theorem("T3.3", max_r=40, jobs=1)
     with pytest.raises(TooLarge, match="Bi-Cayley subsets"):
         check_theorem("L2.1", max_r=24, jobs=1)
-    # Arguments that are not ints (bool included), and negative counts.
+    # More trials than the cap, from any claim; 10**7 stays admitted.
     monkeypatch.setattr(verifier, "_run_chunked", no_sweep)
+    for theorem in ("L2.5", "T3.3"):
+        with pytest.raises(TooLarge, match="trials = 16777217 is more than the cap of 16777216"):
+            check_theorem(theorem, trials=2**24 + 1, jobs=1)
+    assert cli.main(["verify", "--theorem", "L2.5", "--trials", "1000000000"]) == 65
+    # Arguments that are not ints (bool included), and negative counts.
     for theorem, kwargs, message in (
         ("L3.1", {"max_n": 5.0}, "max_n must be an int"),
         ("T4.1", {"max_n": True}, "max_n must be an int"),
@@ -722,6 +728,22 @@ def test_maximal_connectivity_fault_reports_each_shifted_value(monkeypatch, jobs
     assert report.violations == expected
 
 
+def _shifted_flow_violations(theorem, kind):
+    """The oracle violations of ``theorem`` at max-n 5 when the ``kind`` flow is one high on graphs whose last row is 1 mod 3."""
+    oracle = edge_oracle_value if kind == "edge" else vertex_oracle_value
+    expected = []
+    for r, s in shapes_within(5):
+        full = (1 << (r * s)) - 1
+        for mask in range(1 << (r * s - 1)):
+            for subject in (mask, full ^ mask):
+                g = BipartiteGraph.from_mask(r, s, subject)
+                if g.adjacency[-1] % 3 == 1:
+                    value = oracle(r, s, g.adjacency)
+                    expected.append(Violation(theorem, "oracle", f"{kind}_flow", r, s, subject.bit_count(),
+                                              tuple(g.edges()), value + 1, value))
+    return expected
+
+
 def test_flow_oracle_mismatch_is_a_violation_of_every_edge_claim(monkeypatch):
     # Edge max-flow one high on graphs whose last row is 1 mod 3. Up to eight
     # vertices the values come from the oracles and the flows only audit
@@ -730,22 +752,40 @@ def test_flow_oracle_mismatch_is_a_violation_of_every_edge_claim(monkeypatch):
     monkeypatch.setattr(verifier, "edge_connectivity_value",
                         lambda r, s, rows: real(r, s, rows) + (rows[-1] % 3 == 1))
     monkeypatch.setattr(verifier, "_SWEEP_CACHE", {})
-    expected = []
-    for r, s in shapes_within(5):
-        full = (1 << (r * s)) - 1
-        for mask in range(1 << (r * s - 1)):
-            for subject in (mask, full ^ mask):
-                g = BipartiteGraph.from_mask(r, s, subject)
-                if g.adjacency[-1] % 3 == 1:
-                    value = edge_oracle_value(r, s, g.adjacency)
-                    expected.append(Violation("T3.2", "oracle", "edge_flow", r, s, subject.bit_count(),
-                                              tuple(g.edges()), value + 1, value))
+    expected = _shifted_flow_violations("T3.2", "edge")
     report = check_theorem("T3.2", max_n=5, jobs=1)
     assert expected and report.violations == expected
     assert report.exit_status == 2
     assert [dataclasses.replace(v, theorem="T3.2") for v in check_theorem("T4.1", max_n=5, jobs=1).violations] == expected
     for theorem in ("L3.1", "T3.3"):
         assert check_theorem(theorem, max_n=5, jobs=1).violations == [], theorem
+
+
+@pytest.mark.parametrize("kind, served", [("edge", "T3.2"), ("vertex", "T4.3")])
+def test_joint_flow_oracle_mismatch_is_a_violation_of_every_claim_on_its_kernel(monkeypatch, kind, served):
+    # The joint pass's k' or k one high on graphs whose last row is 1 mod 3.
+    # T3.3 sweeps every metric, so its sweeps take all three values from the
+    # joint pass and must audit its flows; a claim served from those cached
+    # sweeps reports the same mismatches as a sweep of its own would.
+    real = verifier._joint_values
+    shift = (0, 1, 0) if kind == "edge" else (0, 0, 1)  # (delta, k', k)
+
+    def faulty(r, s, rows):
+        values = real(r, s, rows)
+        return tuple(v + d for v, d in zip(values, shift)) if rows[-1] % 3 == 1 else values
+
+    def no_scan(*args):
+        raise AssertionError("swept again instead of serving the cached sweep")
+
+    monkeypatch.setattr(verifier, "_joint_values", faulty)
+    monkeypatch.setattr(verifier, "_SWEEP_CACHE", {})
+    first = check_theorem("T3.3", max_n=5, jobs=1)
+    monkeypatch.setattr(verifier, "_scan", no_scan)
+    report = check_theorem(served, max_n=5, jobs=1)
+    expected = _shifted_flow_violations(served, kind)
+    assert expected and report.violations == expected
+    assert first.violations == ([] if kind == "edge" else _shifted_flow_violations("T3.3", kind))
+    assert check_theorem("L3.1", max_n=5, jobs=1).violations == []
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
