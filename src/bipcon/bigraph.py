@@ -16,6 +16,15 @@ edge x_{i+1} y_{j+1}, so that its complement is an XOR; ``rows_of`` and
 ``mask_of`` are the one definition of that layout, and ``attach_vertex``
 the one place that grows rows by a vertex.
 
+A graph carries one cached attribute that is not a dataclass field,
+``prework``: (connected, neighbour mask per vertex, degree per vertex),
+built on first use with ``functools.cached_property`` and then shared by
+both connectivity certificates and ``degrees``. It takes no part in
+equality, hashing, ``repr`` or ``asdict``. The two helpers it rests on,
+``_rows_connected`` (a row closure that builds no masks) and
+``_adjacency_masks``, are also the prework of the connectivity kernels that
+take bare rows.
+
 Everything in this module is a pure function over immutable values, safe to
 share between worker processes.
 """
@@ -23,6 +32,7 @@ share between worker processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DuplicateEdge, EmptyPart, IndexOutOfRange
 
@@ -39,6 +49,43 @@ def mask_of(s: int, rows: tuple[int, ...]) -> int:
     for i in range(len(rows)):
         mask |= rows[i] << (i * s)
     return mask
+
+
+def _adjacency_masks(r: int, s: int, rows: tuple[int, ...]) -> list[int]:
+    """Neighbor bitmask per combined vertex index: x_{i+1} is i, y_{j+1} is r + j."""
+    adj = [0] * (r + s)
+    for i in range(r):
+        row = rows[i]
+        adj[i] = row << r
+        while row:
+            low = row & -row
+            adj[r + low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return adj
+
+
+def _rows_connected(r: int, s: int, rows: tuple[int, ...]) -> bool:
+    """True iff the graph is connected and has at least two vertices.
+
+    Grows the set of columns reached from row 0 and absorbs every row that
+    meets it. The graph is connected iff every row is absorbed and every
+    column is covered, so no adjacency masks are built.
+    """
+    if not (r and s):
+        return False
+    cols = rows[0]
+    pending = rows[1:]
+    while pending:
+        rest = []
+        for row in pending:
+            if row & cols:
+                cols |= row
+            else:
+                rest.append(row)
+        if len(rest) == len(pending):
+            return False
+        pending = rest
+    return cols == (1 << s) - 1
 
 
 @dataclass(frozen=True)
@@ -96,6 +143,17 @@ class BipartiteGraph:
             raise ValueError("mask has bits outside the r*s grid")
         return cls(r, s, rows_of(r, s, mask))
 
+    @cached_property
+    def prework(self) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
+        """(connected, neighbour mask per vertex, degree per vertex), built once per graph.
+
+        ``connected`` is ``_rows_connected``: false for a single vertex.
+        Vertices are indexed as in ``_adjacency_masks``. Never mutated.
+        """
+        r, s, rows = self.left_size, self.right_size, self.adjacency
+        adj = _adjacency_masks(r, s, rows)
+        return _rows_connected(r, s, rows), tuple(adj), tuple([nbrs.bit_count() for nbrs in adj])
+
     def has_edge(self, i: int, j: int) -> bool:
         """Whether the edge x_i y_j (1-based) is present."""
         if not (1 <= i <= self.left_size and 1 <= j <= self.right_size):
@@ -147,18 +205,12 @@ def bipartite_complement(g: BipartiteGraph) -> BipartiteGraph:
 
 
 def degrees(g: BipartiteGraph) -> DegreeSummary:
-    """Degree sequence of both parts; needs r >= 1 and s >= 1."""
-    if g.left_size == 0 or g.right_size == 0:
+    """Degree sequence of both parts, read off ``g.prework``; needs r >= 1 and s >= 1."""
+    r = g.left_size
+    if r == 0 or g.right_size == 0:
         raise EmptyPart("degrees need both parts nonempty")
-    left = tuple(row.bit_count() for row in g.adjacency)
-    counts = [0] * g.right_size
-    for row in g.adjacency:
-        while row:
-            low = row & -row
-            counts[low.bit_length() - 1] += 1
-            row ^= low
-    right = tuple(counts)
-    return DegreeSummary(left, right, min(left + right), max(left + right))
+    degs = g.prework[2]
+    return DegreeSummary(degs[:r], degs[r:], min(degs), max(degs))
 
 
 def graphs_equal(g1: BipartiteGraph, g2: BipartiteGraph) -> bool:

@@ -4,10 +4,10 @@ The fast path runs unit-capacity max-flow on a residual network held as one
 Python-int bitmask per node, finding each augmenting path by a depth-first
 search over mask operations. Both minimizations start from the minimum
 degree delta, since k <= k' <= delta: no flow runs past the best value so
-far, and a connected graph with delta <= 1 needs no flow at all. Before any
-adjacency is built, a row closure tests whether the graph is connected: the
-columns reached from row 0 absorb every row that meets them, so a
-disconnected graph returns 0 at once.
+far, and a connected graph with delta <= 1 needs no flow at all. A row
+closure tests whether the graph is connected: the columns reached from row 0
+absorb every row that meets them, so a disconnected graph returns 0 at once,
+and the value kernels build no adjacency for it.
 
 Both take their pairs from one part, by one fact: in a connected bipartite
 graph, each side of a cut smaller than delta holds vertices of both parts
@@ -37,21 +37,25 @@ value nor the cut, and skipping it leaves both exactly as running every
 flow would. On uniform random graphs nearly all pairs are settled this way,
 since nearly all have k = delta.
 
-The two minimizations share their prework, ``_connected_masks``: the row
-closure, then the adjacency masks and the degree list of a connected graph.
-Each kernel is that prework plus its minimizing core, ``_edge_core`` or
-``_vertex_core``, and no minimization is written twice. A sweep that needs
-delta, k' and k of one graph calls ``_joint_values``, which runs the
-prework once and both cores on it; it takes no shortcut from k = delta to
-k' = delta, so each flow value is still computed, and audited where an
-oracle runs.
+The two minimizations share their prework: the row closure, the adjacency
+masks and the degree list. The value kernels take bare rows and build it
+with ``_connected_masks``, which builds no masks for a disconnected graph;
+the certificate routines read the graph's cached ``BipartiteGraph.prework``
+(``bipcon.bigraph``, where ``_rows_connected`` and ``_adjacency_masks``
+live), so both certificates and ``bigraph.degrees`` of one graph build it
+once. Each kernel is that prework plus its minimizing core, ``_edge_core``
+or ``_vertex_core``, and no minimization is written twice; the cores and
+``_unit_flow`` only read the masks. A sweep that needs delta, k' and k of
+one graph calls ``_joint_values``, which runs the prework once and both
+cores on it; it takes no shortcut from k = delta to k' = delta, so each
+flow value is still computed, and audited where an oracle runs.
 
 Both report a certificate, a concrete cut whose removal disconnects the
 graph or leaves one vertex. When the minimum is below delta, the cut is read
 off the source side's residual reach in the first flow that attains it;
 otherwise it is the neighbourhood (vertex kind) or the delta edges (edge
-kind) of the last vertex of minimum degree. Identical inputs always yield
-identical certificates.
+kind) of the last vertex of minimum degree, read bit by bit off its mask.
+Identical inputs always yield identical certificates.
 
 ``brute_force_edge_connectivity`` and ``brute_force_vertex_connectivity``
 are deliberately independent oracles; they share no code with the flow path
@@ -70,10 +74,11 @@ can stay total.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bigraph import BipartiteGraph, mask_of
+from .bigraph import BipartiteGraph, _adjacency_masks, _rows_connected, mask_of
 from .errors import EmptyGraph, TooLarge, TooSmall
 
 _BRUTE_FORCE_MAX_VERTICES = 16
@@ -105,41 +110,14 @@ def _vertex_label(r: int, v: int) -> str:
     return f"x{v + 1}" if v < r else f"y{v - r + 1}"
 
 
-def _adjacency_masks(r: int, s: int, rows: tuple[int, ...]) -> list[int]:
-    """Neighbor bitmask per combined vertex index."""
-    adj = [0] * (r + s)
-    for i in range(r):
-        row = rows[i]
-        adj[i] = row << r
-        while row:
-            low = row & -row
-            adj[r + low.bit_length() - 1] |= 1 << i
-            row ^= low
-    return adj
-
-
-def _rows_connected(r: int, s: int, rows: tuple[int, ...]) -> bool:
-    """True iff the graph is connected and has at least two vertices.
-
-    Grows the set of columns reached from row 0 and absorbs every row that
-    meets it. The graph is connected iff every row is absorbed and every
-    column is covered, so no adjacency masks are built.
-    """
-    if not (r and s):
-        return False
-    cols = rows[0]
-    pending = rows[1:]
-    while pending:
-        rest = []
-        for row in pending:
-            if row & cols:
-                cols |= row
-            else:
-                rest.append(row)
-        if len(rest) == len(pending):
-            return False
-        pending = rest
-    return cols == (1 << s) - 1
+def _bit_indices(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def is_connected(g: BipartiteGraph) -> bool:
@@ -173,7 +151,7 @@ def _min_degree(r: int, s: int, rows: tuple[int, ...]) -> int:
     return dmin
 
 
-def _unit_flow(arcs: list[int], free: list[int], source: int, sink: int, limit: int) -> tuple[int, int]:
+def _unit_flow(arcs: Sequence[int], free: Sequence[int], source: int, sink: int, limit: int) -> tuple[int, int]:
     """Augment unit paths from source to sink until the flow reaches ``limit``.
 
     ``arcs[u]`` masks the arcs out of node u; ``free[u]``, a subset, masks
@@ -181,7 +159,7 @@ def _unit_flow(arcs: list[int], free: list[int], source: int, sink: int, limit: 
     ``limit``, reach masks the nodes the source reaches in the final residual
     network, the source side of a minimum cut; otherwise it is 0.
     """
-    res = arcs[:]
+    res = list(arcs)
     sent = [0] * len(arcs)
     tbit = 1 << sink
     flow = 0
@@ -221,7 +199,7 @@ def _unit_flow(arcs: list[int], free: list[int], source: int, sink: int, limit: 
     return flow, 0
 
 
-def _short_paths(r: int, adj: list[int], a: int, b: int, limit: int) -> int:
+def _short_paths(r: int, adj: Sequence[int], a: int, b: int, limit: int) -> int:
     """Greedily packed internally disjoint a-b paths of length <= 4; a and b share a part.
 
     Stops once it has ``limit`` or more and returns how many it found, a
@@ -257,7 +235,7 @@ def _short_paths(r: int, adj: list[int], a: int, b: int, limit: int) -> int:
     return found
 
 
-def _last_of_degree(degrees: list[int], degree: int) -> int:
+def _last_of_degree(degrees: Sequence[int], degree: int) -> int:
     # The last rather than the first, so the cut of K_{1,1} is x1, its whole X side.
     return len(degrees) - 1 - degrees[::-1].index(degree)
 
@@ -275,7 +253,7 @@ def _connected_masks(r: int, s: int, rows: tuple[int, ...]) -> tuple[list[int], 
     return adj, [nbrs.bit_count() for nbrs in adj]
 
 
-def _edge_core(r: int, s: int, adj: list[int], degrees: list[int]) -> tuple[int, int]:
+def _edge_core(r: int, s: int, adj: Sequence[int], degrees: Sequence[int]) -> tuple[int, int]:
     """(edge connectivity, reach) of a connected graph from its masks and degrees.
 
     Minimizes the flow from the first vertex of the smaller part P (X on a
@@ -333,11 +311,11 @@ def edge_connectivity(g: BipartiteGraph) -> ConnectivityResult:
     """
     if g.n < 2:
         raise TooSmall("edge connectivity needs at least two vertices")
-    r, s, rows = g.left_size, g.right_size, g.adjacency
-    adj, degrees = _connected_masks(r, s, rows)
-    if not adj:
+    connected, adj, degrees = g.prework
+    if not connected:
         return ConnectivityResult(0, "disconnected")
-    best, reach = _edge_core(r, s, adj, degrees)
+    r, rows = g.left_size, g.adjacency
+    best, reach = _edge_core(r, g.right_size, adj, degrees)
     if reach:
         cut = []
         for i in range(r):
@@ -350,16 +328,14 @@ def edge_connectivity(g: BipartiteGraph) -> ConnectivityResult:
                 row ^= low
     else:
         v = _last_of_degree(degrees, best)
-        if v < r:
-            cut = [(v + 1, j + 1) for j in range(s) if rows[v] >> j & 1]
-        else:
-            cut = [(i + 1, v - r + 1) for i in range(r) if rows[i] >> (v - r) & 1]
+        ends = _bit_indices(adj[v])
+        cut = [(v + 1, u - r + 1) for u in ends] if v < r else [(u + 1, v - r + 1) for u in ends]
     if len(cut) != best:
         raise RuntimeError(f"edge cut of {len(cut)} edges for a flow of {best}")
     return ConnectivityResult(best, "edge_cut", edges=tuple(cut))
 
 
-def _split_network(n: int, adj: list[int]) -> tuple[list[int], list[int]]:
+def _split_network(n: int, adj: Sequence[int]) -> tuple[list[int], list[int]]:
     """(arcs, uncapacitated arcs) of the split network, one mask per node."""
     arcs = [0] * (2 * n)
     free = [0] * (2 * n)
@@ -375,7 +351,7 @@ def _split_network(n: int, adj: list[int]) -> tuple[list[int], list[int]]:
     return arcs, free
 
 
-def _vertex_core(r: int, s: int, adj: list[int], degrees: list[int]) -> tuple[int, int]:
+def _vertex_core(r: int, s: int, adj: Sequence[int], degrees: Sequence[int]) -> tuple[int, int]:
     """(vertex connectivity, reach in the split network) of a connected graph from its masks and degrees.
 
     Starts from the minimum degree delta (k <= delta) and minimizes the flow
@@ -456,22 +432,24 @@ def vertex_connectivity(g: BipartiteGraph) -> ConnectivityResult:
     n = g.n
     if n < 2:
         raise TooSmall("vertex connectivity needs at least two vertices")
-    r, s = g.left_size, g.right_size
-    adj, degrees = _connected_masks(r, s, g.adjacency)
-    if not adj:
+    connected, adj, degrees = g.prework
+    if not connected:
         return ConnectivityResult(0, "disconnected")
-    best, reach = _vertex_core(r, s, adj, degrees)
+    r = g.left_size
+    best, reach = _vertex_core(r, g.right_size, adj, degrees)
     if reach:
-        cut = [v for v in range(n) if (reach >> (2 * v) & 1) and not (reach >> (2 * v + 1) & 1)]
+        # In-nodes 2v on the source side whose out-nodes 2v + 1 are not.
+        cut = 0
+        for v in range(n):
+            if reach >> (2 * v) & 3 == 1:
+                cut |= 1 << v
     else:
-        nbrs = adj[_last_of_degree(degrees, best)]
-        cut = [v for v in range(n) if nbrs >> v & 1]
-    if len(cut) != best:
-        raise RuntimeError(f"vertex cut of {len(cut)} vertices for a flow of {best}")
-    kind = "vertex_cut"
-    if cut == list(range(r)) or cut == list(range(r, n)):
-        kind = "complete_side"
-    return ConnectivityResult(best, kind, vertices=tuple(_vertex_label(r, v) for v in cut))
+        cut = adj[_last_of_degree(degrees, best)]
+    if cut.bit_count() != best:
+        raise RuntimeError(f"vertex cut of {cut.bit_count()} vertices for a flow of {best}")
+    xs = (1 << r) - 1
+    kind = "complete_side" if cut == xs or cut == ((1 << n) - 1) ^ xs else "vertex_cut"
+    return ConnectivityResult(best, kind, vertices=tuple(_vertex_label(r, v) for v in _bit_indices(cut)))
 
 
 # --- independent brute-force oracles ----------------------------------------

@@ -28,7 +28,8 @@ others return (graphs checked, violations): the Bi-Cayley claims (L2.1,
 L2.4) range over the 2^(max_r+1) - 2 subsets S of Z_1, ..., Z_max_r, at
 most 2^24, numbered in order by ``_cayley_subsets``, and L2.1 runs as one
 inline chunk; the vertex-addition claim (L2.5) ranges over blocks of 500
-trials, block i seeded from the seed and i, so no draw depends on the chunks.
+trials, ten or more blocks to a chunk, block i seeded from the seed and i,
+so no draw depends on the chunks.
 
 At eight vertices and below the connectivity kernels are the brute-force
 oracles, and a shape sweep walks every labeled graph and cross-checks each
@@ -94,12 +95,11 @@ from multiprocessing import Pool
 from operator import add, attrgetter, mul
 from typing import Callable
 
-from .bigraph import BipartiteGraph, attach_vertex, bipartite_complement, rows_of
+from .bigraph import BipartiteGraph, _rows_connected, attach_vertex, bipartite_complement, rows_of
 from .bounds import M_upper, N_upper, ParameterTriple, delta_bounds, sum_lower_sized
 from .connectivity import (
     _joint_values,
     _min_degree,
-    _rows_connected,
     edge_connectivity_value,
     edge_oracle_value,
     is_connected,
@@ -845,7 +845,8 @@ def check_theorem(
     if theorem in ("L2.1", "L2.4", "L2.5"):
         if theorem == "L2.5":
             range_spec = {"trials": trials, "seed": seed, "max_part": _L25_SHAPE_MAX}
-            worker, count, min_chunk, extra = _l25_chunk, -(-trials // _L25_CHUNK), 1, (seed, trials)
+            # Ten blocks (5,000 trials) a chunk at least: each chunk starts its mask memo afresh.
+            worker, count, min_chunk, extra = _l25_chunk, -(-trials // _L25_CHUNK), 10, (seed, trials)
         else:
             range_spec = {"max_r": max_r}
             count, extra = (1 << (max_r + 1)) - 2, ()  # the subsets S of Z_1..Z_max_r

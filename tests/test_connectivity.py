@@ -1,4 +1,6 @@
+import pickle
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import assume, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from bipcon.bigraph import (
     BipartiteGraph,
+    _rows_connected,
     add_left_vertex,
     add_right_vertex,
     bipartite_complement,
@@ -570,6 +573,42 @@ def test_joint_kernel_equals_the_three_kernels():
         for h in (g, bipartite_complement(g)):
             r, s, rows = h.left_size, h.right_size, h.adjacency
             assert _joint_values(r, s, rows) == separate(r, s, rows), h
+
+
+_PREWORK_READERS = {"edge": edge_connectivity, "vertex": vertex_connectivity, "degrees": degrees}
+_PREWORK_ORDERS = (("edge", "vertex", "degrees"), ("vertex", "degrees", "edge"), ("degrees", "edge", "vertex"))
+
+
+def _check_prework(r, s, mask, turn, slow=True):
+    # g and a fresh equal graph build their prework through different readers.
+    g, fresh = BipartiteGraph.from_mask(r, s, mask), BipartiteGraph.from_mask(r, s, mask)
+    shown = repr(g), asdict(g) if slow else None
+    results = [{name: _PREWORK_READERS[name](h) for name in _PREWORK_ORDERS[(turn + k) % 3]}
+               for k, h in enumerate((g, fresh))]
+    assert results[0] == results[1], (r, s, mask)
+    rows = g.adjacency
+    values = results[0]["edge"].value, results[0]["vertex"].value, results[0]["degrees"].min_degree
+    assert values == (edge_connectivity_value(r, s, rows), vertex_connectivity_value(r, s, rows),
+                      _min_degree(r, s, rows)), (r, s, mask)
+    # Both flows have run on g's masks, which must still be the ones built.
+    adj = tuple(_adjacency_masks(r, s, rows))
+    assert g.prework == (_rows_connected(r, s, rows), adj, tuple(a.bit_count() for a in adj)), (r, s, mask)
+    assert g == fresh and hash(g) == hash(fresh) and (repr(g), asdict(g) if slow else None) == shown, (r, s, mask)
+    assert not slow or pickle.loads(pickle.dumps(g)) == g
+
+
+def test_the_cached_prework_is_the_same_whichever_reader_builds_it():
+    # Every labeled graph with r + s <= 8, then 300 seeded graphs of 9 to 20
+    # vertices with their complements; the order in which the certificates
+    # and degrees read the prework turns with the mask. asdict and pickle,
+    # the slow checks, run on one labeled mask in 16 and on every seeded graph.
+    for r in range(1, 8):
+        for s in range(1, 9 - r):
+            for mask in range(1 << (r * s)):
+                _check_prework(r, s, mask, mask, slow=mask % 16 == 0)
+    for turn, g in enumerate(_seeded_graphs(2_021, 300, 9, 20)):
+        for h in (g, bipartite_complement(g)):
+            _check_prework(h.left_size, h.right_size, h.mask, turn)
 
 
 def test_skipping_pairs_leaves_values_and_certificates_unchanged(monkeypatch):

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import FunctionType
+from types import CodeType, FunctionType
 
 import bipcon
 from bipcon import connectivity
@@ -39,21 +39,38 @@ def test_package_imports_only_the_standard_library():
     assert not found, f"imports outside the standard library: {found}"
 
 
+def _helpers_called(fn):
+    """Functions of any bipcon module that fn's code names, its nested code included."""
+    codes, found = [fn.__code__], []
+    while codes:
+        code = codes.pop()
+        codes += [const for const in code.co_consts if isinstance(const, CodeType)]
+        for name in code.co_names:
+            helper = fn.__globals__.get(name)
+            if isinstance(helper, FunctionType) and helper.__module__.split(".")[0] == "bipcon":
+                found.append(helper)
+    return found
+
+
 def test_oracles_share_no_code_with_the_flow_path():
     # The oracles cross-check the max-flow kernels, so neither may reach any
-    # of their helpers, directly or through a helper of its own.
+    # of their helpers, directly or through a helper of its own, in whichever
+    # bipcon module the helper is defined.
     flow_path = {"_adjacency_masks", "_rows_connected", "_min_degree", "_unit_flow",
                  "_split_network", "_connected_masks", "_edge_core", "_vertex_core", "_joint_values"}
     assert all(callable(getattr(connectivity, name, None)) for name in flow_path)
+    flow_path = {getattr(connectivity, name) for name in flow_path}
+    assert {fn.__module__ for fn in flow_path} == {"bipcon.bigraph", "bipcon.connectivity"}
     for oracle in ("edge_oracle_value", "vertex_oracle_value"):
-        reached, todo = set(), [oracle]
+        reached, todo = set(), [getattr(connectivity, oracle)]
         while todo:
-            for name in getattr(connectivity, todo.pop()).__code__.co_names:
-                fn = getattr(connectivity, name, None)
-                if name not in reached and isinstance(fn, FunctionType) and fn.__module__ == connectivity.__name__:
-                    reached.add(name)
-                    todo.append(name)
-        assert not reached & flow_path, f"{oracle} reaches {sorted(reached & flow_path)}"
+            for fn in _helpers_called(todo.pop()):
+                if fn not in reached:
+                    reached.add(fn)
+                    todo.append(fn)
+        assert reached, f"{oracle} reaches no helper: the walk is broken"
+        shared = sorted(fn.__qualname__ for fn in reached & flow_path)
+        assert not shared, f"{oracle} reaches {shared}"
 
 
 _LAZY_ORBITS = """

@@ -639,6 +639,21 @@ def test_enumerated_claims_hand_over_index_ranges(monkeypatch, theorem, kwargs, 
     assert all(lo < hi == next_lo for (lo, hi), (next_lo, _) in zip(ranges, ranges[1:]))
 
 
+def test_vertex_addition_chunks_hold_ten_blocks_at_least(monkeypatch):
+    # Each chunk starts its mask memo afresh, so two jobs cut the 20 blocks of
+    # 10,000 trials into two chunks, not twenty; one job keeps one chunk.
+    handed = {}
+
+    def record(worker, arg_sets, jobs):
+        handed[jobs] = [args[:2] for args in arg_sets]
+        return []
+
+    monkeypatch.setattr(verifier, "_run_chunked", record)
+    for jobs in (1, 2):
+        check_theorem("L2.5", trials=10_000, jobs=jobs)
+    assert handed == {1: [(0, 20)], 2: [(0, 10), (10, 20)]}
+
+
 def test_huge_max_n_is_refused_before_the_shapes_are_listed(monkeypatch):
     def no_shapes(max_n):
         raise AssertionError("listed the shapes before checking the shape cap")
