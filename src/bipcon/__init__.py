@@ -16,7 +16,6 @@ from .bigraph import (
     format_edge_list,
     graph_from_json,
     graph_to_json,
-    graphs_equal,
     new_graph,
     parse_edge_list,
 )
@@ -25,9 +24,7 @@ from .bounds import (
     M_upper,
     N_upper,
     ParameterTriple,
-    connectivity_bounds_unconstrained,
     delta_bounds,
-    sized_bounds,
     sum_lower_sized,
 )
 from .connectivity import (

@@ -5,16 +5,22 @@ only, so the representation cannot express loops, multi-edges, or edges
 inside a part. Adjacency is one bit row per X vertex: bit j-1 of row i-1 is
 set exactly when the edge x_i y_j is present. Vertex labels are fixed
 1-based indices within each part, and every identity the library states
-(graph equality, the complement, the Bi-Cayley identity) is checked label
-for label; no library function tests two graphs for isomorphism. Only the
-verifier's exhaustive scans group graphs into isomorphism classes
-(``bipcon.orbits``), to evaluate one graph per class and to report a class
-that breaks a bound once, on its smallest mask.
+(graph equality, which is ``==``, the complement, the Bi-Cayley identity)
+is checked label for label; no library function tests two graphs for
+isomorphism. Only the verifier's exhaustive scans group graphs into
+isomorphism classes (``bipcon.orbits``), to evaluate one graph per class and
+to report a class that breaks a bound once, on its smallest mask.
 
 The sweeps also pack a graph into one r*s-bit mask, bit i*s + j for the
 edge x_{i+1} y_{j+1}, so that its complement is an XOR; ``rows_of`` and
 ``mask_of`` are the one definition of that layout, and ``attach_vertex``
-the one place that grows rows by a vertex.
+the one place that grows rows by a vertex; ``add_right_vertex`` and
+``add_left_vertex`` check their neighbour lists with one helper.
+
+A part size read from outside the program (the edge-list header, a JSON
+graph, and in ``bipcon.constructions`` a Bi-Cayley modulus or a witness's
+r and s) is refused with TooLarge above ``PART_MAX_SIZE`` before any row is
+built. A graph built directly, as the sweeps do, is not capped here.
 
 A graph carries one cached attribute that is not a dataclass field,
 ``prework``: (connected, neighbour mask per vertex, degree per vertex),
@@ -34,7 +40,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DuplicateEdge, EmptyPart, IndexOutOfRange
+from .errors import DuplicateEdge, EmptyPart, IndexOutOfRange, TooLarge
+
+# The largest part size read from outside the program: an edge-list header,
+# a JSON graph, a Bi-Cayley modulus or a witness's r and s. At 256 the
+# slowest of these, `bipcon witness --family s3-g2` with its connectivity
+# pair, takes 2.3 to 2.6 s on a 2-core machine with Python 3.11; at 512 it
+# takes 20 s.
+PART_MAX_SIZE = 256
+
+
+def _check_part_sizes(*sizes: int) -> None:
+    """Raise TooLarge, before any row is built, for a part larger than PART_MAX_SIZE."""
+    for size in sizes:
+        if size > PART_MAX_SIZE:
+            raise TooLarge(f"part size {size} is more than the cap of {PART_MAX_SIZE}")
 
 
 def rows_of(r: int, s: int, mask: int) -> tuple[int, ...]:
@@ -113,14 +133,6 @@ class BipartiteGraph:
         for row in self.adjacency:
             if row < 0 or row & ~smask:
                 raise ValueError("adjacency row has bits outside the right part")
-
-    @property
-    def r(self) -> int:
-        return self.left_size
-
-    @property
-    def s(self) -> int:
-        return self.right_size
 
     @property
     def n(self) -> int:
@@ -213,11 +225,6 @@ def degrees(g: BipartiteGraph) -> DegreeSummary:
     return DegreeSummary(degs[:r], degs[r:], min(degs), max(degs))
 
 
-def graphs_equal(g1: BipartiteGraph, g2: BipartiteGraph) -> bool:
-    """Labeled equality: same part sizes and identical bit matrices."""
-    return g1 == g2
-
-
 def attach_vertex(r: int, s: int, rows: tuple[int, ...], side: str, attach: int) -> tuple[int, int, tuple[int, ...]]:
     """(r', s', rows') after adding one vertex to the ``side`` part.
 
@@ -231,32 +238,29 @@ def attach_vertex(r: int, s: int, rows: tuple[int, ...], side: str, attach: int)
     return r + 1, s, rows + (attach,)
 
 
-def add_right_vertex(g: BipartiteGraph, neighbors: list[int] | tuple[int, ...]) -> BipartiteGraph:
-    """Append y_{s+1} adjacent to the given 1-based X indices."""
-    r, s = g.left_size, g.right_size
+def _attach_mask(part: str, size: int, neighbors: list[int] | tuple[int, ...]) -> int:
+    """The bitmask of 1-based ``neighbors`` in a part of ``size`` vertices, each checked once."""
     attach = 0
     for i in neighbors:
-        if not (1 <= i <= r):
-            raise IndexOutOfRange(f"left index {i} outside [1,{r}]")
+        if not (1 <= i <= size):
+            raise IndexOutOfRange(f"{part} index {i} outside [1,{size}]")
         bit = 1 << (i - 1)
         if attach & bit:
-            raise DuplicateEdge(f"left index {i} given twice")
+            raise DuplicateEdge(f"{part} index {i} given twice")
         attach |= bit
-    return BipartiteGraph(*attach_vertex(r, s, g.adjacency, "right", attach))
+    return attach
+
+
+def add_right_vertex(g: BipartiteGraph, neighbors: list[int] | tuple[int, ...]) -> BipartiteGraph:
+    """Append y_{s+1} adjacent to the given 1-based X indices."""
+    attach = _attach_mask("left", g.left_size, neighbors)
+    return BipartiteGraph(*attach_vertex(g.left_size, g.right_size, g.adjacency, "right", attach))
 
 
 def add_left_vertex(g: BipartiteGraph, neighbors: list[int] | tuple[int, ...]) -> BipartiteGraph:
     """Append x_{r+1} adjacent to the given 1-based Y indices."""
-    r, s = g.left_size, g.right_size
-    attach = 0
-    for j in neighbors:
-        if not (1 <= j <= s):
-            raise IndexOutOfRange(f"right index {j} outside [1,{s}]")
-        bit = 1 << (j - 1)
-        if attach & bit:
-            raise DuplicateEdge(f"right index {j} given twice")
-        attach |= bit
-    return BipartiteGraph(*attach_vertex(r, s, g.adjacency, "left", attach))
+    attach = _attach_mask("right", g.right_size, neighbors)
+    return BipartiteGraph(*attach_vertex(g.left_size, g.right_size, g.adjacency, "left", attach))
 
 
 # --- interchange formats ---------------------------------------------------
@@ -290,6 +294,7 @@ def parse_edge_list(text: str) -> BipartiteGraph:
         if header is None:
             if a < 0 or b < 0:
                 raise ValueError(f"line {lineno}: part sizes must be nonnegative")
+            _check_part_sizes(a, b)
             header = (a, b)
         else:
             edges.append((a, b))
@@ -315,4 +320,5 @@ def graph_from_json(obj: dict) -> BipartiteGraph:
     for value in (r, s, *(v for edge in edges for v in edge)):
         if type(value) is not int:
             raise ValueError(f"JSON graph needs integer 'r', 's' and edge labels, got {value!r}")
+    _check_part_sizes(r, s)
     return new_graph(r, s, edges)

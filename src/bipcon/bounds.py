@@ -5,16 +5,19 @@ connectivity, and the vertex connectivity of the graph and its bipartite
 complement always satisfy
 
     0 <= f(G) + f(G^bc) <= r        and
-    0 <= f(G) * f(G^bc) <= ceil(r/2) * floor(r/2).
+    0 <= f(G) * f(G^bc) <= ceil(r/2) * floor(r/2),
+
+which ``delta_bounds`` returns for all three invariants.
 
 Fixing the edge count m (with m <= floor(rs/2)) sharpens these to
 
     max(0, r - m) <= k'(G) + k'(G^bc) <= N(n, m)    and
     k'(G) * k'(G^bc) <= M(n, m),
 
-where N and M are the piecewise formulas evaluated by ``N_upper`` and
-``M_upper``; the same N and M bound the vertex connectivity variants. All
-values are exact integers; no floating point appears anywhere.
+where the lower sum bound is ``sum_lower_sized`` and N and M are the
+piecewise formulas evaluated by ``N_upper`` and ``M_upper``; the same N and
+M bound the vertex connectivity variants. All values are exact integers;
+no floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -72,12 +75,6 @@ def delta_bounds(r: int) -> BoundSet:
     return BoundSet(0, r, 0, _half_product(r))
 
 
-def connectivity_bounds_unconstrained(r: int) -> BoundSet:
-    """Same numeric bounds as delta_bounds; they serve both the edge and
-    vertex connectivity variants when the edge count is unconstrained."""
-    return delta_bounds(r)
-
-
 def sum_lower_sized(p: ParameterTriple) -> int:
     """Lower bound max(0, r - m) on the edge-connectivity sum at fixed size."""
     return max(0, p.r - p.m)
@@ -123,9 +120,3 @@ def M_upper(p: ParameterTriple) -> int:
     if value < 0:
         raise RuntimeError(f"negative product bound {value} for a valid triple {p}")
     return value
-
-
-def sized_bounds(p: ParameterTriple) -> BoundSet:
-    """The full BoundSet for one parameter triple: sum in [max(0, r-m), N],
-    product in [0, M]."""
-    return BoundSet(sum_lower_sized(p), N_upper(p), 0, M_upper(p))

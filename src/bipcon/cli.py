@@ -17,8 +17,10 @@ Subcommands:
   labeled graphs with exactly m edges.
 
 Exit codes: 0 success, 2 verification found violations, 64 usage error,
-65 parameters outside the supported domain (size caps, preconditions),
-66 unreadable or malformed input file.
+65 parameters outside the supported domain (size caps, preconditions; a
+part of more than ``PART_MAX_SIZE`` = 256 vertices, in an input file or in
+``witness`` or ``bicayley``, prints ``too large:``), 66 unreadable or
+malformed input file.
 
 Input files use the edge-list text format: a ``r s`` header line, one
 ``i j`` line per edge (1-based), ``#`` comments, UTF-8 with LF endings.
@@ -45,7 +47,6 @@ from .bounds import (
     M_upper,
     N_upper,
     ParameterTriple,
-    connectivity_bounds_unconstrained,
     delta_bounds,
     sum_lower_sized,
 )
@@ -135,6 +136,8 @@ def _read_graph(path: str) -> BipartiteGraph:
         raise _FileError(str(exc)) from exc
     try:
         return parse_edge_list(text)
+    except TooLarge:
+        raise  # a domain error, exit 65, not a malformed file
     except (ValueError, BipconError) as exc:
         raise _FileError(f"{path}: {exc}") from exc
 
@@ -190,19 +193,11 @@ def _cmd_complement(opts) -> int:
 
 
 def _cmd_bounds(opts) -> int:
-    # The theorems state every bound in terms of the smaller part.
-    smaller = min(opts.r, opts.s)
-    unconstrained = connectivity_bounds_unconstrained(smaller)
-    db = delta_bounds(smaller)
-    payload = {
-        "r": opts.r,
-        "s": opts.s,
-        "min_degree": {"sum": [db.sum_lower, db.sum_upper], "prod": [db.prod_lower, db.prod_upper]},
-        "connectivity": {
-            "sum": [unconstrained.sum_lower, unconstrained.sum_upper],
-            "prod": [unconstrained.prod_lower, unconstrained.prod_upper],
-        },
-    }
+    # The theorems state every bound in terms of the smaller part; without a
+    # fixed m, the connectivity bounds are the minimum-degree bounds.
+    db = delta_bounds(min(opts.r, opts.s))
+    rows = {"sum": [db.sum_lower, db.sum_upper], "prod": [db.prod_lower, db.prod_upper]}
+    payload = {"r": opts.r, "s": opts.s, "min_degree": rows, "connectivity": rows}
     if opts.m is not None:
         triple = ParameterTriple(min(opts.r, opts.s), max(opts.r, opts.s), opts.m)
         payload["m"] = opts.m
@@ -215,8 +210,8 @@ def _cmd_bounds(opts) -> int:
         print(json.dumps(payload, indent=2))
         return EXIT_OK
     print(f"shape r={opts.r} s={opts.s}")
-    print(f"  min degree    sum in [{db.sum_lower}, {db.sum_upper}]   prod in [{db.prod_lower}, {db.prod_upper}]")
-    print(f"  connectivity  sum in [{unconstrained.sum_lower}, {unconstrained.sum_upper}]   prod in [{unconstrained.prod_lower}, {unconstrained.prod_upper}]")
+    for label in ("min degree  ", "connectivity"):
+        print(f"  {label}  sum in [{db.sum_lower}, {db.sum_upper}]   prod in [{db.prod_lower}, {db.prod_upper}]")
     if opts.m is not None:
         sized = payload["sized"]
         print(f"  at m={opts.m}: sum in [{sized['sum_lower']}, {sized['N']}]   prod in [0, {sized['M']}]   (N={sized['N']}, M={sized['M']})")

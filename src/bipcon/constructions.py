@@ -10,10 +10,11 @@ The witness families are the concrete graphs that attain the connectivity
 bounds. One table row per family id declares whether the family is sized
 (needs m and has exactly m edges), its builder, and the (edge connectivity,
 complement edge connectivity) pair it is designed to achieve.
-``build_witness`` checks the preconditions every family shares (both parts
-nonempty; for a sized family, m given and r <= s), runs the builder, which
-checks only its own domain, and names the family in any
-PreconditionViolated; ``claimed_edge_connectivity_pair`` builds the witness
+``build_witness`` refuses a part above ``bigraph.PART_MAX_SIZE`` with
+TooLarge, as ``CayleySubset`` refuses such a modulus, then checks the
+preconditions every family shares (both parts nonempty; for a sized family,
+m given and r <= s), runs the builder, which checks only its own domain, and
+names the family in any PreconditionViolated; ``claimed_edge_connectivity_pair`` builds the witness
 first, so it refuses exactly the same triples, and then reads the row. The
 test suite recomputes the pairs with the connectivity module instead of
 trusting the construction. ``dispatch_witness`` picks the
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .bigraph import BipartiteGraph, new_graph
+from .bigraph import BipartiteGraph, _check_part_sizes, new_graph
 from .bounds import ParameterTriple
 from .errors import BadSubset, NoWitness, PreconditionViolated
 
@@ -44,6 +45,7 @@ class CayleySubset:
             raise BadSubset(f"modulus must be an int, got {self.modulus!r}")
         if self.modulus < 1:
             raise BadSubset(f"modulus must be >= 1, got {self.modulus}")
+        _check_part_sizes(self.modulus)
         members = frozenset(self.members)
         object.__setattr__(self, "members", members)
         for a in members:
@@ -269,13 +271,15 @@ _FAMILIES = {
 def build_witness(family: WitnessFamilyId, r: int, s: int, m: int | None = None) -> BipartiteGraph:
     """Build the named witness graph; the s3-* families ignore ``m``.
 
-    Checks the preconditions every family shares (both parts nonempty; for
-    a sized family, m given and r <= s), then runs the builder, which checks
-    its own domain. Raises PreconditionViolated, naming the family and the
+    Raises TooLarge for a part above PART_MAX_SIZE before any work. Checks
+    the preconditions every family shares (both parts nonempty; for a sized
+    family, m given and r <= s), then runs the builder, which checks its own
+    domain. Raises PreconditionViolated, naming the family and the
     failed condition, whenever the parameters lie outside the family's
     domain.
     """
     row = _FAMILIES[family]
+    _check_part_sizes(r, s)
     try:
         _require(r >= 1 and s >= 1, f"needs r >= 1 and s >= 1, got r={r}, s={s}")
         if row.sized:

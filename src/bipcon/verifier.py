@@ -211,11 +211,6 @@ class ShapeSweep:
     has_vertex: bool = True
     orbits_checked: int | None = None  # classes covered, one evaluation per class pair; None on a labeled sweep
 
-    def envelope_max(self, metric: str) -> int:
-        if metric.endswith("vertex") and not self.has_vertex:
-            raise ValueError("this sweep was run without vertex metrics")
-        return max(c.max_value for c in self.cells[metric] if c is not None)
-
 
 def _fold(cells: list, m: int, max_value: int, max_mask: int, min_value: int, min_mask: int, count: int) -> None:
     """The reducer: fold one value, or a whole cell, into ``cells[m]``.

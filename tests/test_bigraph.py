@@ -3,7 +3,9 @@ import json
 import pytest
 from hypothesis import given
 
+from bipcon import bigraph
 from bipcon.bigraph import (
+    PART_MAX_SIZE,
     BipartiteGraph,
     add_left_vertex,
     add_right_vertex,
@@ -13,16 +15,15 @@ from bipcon.bigraph import (
     format_edge_list,
     graph_from_json,
     graph_to_json,
-    graphs_equal,
     mask_of,
     new_graph,
     parse_edge_list,
     rows_of,
 )
 from bipcon.constructions import CayleySubset, bi_cayley
-from bipcon.errors import DuplicateEdge, EmptyPart, IndexOutOfRange
+from bipcon.errors import DuplicateEdge, EmptyPart, IndexOutOfRange, TooLarge
 
-from conftest import graphs
+from conftest import fail_if_reached, graphs
 
 
 def test_new_graph_perfect_matching():
@@ -97,14 +98,14 @@ def test_degrees_rejects_empty_part():
         degrees(BipartiteGraph(0, 3, ()))
 
 
-def test_graphs_equal():
+def test_graphs_compare_label_for_label():
     g = new_graph(2, 2, [(1, 1), (2, 2)])
     other = new_graph(2, 2, [(1, 2), (2, 1)])
-    assert graphs_equal(g, g)
-    assert not graphs_equal(g, other)
+    assert g == g
+    assert g != other
     lhs = bipartite_complement(bi_cayley(CayleySubset(5, frozenset({0, 2}))))
     rhs = bi_cayley(CayleySubset(5, frozenset({1, 3, 4})))
-    assert graphs_equal(lhs, rhs)
+    assert lhs == rhs
 
 
 def test_mask_round_trip():
@@ -175,10 +176,14 @@ def test_add_vertices():
     taller = add_left_vertex(g, [2])
     assert taller.left_size == 3
     assert taller.has_edge(3, 2)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(IndexOutOfRange, match=r"^left index 5 outside \[1,2\]$"):
         add_right_vertex(g, [5])
-    for add in (add_right_vertex, add_left_vertex):
-        with pytest.raises(DuplicateEdge):
+    with pytest.raises(IndexOutOfRange, match=r"^right index 3 outside \[1,2\]$"):
+        add_left_vertex(g, [1, 3])
+    with pytest.raises(IndexOutOfRange, match=r"^right index 0 outside \[1,2\]$"):
+        add_left_vertex(g, [0])
+    for add, part in ((add_right_vertex, "left"), (add_left_vertex, "right")):
+        with pytest.raises(DuplicateEdge, match=rf"^{part} index 1 given twice$"):
             add(g, [1, 1])
 
 
@@ -217,3 +222,47 @@ def test_degree_complementarity(g):
 def test_serialization_round_trips(g):
     assert parse_edge_list(format_edge_list(g)) == g
     assert graph_from_json(graph_to_json(g)) == g
+
+
+def test_graph_input_checks_name_the_fault():
+    with pytest.raises(ValueError, match="^part sizes must be nonnegative$"):
+        BipartiteGraph(-1, 2, ())
+    with pytest.raises(ValueError, match="^expected 2 adjacency rows, got 1$"):
+        BipartiteGraph(2, 2, (1,))
+    for row in (0b100, -1):
+        with pytest.raises(ValueError, match="^adjacency row has bits outside the right part$"):
+            BipartiteGraph(1, 2, (row,))
+    for mask in (1 << 4, -1):
+        with pytest.raises(ValueError, match=r"^mask has bits outside the r\*s grid$"):
+            BipartiteGraph.from_mask(2, 2, mask)
+    g = new_graph(2, 3, [(1, 1)])
+    for i, j in ((3, 1), (0, 1), (1, 4)):
+        with pytest.raises(IndexOutOfRange, match=rf"^edge \({i}, {j}\) outside \[1,2\]x\[1,3\]$"):
+            g.has_edge(i, j)
+    with pytest.raises(ValueError, match="^line 3: expected two integers, got '1 x'$"):
+        parse_edge_list("2 2\n# a comment\n1 x\n")
+    with pytest.raises(ValueError, match="^line 1: expected two integers, got '2.0 2'$"):
+        parse_edge_list("2.0 2\n")
+    with pytest.raises(ValueError, match="^line 1: part sizes must be nonnegative$"):
+        parse_edge_list("2 -1\n")
+
+
+def test_readers_admit_part_sizes_up_to_the_cap():
+    cap = PART_MAX_SIZE
+    assert parse_edge_list(f"{cap} {cap}\n") == BipartiteGraph(cap, cap, (0,) * cap)
+    assert parse_edge_list(f"2 {cap}\n2 {cap}\n") == new_graph(2, cap, [(2, cap)])
+    assert graph_from_json({"r": cap, "s": 1, "edges": [[cap, 1]]}) == new_graph(cap, 1, [(cap, 1)])
+
+
+def test_readers_refuse_part_sizes_past_the_cap_before_any_graph(monkeypatch):
+    monkeypatch.setattr(bigraph, "new_graph", fail_if_reached)
+    big = PART_MAX_SIZE + 1
+    message = rf"^part size {big} is more than the cap of {PART_MAX_SIZE}$"
+    for text in (f"{big} {big}\n", f"2 {big}\n1 1\n", f"{big} 2\n"):
+        with pytest.raises(TooLarge, match=message):
+            parse_edge_list(text)
+    with pytest.raises(TooLarge, match="^part size 2000000 is more than"):
+        parse_edge_list("2 2000000\n")
+    for r, s in ((big, 1), (1, big)):
+        with pytest.raises(TooLarge, match=message):
+            graph_from_json({"r": r, "s": s, "edges": [[1, 1]]})

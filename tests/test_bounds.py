@@ -1,12 +1,11 @@
 import pytest
 
 from bipcon.bounds import (
+    BoundSet,
     M_upper,
     N_upper,
     ParameterTriple,
-    connectivity_bounds_unconstrained,
     delta_bounds,
-    sized_bounds,
     sum_lower_sized,
 )
 from bipcon.errors import InvalidTriple
@@ -23,10 +22,11 @@ def test_delta_bounds_examples():
 
 
 def test_unconstrained_connectivity_bounds_examples():
-    b4 = connectivity_bounds_unconstrained(4)
+    # Without a fixed m the connectivity bounds are the minimum-degree bounds.
+    b4 = delta_bounds(4)
     assert (b4.sum_lower, b4.sum_upper, b4.prod_lower, b4.prod_upper) == (0, 4, 0, 4)
-    assert connectivity_bounds_unconstrained(2).prod_upper == 1
-    assert connectivity_bounds_unconstrained(7).prod_upper == 12
+    assert delta_bounds(2).prod_upper == 1
+    assert delta_bounds(7).prod_upper == 12
 
 
 def test_sum_lower_sized_examples():
@@ -83,9 +83,9 @@ def test_m_below_unconstrained_product_cap():
         assert 0 <= M_upper(p) <= delta_bounds(p.r).prod_upper, p
 
 
-def test_sized_bounds_are_ordered():
+def test_sized_bound_functions_are_ordered():
     for p in all_valid_triples(6):
-        b = sized_bounds(p)
+        b = BoundSet(sum_lower_sized(p), N_upper(p), 0, M_upper(p))  # refuses bounds out of order
         assert b.sum_lower <= b.sum_upper
         assert b.prod_lower <= b.prod_upper
 

@@ -2,10 +2,13 @@ import json
 
 import pytest
 
-from bipcon import cli, verifier
-from bipcon.bigraph import new_graph, parse_edge_list
+from bipcon import bigraph, cli, constructions, verifier
+from bipcon.bigraph import PART_MAX_SIZE, bipartite_complement, degrees, graph_to_json, new_graph, parse_edge_list
 from bipcon.cli import EXIT_DOMAIN, EXIT_FILE, EXIT_OK, EXIT_USAGE, main
-from bipcon.verifier import THEOREM_IDS
+from bipcon.connectivity import edge_connectivity, vertex_connectivity
+from bipcon.constructions import CayleySubset, WitnessFamilyId, bi_cayley, build_witness, witness_notes
+from bipcon.verifier import THEOREM_IDS, extremal_scan
+from conftest import fail_if_reached
 
 
 def run(capsys, *argv):
@@ -205,3 +208,123 @@ def test_too_large_exit_code(capsys):
     status, _, err = run(capsys, "verify", "--theorem", "L2.5", "--trials", "-3", "--jobs", "1")
     assert status == EXIT_DOMAIN
     assert "trials must be >= 0" in err
+
+
+def _certificate_text(result):
+    # The printed certificate, rebuilt from the library result's own fields.
+    if result.kind == "disconnected":
+        return "graph already disconnected"
+    if result.kind == "edge_cut":
+        return "cut edges " + " ".join(f"x{i}y{j}" for i, j in result.edges)
+    label = {"vertex_cut": "cut vertices", "complete_side": "complete side"}[result.kind]
+    return label + " " + " ".join(result.vertices)
+
+
+def test_connectivity_table_prints_every_certificate_kind(capsys, monkeypatch):
+    import io
+
+    # K_{2,2} gives a complete side and an edge cut, the path x1-y1-x2-y2 a
+    # vertex cut and an edge cut, and both complements are disconnected.
+    kinds = set()
+    for text in ("2 2\n1 1\n1 2\n2 1\n2 2\n", "2 2\n1 1\n2 1\n2 2\n"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        status, out, _ = run(capsys, "connectivity", "-")
+        assert status == EXIT_OK
+        g = parse_edge_list(text)
+        expected = []
+        for name, graph in (("graph", g), ("complement", bipartite_complement(g))):
+            kv, kp = vertex_connectivity(graph), edge_connectivity(graph)
+            kinds.update((kv.kind, kp.kind))
+            expected += [
+                f"{name}: n={graph.n} m={graph.edge_count}",
+                f"  vertex connectivity = {kv.value}  ({_certificate_text(kv)})",
+                f"  edge connectivity   = {kp.value}  ({_certificate_text(kp)})",
+                f"  min degree          = {degrees(graph).min_degree}",
+            ]
+        assert out.splitlines() == expected
+    assert kinds == {"edge_cut", "vertex_cut", "complete_side", "disconnected"}
+
+
+def test_complement_json_is_the_library_complement(sample_file, capsys):
+    status, out, _ = run(capsys, "complement", sample_file, "--format", "json")
+    assert status == EXIT_OK
+    g = new_graph(2, 2, [(1, 1), (2, 2)])
+    assert json.loads(out) == graph_to_json(bipartite_complement(g))
+
+
+def test_witness_json_is_the_library_witness(capsys):
+    for family, r, s, m in (("s4-g6", 4, 5, 10), ("s4-g3", 5, 5, 3), ("s3-g2", 4, 6, None)):
+        argv = ["witness", "--family", family, "--r", str(r), "--s", str(s), "--format", "json"]
+        status, out, _ = run(capsys, *argv, *([] if m is None else ["--m", str(m)]))
+        assert status == EXIT_OK
+        fid = WitnessFamilyId(family)
+        g = build_witness(fid, r, s, m)
+        assert json.loads(out) == {
+            "family": family,
+            "graph": graph_to_json(g),
+            "edge_connectivity": edge_connectivity(g).value,
+            "complement_edge_connectivity": edge_connectivity(bipartite_complement(g)).value,
+            "notes": list(witness_notes(fid, r, s, m)),
+        }
+
+
+def test_bicayley_json_is_the_library_graph(capsys):
+    for members, subset in (("0,2", {0, 2}), ("empty", set())):
+        status, out, _ = run(capsys, "bicayley", "--r", "5", "--set", members, "--format", "json")
+        assert status == EXIT_OK
+        assert json.loads(out) == graph_to_json(bi_cayley(CayleySubset(5, frozenset(subset))))
+
+
+def test_scan_json_is_the_library_scan(capsys):
+    status, out, _ = run(capsys, "scan", "--r", "2", "--s", "3", "--m", "3",
+                         "--metric", "prod_vertex", "--jobs", "1", "--format", "json")
+    assert status == EXIT_OK
+    result = extremal_scan(2, 3, 3, "prod_vertex", jobs=1)
+    assert json.loads(out) == {
+        "metric": "prod_vertex",
+        "r": 2,
+        "s": 3,
+        "m": 3,
+        "graphs_checked": result.graphs_checked,
+        "max_value": result.max_value,
+        "argmax": [list(e) for e in result.argmax.edges()],
+        "min_value": result.min_value,
+        "argmin": [list(e) for e in result.argmin.edges()],
+    }
+
+
+def test_part_sizes_at_the_cap_are_served(capsys, monkeypatch):
+    import io
+
+    cap = PART_MAX_SIZE
+    for header in (f"{cap} {cap}", f"2 {cap}"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(header + "\n"))
+        status, out, _ = run(capsys, "connectivity", "-", "--format", "json")
+        assert status == EXIT_OK
+        assert json.loads(out)["graph"]["edge_connectivity"]["kind"] == "disconnected"
+    status, out, _ = run(capsys, "bicayley", "--r", str(cap), "--set", "0,1")
+    assert status == EXIT_OK
+    assert parse_edge_list(out) == bi_cayley(CayleySubset(cap, frozenset({0, 1})))
+
+
+def test_part_sizes_past_the_cap_exit_65_before_any_graph(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr(bigraph, "new_graph", fail_if_reached)
+    monkeypatch.setattr(cli, "bi_cayley", fail_if_reached)
+    row = constructions._FAMILIES[WitnessFamilyId.S3_G2]
+    monkeypatch.setitem(constructions._FAMILIES, WitnessFamilyId.S3_G2, row._replace(build=fail_if_reached))
+    big = PART_MAX_SIZE + 1
+    for header in (f"{big} {big}", f"2 {big}", "2 2000000"):
+        for command in ("connectivity", "complement"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(header + "\n"))
+            status, out, err = run(capsys, command, "-")
+            assert (status, out) == (EXIT_DOMAIN, ""), header
+            assert err.startswith("too large: ") and f"cap of {PART_MAX_SIZE}" in err, err
+    for argv in (["witness", "--family", "s3-g2", "--r", str(big), "--s", str(big)],
+                 ["witness", "--family", "s3-g2", "--r", "4", "--s", str(big)],
+                 ["bicayley", "--r", str(big), "--set", "0,1"],
+                 ["bicayley", "--r", "3000000", "--set", "0,1"]):
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (EXIT_DOMAIN, ""), argv
+        assert err.startswith("too large: "), err

@@ -1,6 +1,7 @@
 import pytest
 
-from bipcon.bigraph import bipartite_complement, degrees, graphs_equal
+from bipcon import constructions
+from bipcon.bigraph import PART_MAX_SIZE, bipartite_complement, degrees
 from bipcon.connectivity import edge_connectivity, is_connected, vertex_connectivity
 from bipcon.bounds import M_upper, N_upper, ParameterTriple, sum_lower_sized
 from bipcon.constructions import (
@@ -13,8 +14,9 @@ from bipcon.constructions import (
     dispatch_witness,
     witness_notes,
 )
-from bipcon.errors import BadSubset, InvalidTriple, NoWitness, PreconditionViolated
+from bipcon.errors import BadSubset, InvalidTriple, NoWitness, PreconditionViolated, TooLarge
 from bipcon.verifier import metric_value
+from conftest import fail_if_reached
 
 
 def kp_pair(g):
@@ -51,7 +53,7 @@ def test_complement_of_bicayley_flips_the_subset_exhaustively():
             subset = CayleySubset(r, frozenset(a for a in range(r) if smask >> a & 1))
             lhs = bipartite_complement(bi_cayley(subset))
             rhs = bi_cayley(subset.complement())
-            assert graphs_equal(lhs, rhs), (r, sorted(subset.members))
+            assert lhs == rhs, (r, sorted(subset.members))
 
 
 def test_connected_bicayley_pairs_are_maximally_connected_small():
@@ -255,3 +257,25 @@ def test_every_precondition_failure_names_its_family():
                     pair = claimed_edge_connectivity_pair(family, r, s, m)
                     assert len(pair) == 2 and all(type(k) is int and k >= 0 for k in pair), (family, r, s, m, pair)
     assert failures > 0
+
+
+def test_builders_admit_part_sizes_up_to_the_cap():
+    cap = PART_MAX_SIZE
+    g = bi_cayley(CayleySubset(cap, frozenset({0, cap - 1})))
+    assert (g.left_size, g.right_size, g.edge_count) == (cap, cap, 2 * cap)
+    g = build_witness(WitnessFamilyId.S3_G2, cap, cap)
+    assert (g.left_size, g.right_size) == (cap, cap)
+    assert degrees(g).min_degree == cap // 2
+
+
+def test_builders_refuse_part_sizes_past_the_cap_before_any_graph(monkeypatch):
+    big = PART_MAX_SIZE + 1
+    message = rf"^part size {big} is more than the cap of {PART_MAX_SIZE}$"
+    with pytest.raises(TooLarge, match=message):
+        CayleySubset(big, frozenset({0, 1}))
+    for family, row in list(constructions._FAMILIES.items()):
+        monkeypatch.setitem(constructions._FAMILIES, family, row._replace(build=fail_if_reached))
+    for family in WitnessFamilyId:
+        for r, s in ((big, big), (1, big), (big, 1)):
+            with pytest.raises(TooLarge, match=message):
+                build_witness(family, r, s, big)

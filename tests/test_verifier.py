@@ -185,9 +185,8 @@ def test_edge_only_sweep_matches_full_sweep():
     for metric in ("sum_edge", "prod_edge", "sum_delta", "prod_delta"):
         assert lean.cells[metric] == full.cells[metric], metric
     assert all(c is None for c in lean.cells["sum_vertex"])
+    assert all(c is None for c in lean.cells["prod_vertex"])
     assert lean.violations == [v for v in full.violations if v.theorem not in ("T3.3", "T4.3")]
-    with pytest.raises(ValueError):
-        lean.envelope_max("sum_vertex")
 
 
 def test_sweep_cache_upgrades_to_vertex_metrics():
@@ -864,8 +863,8 @@ def test_default_jobs_follow_cpu_affinity(monkeypatch):
 def test_shape_sweep_envelope_below_unconstrained_bound():
     for r, s in shapes_within(6):
         sweep = shape_sweep(r, s, jobs=1)
-        assert sweep.envelope_max("sum_edge") <= r
-        assert sweep.envelope_max("sum_vertex") <= r
+        for metric in ("sum_edge", "sum_vertex"):
+            assert max(c.max_value for c in sweep.cells[metric] if c is not None) <= r
 
 
 def test_shapes_within():
@@ -905,7 +904,7 @@ def test_check_theorem_unconstrained_bounds_small():
         assert report.graphs_checked == sum(1 << (r * s) for r, s in shapes_within(6))
 
 
-def test_check_theorem_sized_bounds_small():
+def test_check_theorem_fixed_size_bounds_small():
     for theorem in ("T4.1", "T4.2", "T4.3"):
         report = check_theorem(theorem, max_n=6, jobs=1)
         assert report.violations == [], theorem
@@ -961,3 +960,11 @@ def test_report_json_schema():
     assert blob["range"] == {"max_n": 4}
     for record in blob["attainment"]:
         assert set(record) >= {"r", "s", "m", "enumerated", "formula", "attained", "witness"}
+
+
+def test_unknown_metrics_are_refused_by_name():
+    g = new_graph(2, 2, [(1, 1)])
+    with pytest.raises(ValueError, match="^unknown metric 'sum_bogus'$"):
+        metric_value("sum_bogus", g)
+    with pytest.raises(ValueError, match=r"^unknown metric 'sum_bogus'; choose one of \("):
+        extremal_scan(2, 2, 1, "sum_bogus", jobs=1)
