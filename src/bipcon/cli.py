@@ -16,11 +16,12 @@ Subcommands:
 * ``scan --r R --s S --m M --metric MET``: extremal metric values over all
   labeled graphs with exactly m edges.
 
-Exit codes: 0 success, 2 verification found violations, 64 usage error,
-65 parameters outside the supported domain (size caps, preconditions; a
-part of more than ``PART_MAX_SIZE`` = 256 vertices, in an input file or in
-``witness`` or ``bicayley``, prints ``too large:``), 66 unreadable or
-malformed input file.
+Exit codes: 0 success, 1 standard output closed before all of it was
+written (as by ``| head``), 2 verification found violations, 64 usage
+error, 65 parameters outside the supported domain (size caps,
+preconditions; a part of more than ``PART_MAX_SIZE`` = 256 vertices, in an
+input file or in ``witness`` or ``bicayley``, prints ``too large:``), 66
+unreadable or malformed input file.
 
 Input files use the edge-list text format: a ``r s`` header line, one
 ``i j`` line per edge (1-based), ``#`` comments, UTF-8 with LF endings.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -56,6 +58,7 @@ from .errors import BipconError, TooLarge
 from .verifier import METRIC_IDS, THEOREM_IDS, VERTEX_THEOREMS, TheoremReport, check_theorem, extremal_scan
 
 EXIT_OK = 0
+EXIT_CLOSED_OUTPUT = 1
 EXIT_VIOLATIONS = 2
 EXIT_USAGE = 64
 EXIT_DOMAIN = 65
@@ -366,4 +369,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's final flush
+    except BrokenPipeError:
+        # Point stdout at devnull so the final flush of what is still buffered stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_CLOSED_OUTPUT
+    sys.exit(status)

@@ -31,31 +31,29 @@ inline chunk; the vertex-addition claim (L2.5) ranges over blocks of 500
 trials, ten or more blocks to a chunk, block i seeded from the seed and i,
 so no draw depends on the chunks.
 
-At eight vertices and below the connectivity kernels are the brute-force
-oracles, and a shape sweep walks every labeled graph and cross-checks each
-against the max-flow values, so each exhaustive sweep doubles as an
-oracle-equivalence audit; each disagreement is a violation of every claim
-on that kernel (T3.2, T4.1 and T4.2 for edge connectivity, T3.3 and T4.3
-for vertex connectivity). Every other run evaluates one representative per
-isomorphism class, by max-flow from nine vertices on: every metric and bound
-depends only on the class, a class counts for all its labeled graphs, and it
-is filed under its smallest labeled mask, so cells, extremes and reports are
-those of a labeled walk. A pair that breaks a bound is reported once, on
-its side with fewer edges (the smaller mask on a tie): on the labeled walk
-a graph or its complement, on the class walk the smallest mask of a class
-or of its complement class, which stands for all their labeled graphs.
+Every value comes from the max-flow path, on either walk. A shape sweep
+up to eight vertices walks every labeled graph, and only that walk audits
+each graph and its complement against the brute-force oracles: each
+disagreement is a mismatch, the oracle's value fills the cells, and the
+mismatch is a violation of every claim on that kernel (T3.2, T4.1 and T4.2
+for edge connectivity, T3.3 and T4.3 for vertex connectivity). Every other
+run (full sweeps from nine vertices on, every fixed-m scan) calls no oracle
+and evaluates one representative per isomorphism class: every metric and
+bound depends only on the class, a class counts for all its labeled
+graphs, and it is filed under its smallest labeled mask, so cells, extremes
+and reports are those of a labeled walk. A pair that breaks a bound is
+reported once, on its side with fewer edges (the smaller mask on a tie): on
+the labeled walk a graph or its complement, on the class walk the smallest
+mask of a class or of its complement class, which stands for all their
+labeled graphs.
 
 The kernels each run calls, per graph:
 
-* a sweep with vertex metrics needs delta, k' and k and calls
-  ``connectivity._joint_values`` once, one row closure, one set of
-  adjacency masks and one degree list for all three: at eight vertices and
-  below its delta fills the delta cells and its k' and k are the flows
-  audited against ``edge_oracle_value`` and ``vertex_oracle_value``, whose
-  values fill the cells; from nine vertices on it supplies all three;
-* an edge-only sweep calls ``_min_degree`` and ``edge_connectivity_value``
-  (audited against the edge oracle up to eight vertices), and a fixed-m
-  scan the one kernel of its metric, the oracle up to eight vertices;
+* a sweep with vertex metrics calls ``connectivity._joint_values`` once for
+  delta, k' and k (one row closure, adjacency masks and degree list);
+* an edge-only sweep calls ``_min_degree`` and ``edge_connectivity_value``,
+  a fixed-m scan the one kernel of its metric, and the labeled walk adds
+  ``edge_oracle_value`` and ``vertex_oracle_value`` for its kinds;
 * L2.4 calls ``_min_degree``, ``edge_connectivity_value`` and
   ``vertex_connectivity_value`` separately, and L2.5 keeps each trial graph
   as packed rows and calls ``edge_connectivity_value`` twice per checked
@@ -207,7 +205,6 @@ class ShapeSweep:
     cells: dict[str, list[_Cell | None]]  # metric -> cell per edge count 0..rs
     violations: list[Violation]
     mismatches: list[tuple]  # (mask, invariant, flow_value, oracle_value)
-    wall_ms: int
     has_vertex: bool = True
     orbits_checked: int | None = None  # classes covered, one evaluation per class pair; None on a labeled sweep
 
@@ -254,10 +251,10 @@ def _chunk(args):
     complement class's, whichever has fewer edges (the smaller on a tie),
     so the raw violations come in walk order. Only the kernels the metrics
     need run (minimum degree, edge pair, vertex pair), and a sweep that
-    needs all three runs ``_joint_values`` once per graph instead. At r + s
-    <= 8 the connectivity kernels are the brute-force oracles, on either
-    source, and pair ranges cross-check them against max-flow graph by
-    graph: the joint pass's k' and k when it runs, else the value kernels.
+    needs all three runs ``_joint_values`` once per graph instead. Every
+    value comes from the max-flow path; the pair masks, and only they, are
+    audited graph by graph against the brute-force oracles, and a graph
+    whose flow differs is a mismatch whose oracle value fills the cells.
 
     Returns (graphs covered, classes covered, cells, raw violations as
     (theorem, side, metric, m, subject mask, observed, bound), mismatches).
@@ -265,18 +262,12 @@ def _chunk(args):
     r, s, m, orbits, lo, hi, metrics, checks = args
     bits = r * s
     full = (1 << bits) - 1
-    use_oracle = (r + s) <= ORACLE_BACKEND_MAX_VERTICES
-    flow = {"edge": edge_connectivity_value, "vertex": vertex_connectivity_value, "delta": _min_degree}
-    oracle = {"edge": edge_oracle_value, "vertex": vertex_oracle_value, "delta": _min_degree}
     kinds = [kind for kind in _KINDS if any(metric.endswith(kind) for metric in metrics)]
-    # A sweep of every kind runs one joint pass per graph instead of the
-    # three flow kernels: its delta is always a value, its k' and k are the
-    # values on the flow path and the flows audited against the oracles.
-    joint = len(kinds) == len(_KINDS)
-    kernels = [(oracle if use_oracle else flow)[kind] for kind in kinds]
-    cross = []  # (kind, index in kinds, flow kernel) to check against the oracle
-    if use_oracle and not orbits:
-        cross = [(kind, i, flow[kind]) for i, kind in enumerate(kinds) if kind != "delta"]
+    joint = len(kinds) == len(_KINDS)  # one joint pass per graph instead of the three kernels
+    flow = {"delta": _min_degree, "edge": edge_connectivity_value, "vertex": vertex_connectivity_value}
+    kernels = [flow[kind] for kind in kinds]
+    oracle = {"edge": edge_oracle_value, "vertex": vertex_oracle_value}
+    audits = [] if orbits else [(i, kind, oracle[kind]) for i, kind in enumerate(kinds) if kind != "delta"]
     ops = [(kinds.index(metric.split("_")[1]), add if metric.startswith("sum") else mul) for metric in metrics]
     cells = {metric: [None] * (bits + 1) for metric in metrics}
     per_metric = list(cells.values())
@@ -303,18 +294,17 @@ def _chunk(args):
         rows = rows_of(r, s, mask)
         rows_c = rows_of(r, s, cmask)
         if joint:
-            flows = pairs = list(zip(_joint_values(r, s, rows), _joint_values(r, s, rows_c)))
-            if use_oracle:  # the oracles' k' and k are the values, the joint pass's are audited
-                pairs = flows[:1] + [(fn(r, s, rows), fn(r, s, rows_c)) for fn in kernels[1:]]
+            found = list(_joint_values(r, s, rows)), list(_joint_values(r, s, rows_c))
         else:
-            pairs = [(fn(r, s, rows), fn(r, s, rows_c)) for fn in kernels]
-        if cross:
-            for side, side_mask, side_rows in ((0, mask, rows), (1, cmask, rows_c)):
-                for kind, i, fn in cross:
-                    flow_value = flows[i][side] if joint else fn(r, s, side_rows)
-                    if flow_value != pairs[i][side]:
-                        mismatches.append((side_mask, kind, flow_value, pairs[i][side]))
-        values = [op(*pairs[i]) for i, op in ops]
+            found = [fn(r, s, rows) for fn in kernels], [fn(r, s, rows_c) for fn in kernels]
+        if audits:
+            for side_mask, side_rows, side_values in zip((mask, cmask), (rows, rows_c), found):
+                for i, kind, fn in audits:
+                    expected = fn(r, s, side_rows)
+                    if side_values[i] != expected:
+                        mismatches.append((side_mask, kind, side_values[i], expected))
+                        side_values[i] = expected
+        values = [op(found[0][i], found[1][i]) for i, op in ops]
         for per_m, value in zip(per_metric, values):
             _fold(per_m, mm, value, mask, value, mask, weight)
             if twin is not None:
@@ -426,9 +416,9 @@ def shape_sweep(
 ) -> ShapeSweep:
     """Exhaustively scan one shape (cached per shape).
 
-    Covers all 2^(rs) labeled graphs. At r + s <= 8 it walks the 2^(rs-1)
-    graph/complement pairs, the values come from the brute-force oracle and
-    the max-flow results are cross-checked graph by graph. Above that it
+    Covers all 2^(rs) labeled graphs, valued by max-flow. At r + s <= 8 it
+    walks the 2^(rs-1) graph/complement pairs and audits each graph against
+    the brute-force oracles (see ``_chunk``). Above that it
     evaluates one graph per pair of an S_r x S_s orbit and its complement
     orbit and weights each side by its orbit size: ``graphs_checked`` still
     counts the labeled graphs covered, and ``orbits_checked`` the classes
@@ -449,7 +439,6 @@ def shape_sweep(
             return cached
     _check_shape(r, s)
     bits = r * s
-    started = time.perf_counter()
     metrics = tuple(metric for metric in _ALL_METRICS if include_vertex or not metric.endswith("vertex"))
     orbits = r + s > ORACLE_BACKEND_MAX_VERTICES
     graphs, classes, cells, raw, mismatches = _scan(r, s, None, orbits, metrics, _checks(r, s, metrics), jobs)
@@ -465,12 +454,8 @@ def shape_sweep(
         metric: [None if c is None else _Cell(*c) for c in cells.get(metric, [None] * (bits + 1))]
         for metric in _ALL_METRICS
     }
-    sweep = ShapeSweep(
-        r, s, graphs, final_cells, violations, mismatches,
-        int((time.perf_counter() - started) * 1000),
-        has_vertex=include_vertex,
-        orbits_checked=classes,
-    )
+    sweep = ShapeSweep(r, s, graphs, final_cells, violations, mismatches,
+                       has_vertex=include_vertex, orbits_checked=classes)
     if use_cache:
         _SWEEP_CACHE[key] = sweep
     return sweep
@@ -510,12 +495,10 @@ def extremal_scan(r: int, s: int, m: int, metric: str, jobs: int | None = None) 
     """Extremal metric values over every labeled graph with exactly m edges.
 
     Preconditions: r <= s, m <= floor(rs/2), and rs <= SHAPE_MAX_BITS, else
-    TooLarge before any work. One graph per orbit is
-    evaluated, at any size, from the m-edge column multisets only, which are
-    never more than the m-edge masks; the extremes and their smallest labeled
-    masks are those of a labeled walk. Up to eight vertices the values come
-    from the brute-force oracles, as in ``shape_sweep``, but nothing is
-    cross-checked: the audit is the labeled sweep's.
+    TooLarge before any work. One graph per orbit is evaluated by max-flow,
+    at any size, from the m-edge column multisets only, which are never more
+    than the m-edge masks; the extremes and their smallest labeled masks are
+    those of a labeled walk. No oracle runs: the audit is the labeled sweep's.
     """
     if metric not in METRIC_IDS:
         raise ValueError(f"unknown metric {metric!r}; choose one of {METRIC_IDS}")

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from bipcon import bigraph, cli, constructions, verifier
 from bipcon.bigraph import PART_MAX_SIZE, bipartite_complement, degrees, graph_to_json, new_graph, parse_edge_list
-from bipcon.cli import EXIT_DOMAIN, EXIT_FILE, EXIT_OK, EXIT_USAGE, main
+from bipcon.cli import EXIT_CLOSED_OUTPUT, EXIT_DOMAIN, EXIT_FILE, EXIT_OK, EXIT_USAGE, main
 from bipcon.connectivity import edge_connectivity, vertex_connectivity
 from bipcon.constructions import CayleySubset, WitnessFamilyId, bi_cayley, build_witness, witness_notes
 from bipcon.verifier import THEOREM_IDS, extremal_scan
@@ -328,3 +332,21 @@ def test_part_sizes_past_the_cap_exit_65_before_any_graph(capsys, monkeypatch):
         status, out, err = run(capsys, *argv)
         assert (status, out) == (EXIT_DOMAIN, ""), argv
         assert err.startswith("too large: "), err
+
+
+def test_stdout_closed_early_exits_one_without_a_traceback():
+    # The complement of the empty 256 x 256 graph is far more JSON than a
+    # pipe buffers, so the writer is still writing when the reader, having
+    # read one line, closes its end.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "bipcon", "complement", "-", "--format", "json"]
+    with subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        proc.stdin.write(f"{PART_MAX_SIZE} {PART_MAX_SIZE}\n".encode())
+        proc.stdin.close()
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=120)
+    assert (status, err) == (EXIT_CLOSED_OUTPUT, b"")

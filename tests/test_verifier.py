@@ -669,7 +669,7 @@ def test_every_shape_up_to_eleven_vertices_is_swept(monkeypatch):
     def record(r, s, jobs=None, use_cache=True, include_vertex=True):
         swept.append((r, s))
         cells = {metric: [verifier._Cell(0, 0, 0, 0, 1)] * (r * s + 1) for metric in verifier._ALL_METRICS}
-        return verifier.ShapeSweep(r, s, 1 << (r * s), cells, [], [], 0, orbits_checked=1)
+        return verifier.ShapeSweep(r, s, 1 << (r * s), cells, [], [], orbits_checked=1)
 
     monkeypatch.setattr(verifier, "shape_sweep", record)
     report = check_theorem("T4.1", max_n=11, jobs=1)
@@ -800,6 +800,69 @@ def test_joint_flow_oracle_mismatch_is_a_violation_of_every_claim_on_its_kernel(
     assert expected and report.violations == expected
     assert first.violations == ([] if kind == "edge" else _shifted_flow_violations("T3.3", kind))
     assert check_theorem("L3.1", max_n=5, jobs=1).violations == []
+
+
+def test_the_class_walk_calls_no_oracle(monkeypatch):
+    # Every value comes from max-flow; only the labeled walk audits it, so
+    # class walks below nine vertices return the audited sweep's cells
+    # with both oracles raising.
+    sweeps = {shape: shape_sweep(*shape, jobs=1, use_cache=False) for shape in ((3, 3), (3, 4))}
+    assert all(sweep.mismatches == [] for sweep in sweeps.values())
+
+    def no_oracle(*args):
+        raise AssertionError("an oracle was called on the class walk")
+
+    monkeypatch.setattr(verifier, "edge_oracle_value", no_oracle)
+    monkeypatch.setattr(verifier, "vertex_oracle_value", no_oracle)
+    for metric in METRIC_IDS:
+        result = extremal_scan(3, 4, 6, metric, jobs=1)
+        cell = sweeps[3, 4].cells[metric][6]
+        assert (result.max_value, result.argmax.mask, result.min_value, result.argmin.mask, result.graphs_checked) == (
+            cell.max_value, cell.max_mask, cell.min_value, cell.min_mask, cell.count), metric
+    _, _, cells, _, mismatches = verifier._scan(3, 3, None, True, verifier._ALL_METRICS, (), 1)
+    assert mismatches == []
+    for metric in verifier._ALL_METRICS:
+        assert cells[metric] == _cell_lists(sweeps[3, 3].cells[metric]), metric
+
+
+def test_the_labeled_walk_audits_flows_above_eight_vertices(monkeypatch):
+    # Edge max-flow one high on graphs whose last row is 1 mod 3, on the
+    # labeled walk of (2, 7): each such graph is a mismatch, in walk order,
+    # and the oracle's value fills the cells.
+    metrics = ("sum_edge", "prod_edge", "sum_delta", "prod_delta")
+    _, _, audited, _, clean = verifier._scan(2, 7, None, False, metrics, (), 1)
+    assert clean == []
+    real = verifier.edge_connectivity_value
+    monkeypatch.setattr(verifier, "edge_connectivity_value",
+                        lambda r, s, rows: real(r, s, rows) + (rows[-1] % 3 == 1))
+    _, _, cells, _, mismatches = verifier._scan(2, 7, None, False, metrics, (), 1)
+    expected = []
+    full = (1 << 14) - 1
+    for mask in range(1 << 13):
+        for subject in (mask, full ^ mask):
+            rows = rows_of(2, 7, subject)
+            if rows[-1] % 3 == 1:
+                value = edge_oracle_value(2, 7, rows)
+                expected.append((subject, "edge", value + 1, value))
+    assert expected and mismatches == expected
+    assert cells == audited
+
+
+def test_joint_mismatches_list_each_side_before_each_kind(monkeypatch):
+    # The joint pass's k' and k both one high on every graph: each pair
+    # lists the graph's edge and vertex mismatches, then its complement's.
+    real = verifier._joint_values
+    monkeypatch.setattr(verifier, "_joint_values", lambda r, s, rows: tuple(
+        v + (i > 0) for i, v in enumerate(real(r, s, rows))))
+    expected = []
+    full = (1 << 6) - 1
+    for mask in range(1 << 5):
+        for subject in (mask, full ^ mask):
+            rows = rows_of(2, 3, subject)
+            for kind, oracle in (("edge", edge_oracle_value), ("vertex", vertex_oracle_value)):
+                value = oracle(2, 3, rows)
+                expected.append((subject, kind, value + 1, value))
+    assert shape_sweep(2, 3, jobs=1, use_cache=False).mismatches == expected
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
