@@ -27,9 +27,11 @@ pair masks or orbit ranks and returns cells, merged by the reducer. The
 others return (graphs checked, violations): the Bi-Cayley claims (L2.1,
 L2.4) range over the 2^(max_r+1) - 2 subsets S of Z_1, ..., Z_max_r, at
 most 2^24, numbered in order by ``_cayley_subsets``, and L2.1 runs as one
-inline chunk; the vertex-addition claim (L2.5) ranges over blocks of 500
-trials, ten or more blocks to a chunk, block i seeded from the seed and i,
-so no draw depends on the chunks.
+inline chunk, L2.4 in chunks of 512 subsets or more; the vertex-addition
+claim (L2.5) ranges over blocks of 500 trials, twenty or more blocks to a
+chunk, block i seeded from the seed and i, so no draw depends on the
+chunks. Both minimums are the measured break-even of a pool on two jobs,
+so ``max_r`` 8 and 10,000 trials run in one process.
 
 Every value comes from the max-flow path, on either walk. A shape sweep
 up to eight vertices walks every labeled graph, and only that walk audits
@@ -56,8 +58,9 @@ The kernels each run calls, per graph:
   ``edge_oracle_value`` and ``vertex_oracle_value`` for its kinds;
 * L2.4 calls ``_min_degree``, ``edge_connectivity_value`` and
   ``vertex_connectivity_value`` separately, and L2.5 keeps each trial graph
-  as packed rows and calls ``edge_connectivity_value`` twice per checked
-  trial, before and after the vertex is attached.
+  as packed rows and calls ``edge_connectivity_value`` once per distinct
+  graph of a chunk, before or after a vertex is attached (10,000 trials
+  value 4,949 graphs).
 
 Every sweep and scan is held to one cap on its shape, rs <= 30, checked
 before any work; ``check_theorem`` checks it on the largest shape within
@@ -710,6 +713,10 @@ def _l24_chunk(args):
 
 _L25_SHAPE_MAX = 4  # parts drawn from 1..4, so trial graphs have at most 8 vertices
 _L25_CHUNK = 500  # trials per block, block i drawn from seed * 1_000_003 + i: the draws depend on it, not on the chunks
+# Entries of a chunk's k' table. The drawn masks are bounded by the shapes
+# (2^16 at (4, 4)), but the attached graphs grow with the trials, up to 2^20
+# at (4, 5); 10,000 trials value fewer than 5,000 distinct graphs.
+_L25_VALUES_MAX = 1 << 14
 
 
 def _l25_chunk(args):
@@ -718,13 +725,27 @@ def _l25_chunk(args):
     A trial draws a shape, then up to 300 masks until one is connected, and
     attaches a vertex with at least k' edges to it. Each drawn mask is
     unpacked and tested by ``_rows_connected`` once per chunk: ``seen``
-    keeps its rows, or () when it is disconnected. A graph is built only
-    for a violation.
+    keeps its rows with their k', or () when it is disconnected. Every k'
+    comes through ``values``, a table of (r, s, rows) -> k' that the drawn
+    and the attached graphs share and that stops growing at
+    ``_L25_VALUES_MAX`` entries, so ``edge_connectivity_value`` runs once
+    per distinct graph of a chunk until the table is full, and once per
+    drawn mask after that. A graph is built only for a violation.
     """
     lo, hi, seed, trials = args
     checked = 0
     violations = []
-    seen: dict[tuple[int, int, int], tuple[int, ...]] = {}
+    seen: dict[tuple[int, int, int], tuple] = {}
+    values: dict[tuple[int, int, tuple[int, ...]], int] = {}
+
+    def value(graph: tuple[int, int, tuple[int, ...]]) -> int:
+        k = values.get(graph)
+        if k is None:
+            k = edge_connectivity_value(*graph)
+            if len(values) < _L25_VALUES_MAX:
+                values[graph] = k
+        return k
+
     for trial in range(lo * _L25_CHUNK, min(hi * _L25_CHUNK, trials)):
         if trial % _L25_CHUNK == 0:
             rng = random.Random(seed * 1_000_003 + trial // _L25_CHUNK)
@@ -732,20 +753,20 @@ def _l25_chunk(args):
         s = rng.randint(1, _L25_SHAPE_MAX)
         for _ in range(300):
             key = r, s, rng.getrandbits(r * s)
-            rows = seen.get(key)
-            if rows is None:
+            entry = seen.get(key)
+            if entry is None:
                 rows = rows_of(*key)
-                rows = seen[key] = rows if _rows_connected(r, s, rows) else ()
-            if rows:
+                entry = seen[key] = (rows, value((r, s, rows))) if _rows_connected(r, s, rows) else ()
+            if entry:
                 break
         else:
             continue
         checked += 1
-        k = edge_connectivity_value(r, s, rows)
+        rows, k = entry
         side = "right" if rng.random() < 0.5 else "left"
         opposite = r if side == "right" else s
         neighbors = sorted(rng.sample(range(1, opposite + 1), rng.randint(k, opposite)))
-        after = edge_connectivity_value(*attach_vertex(r, s, rows, side, sum(1 << (v - 1) for v in neighbors)))
+        after = value(attach_vertex(r, s, rows, side, sum(1 << (v - 1) for v in neighbors)))
         if after < k:
             g = BipartiteGraph(r, s, rows)
             violations.append(
@@ -823,13 +844,21 @@ def check_theorem(
     if theorem in ("L2.1", "L2.4", "L2.5"):
         if theorem == "L2.5":
             range_spec = {"trials": trials, "seed": seed, "max_part": _L25_SHAPE_MAX}
-            # Ten blocks (5,000 trials) a chunk at least: each chunk starts its mask memo afresh.
-            worker, count, min_chunk, extra = _l25_chunk, -(-trials // _L25_CHUNK), 10, (seed, trials)
+            # Twenty blocks (10,000 trials) a chunk at least: each chunk
+            # starts its tables afresh, and a pool pays (saves more wall time
+            # than the CPU it adds) only past 10,000 trials. Two chunks on two
+            # jobs of a 2-core machine save 27 ms of wall time for 53 ms more
+            # CPU at 10,000 trials, and 88 ms for 66 ms at 20,000.
+            worker, count, min_chunk, extra = _l25_chunk, -(-trials // _L25_CHUNK), 20, (seed, trials)
         else:
             range_spec = {"max_r": max_r}
             count, extra = (1 << (max_r + 1)) - 2, ()  # the subsets S of Z_1..Z_max_r
-            # L2.1 is milliseconds of work: one inline chunk, no pool.
-            worker, min_chunk = (_l21_chunk, count) if theorem == "L2.1" else (_l24_chunk, 16)
+            # L2.1 is milliseconds of work: one inline chunk, no pool. L2.4
+            # takes 512 subsets a chunk at least, so a pool pays: two chunks
+            # on two jobs of a 2-core machine save 12 ms of wall time for
+            # 37 ms more CPU at max_r = 8 (510 subsets), and 93 ms for 51 ms
+            # at max_r = 9.
+            worker, min_chunk = (_l21_chunk, count) if theorem == "L2.1" else (_l24_chunk, 512)
         checked, violations = 0, []
         arg_sets = [(lo, hi, *extra) for lo, hi in _chunk_ranges(count, min_chunk, jobs)]
         for chunk_checked, chunk_violations in _run_chunked(worker, arg_sets, jobs):

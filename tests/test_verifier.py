@@ -638,19 +638,26 @@ def test_enumerated_claims_hand_over_index_ranges(monkeypatch, theorem, kwargs, 
     assert all(lo < hi == next_lo for (lo, hi), (next_lo, _) in zip(ranges, ranges[1:]))
 
 
-def test_vertex_addition_chunks_hold_ten_blocks_at_least(monkeypatch):
-    # Each chunk starts its mask memo afresh, so two jobs cut the 20 blocks of
-    # 10,000 trials into two chunks, not twenty; one job keeps one chunk.
+def test_vertex_addition_chunks_hold_twenty_blocks_at_least(monkeypatch):
+    # Each chunk starts its tables afresh, and a pool pays off on two jobs
+    # only past 10,000 trials and max_r = 8: both run as one chunk, and four
+    # times as many trials, or max_r = 9, still split.
     handed = {}
 
     def record(worker, arg_sets, jobs):
-        handed[jobs] = [args[:2] for args in arg_sets]
+        handed.setdefault(jobs, []).append([args[:2] for args in arg_sets])
         return []
 
     monkeypatch.setattr(verifier, "_run_chunked", record)
     for jobs in (1, 2):
-        check_theorem("L2.5", trials=10_000, jobs=jobs)
-    assert handed == {1: [(0, 20)], 2: [(0, 10), (10, 20)]}
+        for trials in (10_000, 40_000):
+            check_theorem("L2.5", trials=trials, jobs=jobs)
+        for max_r in (8, 9):
+            check_theorem("L2.4", max_r=max_r, jobs=jobs)
+    assert handed == {
+        1: [[(0, 20)], [(0, 80)], [(0, 510)], [(0, 1022)]],
+        2: [[(0, 20)], [(0, 20), (20, 40), (40, 60), (60, 80)], [(0, 510)], [(0, 512), (512, 1022)]],
+    }
 
 
 def test_huge_max_n_is_refused_before_the_shapes_are_listed(monkeypatch):
@@ -683,6 +690,30 @@ def test_extremal_scan_runs_at_the_largest_admitted_shape():
     assert metric_value("prod_edge", result.argmax) == 4 and result.argmax.edge_count == 15
     with pytest.raises(TooLarge, match=r"rs = 36 > 30"):
         extremal_scan(6, 6, 1, "prod_edge", jobs=1)
+
+
+def test_vertex_addition_values_each_graph_once_per_chunk(monkeypatch):
+    # Edge connectivity one low on graphs whose last row is 1 mod 3, so some
+    # attachments break the claim. 2,000 trials on one job are one chunk:
+    # each drawn or attached graph reaches the kernel once. With the k' table
+    # nearly full at once, graphs are valued again and the report is the same.
+    real = verifier.edge_connectivity_value
+    calls = Counter()
+
+    def counted(r, s, rows):
+        calls[r, s, rows] += 1
+        return real(r, s, rows) - (rows[-1] % 3 == 1)
+
+    monkeypatch.setattr(verifier, "edge_connectivity_value", counted)
+    report = check_theorem("L2.5", trials=2_000, seed=5, jobs=1)
+    assert report.violations and report.graphs_checked == 2_000
+    assert max(calls.values()) == 1
+    distinct = len(calls)
+    calls.clear()
+    monkeypatch.setattr(verifier, "_L25_VALUES_MAX", 64)
+    capped = check_theorem("L2.5", trials=2_000, seed=5, jobs=1)
+    assert (capped.graphs_checked, capped.violations) == (report.graphs_checked, report.violations)
+    assert len(calls) == distinct < sum(calls.values())
 
 
 def test_vertex_addition_counts_only_checked_trials(monkeypatch):
@@ -869,7 +900,8 @@ def test_joint_mismatches_list_each_side_before_each_kind(monkeypatch):
 def test_vertex_addition_fault_reports_each_low_value(monkeypatch, jobs):
     # Edge connectivity one low on every 7th call. 400 trials are one chunk,
     # so the call count does not depend on how chunks reach worker processes.
-    # The trials are redrawn here with the same seed, values from the oracle.
+    # The trials are redrawn here with the same seed, values from the oracle,
+    # which is called once per distinct graph, as the chunk calls the kernel.
     def one_low_every_7th(kernel):
         calls = 0
 
@@ -883,7 +915,14 @@ def test_vertex_addition_fault_reports_each_low_value(monkeypatch, jobs):
     monkeypatch.setattr(verifier, "edge_connectivity_value", one_low_every_7th(verifier.edge_connectivity_value))
     seed, trials = 3, 400
     report = check_theorem("L2.5", trials=trials, seed=seed, jobs=jobs)
-    oracle = one_low_every_7th(edge_oracle_value)
+    faulty_oracle = one_low_every_7th(edge_oracle_value)
+    memo = {}
+
+    def oracle(r, s, rows):
+        if (r, s, rows) not in memo:
+            memo[r, s, rows] = faulty_oracle(r, s, rows)
+        return memo[r, s, rows]
+
     rng = random.Random(seed * 1_000_003)
     checked = 0
     expected = []
