@@ -696,7 +696,7 @@ def test_vertex_addition_values_each_graph_once_per_chunk(monkeypatch):
     # Edge connectivity one low on graphs whose last row is 1 mod 3, so some
     # attachments break the claim. 2,000 trials on one job are one chunk:
     # each drawn or attached graph reaches the kernel once. With the k' table
-    # nearly full at once, graphs are valued again and the report is the same.
+    # capped at 64 entries, graphs are valued again and the report is the same.
     real = verifier.edge_connectivity_value
     calls = Counter()
 
