@@ -66,6 +66,7 @@ from .verifier import (
     THEOREM_IDS,
     Violation,
     check_theorem,
+    check_theorems,
     extremal_scan,
     metric_value,
     shape_sweep,

@@ -55,7 +55,7 @@ from .bounds import (
 from .connectivity import ConnectivityResult, edge_connectivity, vertex_connectivity
 from .constructions import CayleySubset, WitnessFamilyId, bi_cayley, build_witness, witness_notes
 from .errors import BipconError, TooLarge
-from .verifier import METRIC_IDS, THEOREM_IDS, VERTEX_THEOREMS, TheoremReport, check_theorem, extremal_scan
+from .verifier import METRIC_IDS, THEOREM_IDS, check_theorems, extremal_scan
 
 EXIT_OK = 0
 EXIT_CLOSED_OUTPUT = 1
@@ -255,26 +255,8 @@ def _cmd_bicayley(opts) -> int:
     return EXIT_OK
 
 
-def _verify_one(theorem: str, opts) -> TheoremReport:
-    return check_theorem(
-        theorem,
-        max_n=opts.max_n,
-        max_r=opts.max_r,
-        trials=opts.trials,
-        seed=opts.seed,
-        jobs=opts.jobs,
-    )
-
-
-def _verify_all(opts) -> int:
-    # Vertex-metric claims run first: their sweeps, cached with vertex cells,
-    # then serve the edge-only claims.
-    by_id = {
-        theorem: _verify_one(theorem, opts)
-        for theorem in sorted(THEOREM_IDS, key=lambda t: t not in VERTEX_THEOREMS)
-    }
-    reports = [by_id[theorem] for theorem in THEOREM_IDS]
-    if opts.format == "json":
+def _summarize(reports, fmt: str) -> int:
+    if fmt == "json":
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     else:
         width = max(len(str(r.graphs_checked)) for r in reports)  # the wall= column lines up
@@ -288,9 +270,12 @@ def _verify_all(opts) -> int:
 
 
 def _cmd_verify(opts) -> int:
+    theorems = THEOREM_IDS if opts.theorem == "all" else (opts.theorem,)
+    reports = check_theorems(theorems, max_n=opts.max_n, max_r=opts.max_r, trials=opts.trials,
+                             seed=opts.seed, jobs=opts.jobs)
     if opts.theorem == "all":
-        return _verify_all(opts)
-    report = _verify_one(opts.theorem, opts)
+        return _summarize(reports, opts.format)
+    [report] = reports
     if opts.format == "json":
         print(json.dumps(report.to_json_dict(), indent=2))
         return report.exit_status

@@ -63,10 +63,12 @@ The kernels each run calls, per graph:
   value 4,949 graphs).
 
 Every sweep and scan is held to one cap on its shape, rs <= 30, checked
-before any work; ``check_theorem`` checks it on the largest shape within
+before any work; ``check_theorems`` checks it on the largest shape within
 ``max_n`` before it lists the shapes, so full sweeps run through n = 11.
 
-Claim identifiers accepted by ``check_theorem``:
+``check_theorems`` reads all its bound claims off one ``shape_sweep`` per
+shape, with vertex metrics when any of them needs vertex connectivity;
+``check_theorem`` is its one-claim form. Claim identifiers accepted by both:
 
 ========  ==================================================================
 L2.1      complementing BC(Z_r, S) complements its connection set, label
@@ -94,7 +96,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import groupby
 from multiprocessing import Pool
 from operator import add, attrgetter, mul
-from typing import Callable
+from typing import Callable, Iterable
 
 from .bigraph import BipartiteGraph, _rows_connected, attach_vertex, bipartite_complement, rows_of
 from .bounds import M_upper, N_upper, ParameterTriple, delta_bounds, sum_lower_sized
@@ -616,10 +618,6 @@ _CLAIMS = (
     _Claim("T4.3", "prod_vertex", "upper", True, _m_bound),
 )
 
-# Claims on vertex connectivity, the costliest kernel: only their sweeps carry
-# vertex cells, and a cached vertex sweep serves the edge-only claims too.
-VERTEX_THEOREMS = frozenset(c.theorem for c in _CLAIMS if c.metric.endswith("vertex"))
-
 
 def _witness(claim: _Claim, r: int, s: int, m: int | None) -> tuple[str, BipartiteGraph] | None:
     """(family name, graph) meant to reach the claim's bound, or None.
@@ -776,18 +774,43 @@ def _l25_chunk(args):
     return checked, violations
 
 
-def _bound_theorem_report(theorem: str, max_n: int, jobs: int) -> tuple[int, list[Violation], list[AttainmentRecord]]:
+_LEMMAS = ("L2.1", "L2.4", "L2.5")  # claims with workers of their own; the others are read off the shape sweeps
+
+
+def _lemma_report(theorem: str, max_r: int, trials: int, seed: int, jobs: int) -> TheoremReport:
+    if theorem == "L2.5":
+        range_spec = {"trials": trials, "seed": seed, "max_part": _L25_SHAPE_MAX}
+        # Twenty blocks (10,000 trials) a chunk at least: each chunk
+        # starts its tables afresh, and a pool pays (saves more wall time
+        # than the CPU it adds) only past 10,000 trials. Two chunks on two
+        # jobs of a 2-core machine save 27 ms of wall time for 53 ms more
+        # CPU at 10,000 trials, and 88 ms for 66 ms at 20,000.
+        worker, count, min_chunk, extra = _l25_chunk, -(-trials // _L25_CHUNK), 20, (seed, trials)
+    else:
+        range_spec = {"max_r": max_r}
+        count, extra = (1 << (max_r + 1)) - 2, ()  # the subsets S of Z_1..Z_max_r
+        # L2.1 is milliseconds of work: one inline chunk, no pool. L2.4
+        # takes 512 subsets a chunk at least, so a pool pays: two chunks
+        # on two jobs of a 2-core machine save 12 ms of wall time for
+        # 37 ms more CPU at max_r = 8 (510 subsets), and 93 ms for 51 ms
+        # at max_r = 9.
+        worker, min_chunk = (_l21_chunk, count) if theorem == "L2.1" else (_l24_chunk, 512)
+    checked, violations = 0, []
+    arg_sets = [(lo, hi, *extra) for lo, hi in _chunk_ranges(count, min_chunk, jobs)]
+    for chunk_checked, chunk_violations in _run_chunked(worker, arg_sets, jobs):
+        checked += chunk_checked
+        violations += chunk_violations
+    return TheoremReport(theorem, range_spec, checked, violations, [], 0)
+
+
+def _bound_report(theorem: str, max_n: int, sweeps: list[ShapeSweep]) -> TheoremReport:
+    """Read one bound claim's violations and attainment records off the sweeps of the shapes within ``max_n``."""
     claims = [c for c in _CLAIMS if c.theorem == theorem]
     kinds = {c.metric.split("_")[1] for c in claims}
-    # The largest rs within max_n is that of (floor(max_n/2), ceil(max_n/2)).
-    _check_shape(max_n // 2, (max_n + 1) // 2)
-    shapes = shapes_within(max_n)
-    checked = 0
     violations: list[Violation] = []
     attainment: list[AttainmentRecord] = []
-    for r, s in shapes:
-        sweep = shape_sweep(r, s, jobs=jobs, include_vertex=theorem in VERTEX_THEOREMS)
-        checked += sweep.graphs_checked
+    for sweep in sweeps:
+        r, s = sweep.r, sweep.s
         violations.extend(v for v in sweep.violations if v.theorem == theorem)
         violations.extend(
             Violation(theorem, "oracle", f"{kind}_flow", r, s, mask.bit_count(),
@@ -801,36 +824,38 @@ def _bound_theorem_report(theorem: str, max_n: int, jobs: int) -> tuple[int, lis
             group = list(group)
             for m in range(r * s // 2 + 1) if group[0].sized else (None,):
                 attainment.extend(_attainment(c, sweep, m) for c in group)
-    return checked, violations, attainment
+    # A cell past its formula is a violation; only a cell short of it is a note.
+    short = sum(a.enumerated < a.formula if a.bound == "upper" else a.enumerated > a.formula for a in attainment)
+    notes = [f"{short} attainment cell(s) not reached by any graph; recorded, not violations"] if short else []
+    checked = sum(sweep.graphs_checked for sweep in sweeps)
+    return TheoremReport(theorem, {"max_n": max_n}, checked, violations, attainment, 0, notes)
 
 
-def check_theorem(
-    theorem: str,
-    *,
-    max_n: int = 8,
-    max_r: int = 8,
-    trials: int = 10_000,
-    seed: int = 20_240,
-    jobs: int | None = None,
-) -> TheoremReport:
-    """Run one claim's verification and return its report.
+def check_theorems(theorems: Iterable[str], *, max_n: int = 8, max_r: int = 8, trials: int = 10_000,
+                   seed: int = 20_240, jobs: int | None = None) -> list[TheoremReport]:
+    """Run the verification of each claim in ``theorems``; return the reports in that order.
 
     ``max_r`` scopes the Bi-Cayley claims (L2.1, L2.4), ``trials``/``seed``
-    the randomized claim (L2.5), and ``max_n`` the exhaustive bound claims.
-    Exit semantics: a report with an empty violations list means the claim
-    held everywhere it was evaluated. Raises ValueError for an argument
-    that is not an int or a negative ``max_n``, ``max_r`` or ``trials``,
-    and TooLarge, both before any work,
-    for a ``max_r`` past the Bi-Cayley cap of 2^24 subsets (max_r <= 23),
-    for more than 2^24 ``trials``, or, on a bound claim, a ``max_n`` whose
+    the randomized claim (L2.5), and ``max_n`` the exhaustive bound claims,
+    which share one ``shape_sweep`` per shape, with vertex metrics when any
+    of them has one. The shared sweeps' time is reported once, in the
+    ``wall_ms`` of the first bound claim requested. A report with an empty
+    violations list means the claim held everywhere it was evaluated.
+    Raises, before any work: UnknownTheorem for an id not in THEOREM_IDS;
+    ValueError for an argument that is not an int, or a negative
+    ``max_n``, ``max_r``, ``trials`` or ``seed``; TooLarge for a ``max_r``
+    past the Bi-Cayley cap of 2^24 subsets (max_r <= 23), for more than
+    2^24 ``trials``, or, with a bound claim requested, a ``max_n`` whose
     largest shape has rs > 30 (max_n <= 11).
     """
-    if theorem not in THEOREM_IDS:
-        raise UnknownTheorem(f"unknown claim id {theorem!r}; choose one of {THEOREM_IDS}")
+    theorems = tuple(theorems)
+    for theorem in theorems:
+        if theorem not in THEOREM_IDS:
+            raise UnknownTheorem(f"unknown claim id {theorem!r}; choose one of {THEOREM_IDS}")
     for name, value in (("max_n", max_n), ("max_r", max_r), ("trials", trials), ("seed", seed)):
         if type(value) is not int:  # bool and float excluded
             raise ValueError(f"{name} must be an int, got {value!r}")
-        if value < 0 and name != "seed":
+        if value < 0:  # random.Random drops the sign of a seed: block 0 of seed -s would draw that of s
             raise ValueError(f"{name} must be >= 0, got {value}")
     if max_r + 1 > BI_CAYLEY_MAX_BITS:  # the subsets S of Z_r over r = 1..max_r
         raise TooLarge(f"max_r = {max_r} takes 2^{max_r + 1} - 2 Bi-Cayley subsets, "
@@ -838,47 +863,26 @@ def check_theorem(
     if trials > L25_MAX_TRIALS:
         raise TooLarge(f"trials = {trials} is more than the cap of {L25_MAX_TRIALS} vertex-addition trials")
     jobs = _resolve_jobs(jobs)
-    started = time.perf_counter()
-    attainment: list[AttainmentRecord] = []
-    notes: list[str] = []
-    if theorem in ("L2.1", "L2.4", "L2.5"):
-        if theorem == "L2.5":
-            range_spec = {"trials": trials, "seed": seed, "max_part": _L25_SHAPE_MAX}
-            # Twenty blocks (10,000 trials) a chunk at least: each chunk
-            # starts its tables afresh, and a pool pays (saves more wall time
-            # than the CPU it adds) only past 10,000 trials. Two chunks on two
-            # jobs of a 2-core machine save 27 ms of wall time for 53 ms more
-            # CPU at 10,000 trials, and 88 ms for 66 ms at 20,000.
-            worker, count, min_chunk, extra = _l25_chunk, -(-trials // _L25_CHUNK), 20, (seed, trials)
+    if any(theorem not in _LEMMAS for theorem in theorems):
+        # The largest rs within max_n is that of (floor(max_n/2), ceil(max_n/2)).
+        _check_shape(max_n // 2, (max_n + 1) // 2)
+    vertex = any(c.metric.endswith("vertex") for c in _CLAIMS if c.theorem in theorems)
+    sweeps = None  # one per shape, made by the first bound claim and read by all
+    reports = {}
+    for theorem in dict.fromkeys(theorems):
+        started = time.perf_counter()
+        if theorem in _LEMMAS:
+            report = _lemma_report(theorem, max_r, trials, seed, jobs)
         else:
-            range_spec = {"max_r": max_r}
-            count, extra = (1 << (max_r + 1)) - 2, ()  # the subsets S of Z_1..Z_max_r
-            # L2.1 is milliseconds of work: one inline chunk, no pool. L2.4
-            # takes 512 subsets a chunk at least, so a pool pays: two chunks
-            # on two jobs of a 2-core machine save 12 ms of wall time for
-            # 37 ms more CPU at max_r = 8 (510 subsets), and 93 ms for 51 ms
-            # at max_r = 9.
-            worker, min_chunk = (_l21_chunk, count) if theorem == "L2.1" else (_l24_chunk, 512)
-        checked, violations = 0, []
-        arg_sets = [(lo, hi, *extra) for lo, hi in _chunk_ranges(count, min_chunk, jobs)]
-        for chunk_checked, chunk_violations in _run_chunked(worker, arg_sets, jobs):
-            checked += chunk_checked
-            violations += chunk_violations
-    else:
-        range_spec = {"max_n": max_n}
-        checked, violations, attainment = _bound_theorem_report(theorem, max_n, jobs)
-        not_attained = [a for a in attainment if not a.attained]
-        if not_attained:
-            notes.append(
-                f"{len(not_attained)} attainment cell(s) not reached by any graph; "
-                "recorded, not violations"
-            )
-    return TheoremReport(
-        theorem,
-        range_spec,
-        checked,
-        violations,
-        attainment,
-        int((time.perf_counter() - started) * 1000),
-        notes,
-    )
+            if sweeps is None:
+                sweeps = [shape_sweep(r, s, jobs=jobs, include_vertex=vertex) for r, s in shapes_within(max_n)]
+            report = _bound_report(theorem, max_n, sweeps)
+        report.wall_ms = int((time.perf_counter() - started) * 1000)
+        reports[theorem] = report
+    return [reports[theorem] for theorem in theorems]
+
+
+def check_theorem(theorem: str, *, max_n: int = 8, max_r: int = 8, trials: int = 10_000, seed: int = 20_240,
+                  jobs: int | None = None) -> TheoremReport:
+    """One claim's report: ``check_theorems((theorem,), ...)``, with its arguments and errors."""
+    return check_theorems((theorem,), max_n=max_n, max_r=max_r, trials=trials, seed=seed, jobs=jobs)[0]

@@ -161,11 +161,11 @@ def test_verify_all(capsys):
 
 def test_verify_all_columns_line_up_at_any_count(capsys, monkeypatch):
     # From --max-n 10 on the bound claims cover ten-digit counts.
-    def report(theorem, **kwargs):
+    def report(theorem):
         checked = 1_413_148_494 if theorem.startswith("T") else 1_234_567
         return verifier.TheoremReport(theorem, {}, checked, [], [], 0)
 
-    monkeypatch.setattr(cli, "check_theorem", report)
+    monkeypatch.setattr(cli, "check_theorems", lambda theorems, **kwargs: [report(t) for t in theorems])
     status, out, _ = run(capsys, "verify", "--theorem", "all", "--jobs", "1")
     lines = out.splitlines()
     assert status == EXIT_OK and len(lines) == len(THEOREM_IDS)

@@ -603,9 +603,13 @@ def test_oversized_request_is_rejected_before_any_sweep(monkeypatch):
         ("L2.5", {"seed": False}, "seed must be an int"),
         ("L2.4", {"max_r": -1}, "max_r must be >= 0"),
         ("L2.5", {"trials": -3}, "trials must be >= 0"),
+        # random.Random drops the sign of a seed: block 0 of seed -s would draw that of s.
+        ("L2.5", {"seed": -3 * 1_000_003}, "seed must be >= 0"),
+        ("T3.2", {"seed": -1}, "seed must be >= 0"),
     ):
         with pytest.raises(ValueError, match=message):
             check_theorem(theorem, **kwargs)
+    assert cli.main(["verify", "--theorem", "L2.5", "--seed", "-3"]) == 65
 
 
 @pytest.mark.parametrize("theorem, kwargs, count", [
@@ -787,6 +791,51 @@ def _shifted_flow_violations(theorem, kind):
                     expected.append(Violation(theorem, "oracle", f"{kind}_flow", r, s, subject.bit_count(),
                                               tuple(g.edges()), value + 1, value))
     return expected
+
+
+def test_claims_share_one_sweep_per_shape_without_the_cache(monkeypatch):
+    # A cache that never stores an entry: one call still sweeps each shape
+    # once, with the vertex metrics T3.3 needs, and its reports are those of
+    # one call per claim.
+    class Forgetful(dict):
+        def __setitem__(self, key, value):
+            pass
+
+    real = verifier._scan
+    scans = []
+
+    def record(r, s, m, orbits, metrics, *rest):
+        scans.append((r, s, metrics))
+        return real(r, s, m, orbits, metrics, *rest)
+
+    monkeypatch.setattr(verifier, "_SWEEP_CACHE", Forgetful())
+    monkeypatch.setattr(verifier, "_scan", record)
+    claims = ("L3.1", "T3.2", "T3.3")
+    reports = verifier.check_theorems(claims, max_n=5, jobs=1)
+    assert scans == [(r, s, verifier._ALL_METRICS) for r, s in shapes_within(5)]
+    alone = [check_theorem(theorem, max_n=5, jobs=1) for theorem in claims]
+    assert [dataclasses.replace(r, wall_ms=0) for r in reports] == [dataclasses.replace(r, wall_ms=0) for r in alone]
+
+
+def test_check_theorems_reports_in_the_requested_order_and_times_the_sweeps_once(monkeypatch):
+    # A clock that moves one second per sweep and stands still otherwise:
+    # the first bound claim requested carries every sweep, the others none.
+    clock = [0.0]
+    real = verifier.shape_sweep
+
+    def slow(*args, **kwargs):
+        clock[0] += 1.0
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "time", type("Clock", (), {"perf_counter": staticmethod(lambda: clock[0])}))
+    monkeypatch.setattr(verifier, "shape_sweep", slow)
+    order = ("T4.2", "L2.1", "T3.2", "T4.2")
+    reports = verifier.check_theorems(order, max_n=5, max_r=3, jobs=1)
+    assert [report.theorem for report in reports] == list(order) and reports[0] is reports[-1]
+    assert [report.wall_ms for report in reports] == [1000 * len(shapes_within(5)), 0, 0, 1000 * len(shapes_within(5))]
+    with pytest.raises(UnknownTheorem):
+        verifier.check_theorems(("T3.2", "T9.9"), max_n=5, jobs=1)
+    assert clock[0] == len(shapes_within(5))  # the unknown id was refused before any sweep
 
 
 def test_flow_oracle_mismatch_is_a_violation_of_every_edge_claim(monkeypatch):
@@ -1023,6 +1072,24 @@ def test_t41_attainment_flags_degenerate_cell():
     assert not record.attained
     assert record.witness_family is None
     assert report.exit_status == 0  # recorded, not a violation
+
+
+def test_attainment_note_counts_only_cells_short_of_the_formula(monkeypatch):
+    # At max-n 5 the note counts the two proved misses, (2, 2, 2) and
+    # (2, 3, 3). With both T4.1 bounds tightened by one, those two reach their
+    # formula and the other 28 cells are past it: violations, not notes.
+    monkeypatch.setattr(verifier, "_SWEEP_CACHE", {})
+    assert check_theorem("T4.1", max_n=5, jobs=1).notes == [
+        "2 attainment cell(s) not reached by any graph; recorded, not violations"]
+    real_n, real_lower = verifier.N_upper, verifier.sum_lower_sized
+    monkeypatch.setattr(verifier, "N_upper", lambda triple: real_n(triple) - 1)
+    monkeypatch.setattr(verifier, "sum_lower_sized", lambda triple: real_lower(triple) + 1)
+    monkeypatch.setattr(verifier, "_SWEEP_CACHE", {})
+    report = check_theorem("T4.1", max_n=5, jobs=1)
+    past = [a for a in report.attainment if (a.enumerated > a.formula) == (a.bound == "upper") and not a.attained]
+    assert len(past) == 28 and sum(a.attained for a in report.attainment) == 2
+    assert {(v.side, v.r, v.s, v.m) for v in report.violations} == {(a.bound, a.r, a.s, a.m) for a in past}
+    assert report.notes == []
 
 
 def test_bound_claims_miss_exactly_the_proved_cells():
