@@ -13,7 +13,8 @@ to report a class that breaks a bound once, on its smallest mask.
 
 The sweeps also pack a graph into one r*s-bit mask, bit i*s + j for the
 edge x_{i+1} y_{j+1}, so that its complement is an XOR; ``rows_of`` and
-``mask_of`` are the one definition of that layout, and ``attach_vertex``
+``mask_of`` are the one definition of that layout, ``_bit_indices`` the one
+lister of a mask's set bits (for edge lists and cuts), and ``attach_vertex``
 the one place that grows rows by a vertex; ``add_right_vertex`` and
 ``add_left_vertex`` check their neighbour lists with one helper.
 
@@ -69,6 +70,16 @@ def mask_of(s: int, rows: tuple[int, ...]) -> int:
     for i in range(len(rows)):
         mask |= rows[i] << (i * s)
     return mask
+
+
+def _bit_indices(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _adjacency_masks(r: int, s: int, rows: tuple[int, ...]) -> list[int]:
@@ -174,13 +185,7 @@ class BipartiteGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as 1-based (i, j) pairs in lexicographic order."""
-        out = []
-        for i, row in enumerate(self.adjacency, start=1):
-            while row:
-                low = row & -row
-                out.append((i, low.bit_length()))
-                row ^= low
-        return out
+        return [(i, j + 1) for i, row in enumerate(self.adjacency, start=1) for j in _bit_indices(row)]
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _cayley_members(text: str) -> frozenset[int]:
+    """``bicayley --set``: distinct comma-separated integers, or "empty" or "" for none."""
+    try:
+        members = [] if text.strip() in ("", "empty") else [int(member) for member in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers") from None
+    if len(set(members)) < len(members):
+        raise argparse.ArgumentTypeError(f"a member is repeated in {text!r}")
+    return frozenset(members)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bipcon", description="bipartite complement connectivity toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -108,17 +119,16 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bicayley", help="build a Bi-Cayley graph over Z_r")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--set", dest="members", required=True,
+    p.add_argument("--set", dest="members", type=_cayley_members, required=True,
                    help="comma-separated subset of 0..r-1, or 'empty'")
     p.add_argument("--format", choices=("edge-list", "json"), default="edge-list")
 
     p = sub.add_parser("verify", help="verify one claim or all of them, exit 0/2")
     p.add_argument("--theorem", required=True, choices=THEOREM_IDS + ("all",))
-    p.add_argument("--max-n", type=int, default=8)
-    p.add_argument("--max-r", type=int, default=8)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=20_240)
-    p.add_argument("--jobs", type=_positive_int, default=None)
+    # No defaults here: check_theorems' signature holds them.
+    for flag in ("--max-n", "--max-r", "--trials", "--seed"):
+        p.add_argument(flag, type=int, default=argparse.SUPPRESS)
+    p.add_argument("--jobs", type=_positive_int, default=argparse.SUPPRESS)
     p.add_argument("--format", choices=("text-table", "json"), default="text-table")
 
     p = sub.add_parser("scan", help="extremal metric values at fixed edge count")
@@ -245,9 +255,7 @@ def _cmd_witness(opts) -> int:
 
 
 def _cmd_bicayley(opts) -> int:
-    text = opts.members.strip()
-    members = frozenset() if text in ("", "empty") else frozenset(int(x) for x in text.split(","))
-    g = bi_cayley(CayleySubset(opts.r, members))
+    g = bi_cayley(CayleySubset(opts.r, opts.members))
     if opts.format == "json":
         print(json.dumps(graph_to_json(g), indent=2))
     else:
@@ -271,8 +279,8 @@ def _summarize(reports, fmt: str) -> int:
 
 def _cmd_verify(opts) -> int:
     theorems = THEOREM_IDS if opts.theorem == "all" else (opts.theorem,)
-    reports = check_theorems(theorems, max_n=opts.max_n, max_r=opts.max_r, trials=opts.trials,
-                             seed=opts.seed, jobs=opts.jobs)
+    given = {name: getattr(opts, name) for name in ("max_n", "max_r", "trials", "seed", "jobs") if name in opts}
+    reports = check_theorems(theorems, **given)
     if opts.theorem == "all":
         return _summarize(reports, opts.format)
     [report] = reports

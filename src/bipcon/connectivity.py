@@ -78,7 +78,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bigraph import BipartiteGraph, _adjacency_masks, _rows_connected, mask_of
+from .bigraph import BipartiteGraph, _adjacency_masks, _bit_indices, _rows_connected, mask_of
 from .errors import EmptyGraph, TooLarge, TooSmall
 
 _BRUTE_FORCE_MAX_VERTICES = 16
@@ -108,16 +108,6 @@ class ConnectivityResult:
 
 def _vertex_label(r: int, v: int) -> str:
     return f"x{v + 1}" if v < r else f"y{v - r + 1}"
-
-
-def _bit_indices(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def is_connected(g: BipartiteGraph) -> bool:
@@ -314,18 +304,12 @@ def edge_connectivity(g: BipartiteGraph) -> ConnectivityResult:
     connected, adj, degrees = g.prework
     if not connected:
         return ConnectivityResult(0, "disconnected")
-    r, rows = g.left_size, g.adjacency
+    r = g.left_size
     best, reach = _edge_core(r, g.right_size, adj, degrees)
     if reach:
-        cut = []
-        for i in range(r):
-            row = rows[i]
-            while row:
-                low = row & -row
-                j = low.bit_length() - 1
-                if ((reach >> i) & 1) != ((reach >> (r + j)) & 1):
-                    cut.append((i + 1, j + 1))
-                row ^= low
+        # The edges of each x_i to the neighbours on the other side of reach.
+        cut = [(i + 1, u - r + 1) for i in range(r)
+               for u in _bit_indices(adj[i] & (~reach if reach >> i & 1 else reach))]
     else:
         v = _last_of_degree(degrees, best)
         ends = _bit_indices(adj[v])

@@ -353,7 +353,8 @@ def _chunk_ranges(count: int, min_chunk: int, jobs: int) -> list[tuple[int, int]
 def _run_chunked(worker, arg_sets, jobs: int):
     if jobs == 1 or len(arg_sets) <= 1:
         return [worker(a) for a in arg_sets]
-    with Pool(processes=min(jobs, len(arg_sets))) as pool:
+    # More processes than CPUs only share them; jobs still sets the chunking.
+    with Pool(processes=min(jobs, len(arg_sets), _resolve_jobs(None))) as pool:
         return pool.map(worker, arg_sets)
 
 
@@ -882,7 +883,6 @@ def check_theorems(theorems: Iterable[str], *, max_n: int = 8, max_r: int = 8, t
     return [reports[theorem] for theorem in theorems]
 
 
-def check_theorem(theorem: str, *, max_n: int = 8, max_r: int = 8, trials: int = 10_000, seed: int = 20_240,
-                  jobs: int | None = None) -> TheoremReport:
-    """One claim's report: ``check_theorems((theorem,), ...)``, with its arguments and errors."""
-    return check_theorems((theorem,), max_n=max_n, max_r=max_r, trials=trials, seed=seed, jobs=jobs)[0]
+def check_theorem(theorem: str, **options) -> TheoremReport:
+    """One claim's report: ``check_theorems((theorem,), **options)``, with its keywords, defaults and errors."""
+    return check_theorems((theorem,), **options)[0]

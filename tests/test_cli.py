@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -123,6 +124,25 @@ def test_bicayley_command(capsys):
     status, out, _ = run(capsys, "bicayley", "--r", "3", "--set", "0")
     assert status == EXIT_OK
     assert parse_edge_list(out) == new_graph(3, 3, [(1, 1), (2, 2), (3, 3)])
+
+
+def test_bicayley_refuses_a_malformed_set_as_a_usage_error(capsys):
+    for members in ("0,0", "1,,2", "a", "0,00"):
+        assert run(capsys, "bicayley", "--r", "4", "--set", members)[0] == EXIT_USAGE, members
+    assert run(capsys, "bicayley", "--r", "4", "--set", "0,7")[0] == EXIT_DOMAIN  # outside Z_4
+    for members, expected in (("0,2", {0, 2}), (" 2, 0", {0, 2}), ("empty", set()), ("", set())):
+        status, out, _ = run(capsys, "bicayley", "--r", "4", "--set", members)
+        assert status == EXIT_OK
+        assert parse_edge_list(out) == bi_cayley(CayleySubset(4, frozenset(expected))), members
+
+
+def test_verify_defaults_are_those_of_check_theorems(capsys):
+    defaults = {name: p.default for name, p in inspect.signature(verifier.check_theorems).parameters.items()}
+    for theorem, keys in (("L2.5", ("trials", "seed")), ("L2.4", ("max_r",))):
+        status, out, _ = run(capsys, "verify", "--theorem", theorem, "--format", "json")
+        assert status == EXIT_OK
+        report = json.loads(out)["range"]
+        assert {key: report[key] for key in keys} == {key: defaults[key] for key in keys}, theorem
 
 
 def test_verify_exit_zero(capsys):

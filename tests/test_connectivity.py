@@ -658,9 +658,10 @@ def test_a_cut_below_delta_is_found_with_only_twice_delta_vertices_in_the_smalle
     # d, and of the sinks y2..y(d+1) only y(d+1) lies beyond the cut.
     blocks = [(i, j) for b in (0, d) for i in range(b + 1, b + d + 1) for j in range(b + 1, b + d + 1)]
     g = new_graph(2 * d + 1, 2 * d, blocks + [(d, d + 1)] + [(2 * d + 1, j) for j in range(d + 1, 2 * d + 1)])
-    for h in (g, _transposed(g)):
+    for h, bridge in ((g, (d, d + 1)), (_transposed(g), (d + 1, d))):
         edge, vertex = _assert_valid_certificates(h)
         assert edge.value == vertex.value == 1 and degrees(h).min_degree == d
+        assert edge.edges == (bridge,)  # read off the flow's reach, not a vertex's degree
 
 
 def _full_pair_values(g):

@@ -136,6 +136,36 @@ def test_shape_sweep_deterministic_across_jobs():
     assert one.mismatches == two.mismatches
 
 
+def test_a_pool_gets_no_more_processes_than_cpus(monkeypatch):
+    # jobs sets the chunking; the pool is capped at the CPUs this process may
+    # run on, here two. The stand-in pool maps inline, so no process starts.
+    requested = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, arg_sets):
+            return [worker(args) for args in arg_sets]
+
+    monkeypatch.setattr(verifier.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(verifier, "Pool", InlinePool)
+    one = shape_sweep(3, 5, jobs=1, use_cache=False)
+    assert requested == []
+    many = shape_sweep(3, 5, jobs=64, use_cache=False)
+    assert requested == [2]
+    assert (many.graphs_checked, many.cells, many.violations, many.mismatches) == (
+        one.graphs_checked, one.cells, one.violations, one.mismatches)
+    check_theorem("L2.5", trials=20_000, jobs=2)  # two chunks: still a pool at jobs=2
+    assert requested == [2, 2]
+
+
 def test_shape_sweep_cell_counts_are_binomials():
     from math import comb
 
@@ -610,6 +640,10 @@ def test_oversized_request_is_rejected_before_any_sweep(monkeypatch):
         with pytest.raises(ValueError, match=message):
             check_theorem(theorem, **kwargs)
     assert cli.main(["verify", "--theorem", "L2.5", "--seed", "-3"]) == 65
+    # check_theorem forwards keywords only, and only check_theorems' own.
+    for args, kwargs in ((("L3.1", 5), {}), (("L3.1",), {"max_m": 5})):
+        with pytest.raises(TypeError):
+            check_theorem(*args, **kwargs)
 
 
 @pytest.mark.parametrize("theorem, kwargs, count", [
