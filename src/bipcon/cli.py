@@ -145,7 +145,7 @@ def _build_parser() -> _Parser:
 def _read_graph(path: str) -> BipartiteGraph:
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a decode error is a ValueError, not a domain error
         raise _FileError(str(exc)) from exc
     try:
         return parse_edge_list(text)

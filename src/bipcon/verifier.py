@@ -49,18 +49,19 @@ the labeled walk a graph or its complement, on the class walk the smallest
 mask of a class or of its complement class, which stands for all their
 labeled graphs.
 
-The kernels each run calls, per graph:
+The kernels each run calls, per graph; ``_values`` is the one place that
+picks them for sweeps, scans, witness values and L2.4:
 
 * a sweep with vertex metrics calls ``connectivity._joint_values`` once for
-  delta, k' and k (one row closure, adjacency masks and degree list);
+  delta, k' and k (one row closure, adjacency masks and degree list), and
+  L2.4 once per side of each pair connected on both sides;
 * an edge-only sweep calls ``_min_degree`` and ``edge_connectivity_value``,
-  a fixed-m scan the one kernel of its metric, and the labeled walk adds
-  ``edge_oracle_value`` and ``vertex_oracle_value`` for its kinds;
-* L2.4 calls ``_min_degree``, ``edge_connectivity_value`` and
-  ``vertex_connectivity_value`` separately, and L2.5 keeps each trial graph
-  as packed rows and calls ``edge_connectivity_value`` once per distinct
-  graph of a chunk, before or after a vertex is attached (10,000 trials
-  value 4,949 graphs).
+  a fixed-m scan and a witness value the one kernel of its metric, and the
+  labeled walk adds ``edge_oracle_value`` and ``vertex_oracle_value`` for
+  its kinds;
+* L2.5 keeps each trial graph as packed rows and calls
+  ``edge_connectivity_value`` once per distinct graph of a chunk, before or
+  after a vertex is attached (10,000 trials value 4,949 graphs).
 
 Every sweep and scan is held to one cap on its shape, rs <= 30, checked
 before any work; ``check_theorems`` checks it on the largest shape within
@@ -105,7 +106,6 @@ from .connectivity import (
     _min_degree,
     edge_connectivity_value,
     edge_oracle_value,
-    is_connected,
     vertex_connectivity_value,
     vertex_oracle_value,
 )
@@ -207,10 +207,9 @@ class ShapeSweep:
     r: int
     s: int
     graphs_checked: int
-    cells: dict[str, list[_Cell | None]]  # metric -> cell per edge count 0..rs
+    cells: dict[str, list[_Cell | None]]  # metric -> cell per edge count 0..rs; an edge-only sweep has no vertex keys
     violations: list[Violation]
     mismatches: list[tuple]  # (mask, invariant, flow_value, oracle_value)
-    has_vertex: bool = True
     orbits_checked: int | None = None  # classes covered, one evaluation per class pair; None on a labeled sweep
 
 
@@ -235,6 +234,20 @@ def _fold(cells: list, m: int, max_value: int, max_mask: int, min_value: int, mi
 _KINDS = ("delta", "edge", "vertex")  # the order of ``_joint_values``
 
 
+def _values(r: int, s: int, rows: tuple[int, ...], kinds: tuple[str, ...]) -> list[int]:
+    """The max-flow values of ``kinds`` on one graph, in that order.
+
+    All of ``_KINDS`` take one ``_joint_values`` pass, other kinds their own
+    kernels. Each kernel is looked up at call time, so a caller that rebinds
+    its module name sees every call.
+    """
+    if kinds == _KINDS:
+        return list(_joint_values(r, s, rows))
+    return [_min_degree(r, s, rows) if kind == "delta" else
+            edge_connectivity_value(r, s, rows) if kind == "edge" else
+            vertex_connectivity_value(r, s, rows) for kind in kinds]
+
+
 def _chunk(args):
     """Worker: fold the metric values of one chunk of a mask source into cells by edge count.
 
@@ -254,9 +267,8 @@ def _chunk(args):
     cells. Each pair is held to the per-edge-count bounds in ``checks``,
     and a pair that breaks one is reported once, on the item's mask or its
     complement class's, whichever has fewer edges (the smaller on a tie),
-    so the raw violations come in walk order. Only the kernels the metrics
-    need run (minimum degree, edge pair, vertex pair), and a sweep that
-    needs all three runs ``_joint_values`` once per graph instead. Every
+    so the raw violations come in walk order. ``_values`` runs only the
+    kernels the metrics need (minimum degree, edge pair, vertex pair). Every
     value comes from the max-flow path; the pair masks, and only they, are
     audited graph by graph against the brute-force oracles, and a graph
     whose flow differs is a mismatch whose oracle value fills the cells.
@@ -267,10 +279,7 @@ def _chunk(args):
     r, s, m, orbits, lo, hi, metrics, checks = args
     bits = r * s
     full = (1 << bits) - 1
-    kinds = [kind for kind in _KINDS if any(metric.endswith(kind) for metric in metrics)]
-    joint = len(kinds) == len(_KINDS)  # one joint pass per graph instead of the three kernels
-    flow = {"delta": _min_degree, "edge": edge_connectivity_value, "vertex": vertex_connectivity_value}
-    kernels = [flow[kind] for kind in kinds]
+    kinds = tuple(kind for kind in _KINDS if any(metric.endswith(kind) for metric in metrics))
     oracle = {"edge": edge_oracle_value, "vertex": vertex_oracle_value}
     audits = [] if orbits else [(i, kind, oracle[kind]) for i, kind in enumerate(kinds) if kind != "delta"]
     ops = [(kinds.index(metric.split("_")[1]), add if metric.startswith("sum") else mul) for metric in metrics]
@@ -298,10 +307,7 @@ def _chunk(args):
         cmask = full ^ mask
         rows = rows_of(r, s, mask)
         rows_c = rows_of(r, s, cmask)
-        if joint:
-            found = list(_joint_values(r, s, rows)), list(_joint_values(r, s, rows_c))
-        else:
-            found = [fn(r, s, rows) for fn in kernels], [fn(r, s, rows_c) for fn in kernels]
+        found = _values(r, s, rows, kinds), _values(r, s, rows_c, kinds)
         if audits:
             for side_mask, side_rows, side_values in zip((mask, cmask), (rows, rows_c), found):
                 for i, kind, fn in audits:
@@ -429,11 +435,11 @@ def shape_sweep(
     orbit and weights each side by its orbit size: ``graphs_checked`` still
     counts the labeled graphs covered, and ``orbits_checked`` the classes
     covered, both orbits of each pair. A pair that breaks a bound is one
-    violation, on its side with fewer edges. Vertex connectivity
-    dominates the cost; edge-only callers pass ``include_vertex=False`` and
-    the sweep then carries no vertex cells and no T3.3/T4.3 checks. A cached
-    sweep with vertex metrics serves edge-only requests too. Raises TooLarge
-    for rs > SHAPE_MAX_BITS before any work.
+    violation, on its side with fewer edges. Vertex connectivity dominates
+    the cost; edge-only callers pass ``include_vertex=False``, and the
+    sweep's ``cells`` then holds no vertex keys and it makes no T3.3/T4.3
+    checks. A cached sweep with vertex metrics serves edge-only requests
+    too. Raises TooLarge for rs > SHAPE_MAX_BITS before any work.
     """
     if type(r) is not int or type(s) is not int or not (1 <= r <= s):  # bool and float excluded
         raise ValueError(f"needs ints 1 <= r <= s, got r={r!r}, s={s!r}")
@@ -441,10 +447,9 @@ def shape_sweep(
     key = (r, s)
     if use_cache and key in _SWEEP_CACHE:
         cached = _SWEEP_CACHE[key]
-        if cached.has_vertex or not include_vertex:
+        if "sum_vertex" in cached.cells or not include_vertex:
             return cached
     _check_shape(r, s)
-    bits = r * s
     metrics = tuple(metric for metric in _ALL_METRICS if include_vertex or not metric.endswith("vertex"))
     orbits = r + s > ORACLE_BACKEND_MAX_VERTICES
     graphs, classes, cells, raw, mismatches = _scan(r, s, None, orbits, metrics, _checks(r, s, metrics), jobs)
@@ -456,12 +461,8 @@ def shape_sweep(
         )
         for theorem, side, metric, vm, subject, observed, bound in raw
     ]
-    final_cells = {
-        metric: [None if c is None else _Cell(*c) for c in cells.get(metric, [None] * (bits + 1))]
-        for metric in _ALL_METRICS
-    }
-    sweep = ShapeSweep(r, s, graphs, final_cells, violations, mismatches,
-                       has_vertex=include_vertex, orbits_checked=classes)
+    final_cells = {metric: [None if c is None else _Cell(*c) for c in per_m] for metric, per_m in cells.items()}
+    sweep = ShapeSweep(r, s, graphs, final_cells, violations, mismatches, orbits_checked=classes)
     if use_cache:
         _SWEEP_CACHE[key] = sweep
     return sweep
@@ -490,11 +491,9 @@ def metric_value(metric: str, g: BipartiteGraph) -> int:
     """Evaluate one metric (max-flow backed) on a graph and its complement."""
     if metric not in METRIC_IDS:
         raise ValueError(f"unknown metric {metric!r}")
-    gc = bipartite_complement(g)
-    kernel = edge_connectivity_value if metric.endswith("edge") else vertex_connectivity_value
-    a = kernel(g.left_size, g.right_size, g.adjacency)
-    b = kernel(gc.left_size, gc.right_size, gc.adjacency)
-    return a + b if metric.startswith("sum") else a * b
+    op, kind = metric.split("_")
+    (a,), (b,) = (_values(h.left_size, h.right_size, h.adjacency, (kind,)) for h in (g, bipartite_complement(g)))
+    return a + b if op == "sum" else a * b
 
 
 def extremal_scan(r: int, s: int, m: int, metric: str, jobs: int | None = None) -> ExtremalResult:
@@ -694,15 +693,12 @@ def _l24_chunk(args):
     for subset in _cayley_subsets(*args):
         g = bi_cayley(subset)
         gc = bipartite_complement(g)
-        if not (is_connected(g) and is_connected(gc)):
+        r, k = subset.modulus, len(subset.members)
+        if not (_rows_connected(r, r, g.adjacency) and _rows_connected(r, r, gc.adjacency)):
             continue  # every r = 1 subset stops here
         checked += 2
-        r, k = subset.modulus, len(subset.members)
         for label, graph, expected in (("graph", g, k), ("complement", gc, r - k)):
-            rows = graph.adjacency
-            for what, kernel in (("delta", _min_degree), ("edge", edge_connectivity_value),
-                                 ("vertex", vertex_connectivity_value)):
-                observed = kernel(r, r, rows)
+            for what, observed in zip(_KINDS, _values(r, r, graph.adjacency, _KINDS)):
                 if observed != expected:
                     violations.append(
                         Violation("L2.4", "upper", f"{label}:{what}", r, r, k, tuple(g.edges()), observed, expected)
@@ -843,12 +839,15 @@ def check_theorems(theorems: Iterable[str], *, max_n: int = 8, max_r: int = 8, t
     ``wall_ms`` of the first bound claim requested. A report with an empty
     violations list means the claim held everywhere it was evaluated.
     Raises, before any work: UnknownTheorem for an id not in THEOREM_IDS;
-    ValueError for an argument that is not an int, or a negative
-    ``max_n``, ``max_r``, ``trials`` or ``seed``; TooLarge for a ``max_r``
-    past the Bi-Cayley cap of 2^24 subsets (max_r <= 23), for more than
-    2^24 ``trials``, or, with a bound claim requested, a ``max_n`` whose
-    largest shape has rs > 30 (max_n <= 11).
+    ValueError for ``theorems`` given as one string, an argument that is
+    not an int, or a negative ``max_n``, ``max_r``, ``trials`` or ``seed``;
+    TooLarge for a ``max_r`` past the Bi-Cayley cap of 2^24 subsets (max_r
+    <= 23), for more than 2^24 ``trials``, or, with a bound claim requested,
+    a ``max_n`` whose largest shape has rs > 30 (max_n <= 11).
     """
+    if isinstance(theorems, str):  # a str is an iterable of one-character ids
+        raise ValueError(f"theorems must be an iterable of claim ids, got the string {theorems!r}; "
+                         f"use check_theorem for one claim")
     theorems = tuple(theorems)
     for theorem in theorems:
         if theorem not in THEOREM_IDS:

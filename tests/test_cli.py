@@ -214,6 +214,12 @@ def test_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 2\n1\n", encoding="utf-8")
     assert run(capsys, "complement", str(bad))[0] == EXIT_FILE
+    # A file that is not UTF-8 is a file error too, not a domain error.
+    undecodable = tmp_path / "latin.txt"
+    undecodable.write_bytes(b"2 2\n1 1\n\xff\xfe\n")
+    for command in ("connectivity", "complement"):
+        status, _, err = run(capsys, command, str(undecodable))
+        assert status == EXIT_FILE and "file error" in err and "utf-8" in err, command
 
 
 def test_too_large_exit_code(capsys):

@@ -4,7 +4,7 @@ import os
 import random
 import tracemalloc
 from collections import Counter
-from itertools import combinations_with_replacement, groupby, permutations
+from itertools import combinations, combinations_with_replacement, groupby, permutations
 from math import comb, factorial, gcd, prod
 
 import pytest
@@ -15,7 +15,13 @@ from bipcon import orbits, verifier
 from bipcon.bigraph import BipartiteGraph, bipartite_complement, mask_of, new_graph, rows_of
 from bipcon.bounds import M_upper, ParameterTriple
 from bipcon import cli
-from bipcon.connectivity import edge_connectivity_value, edge_oracle_value, vertex_connectivity_value, vertex_oracle_value
+from bipcon.connectivity import (
+    _min_degree,
+    edge_connectivity_value,
+    edge_oracle_value,
+    vertex_connectivity_value,
+    vertex_oracle_value,
+)
 from bipcon.constructions import BoundGoal, CayleySubset, WitnessFamilyId, bi_cayley, dispatch_witness
 from bipcon.errors import InvalidTriple, TooLarge, UnknownTheorem
 from bipcon.verifier import (
@@ -208,23 +214,37 @@ def test_shape_sweep_checks_jobs_when_served_from_the_cache():
         extremal_scan(2, 3, 1, "sum_edge", jobs=2.0)
 
 
+def test_values_equal_the_separate_kernels_for_every_ordered_choice_of_kinds():
+    kernels = {"delta": _min_degree, "edge": edge_connectivity_value, "vertex": vertex_connectivity_value}
+    choices = [p for k in (1, 2, 3) for c in combinations(verifier._KINDS, k) for p in permutations(c)]
+    graphs = [BipartiteGraph.from_mask(r, s, mask)
+              for r in (1, 2, 3) for s in (1, 2, 3) for mask in range(1 << (r * s))]
+    rng = random.Random(31)
+    for _ in range(500):
+        r, s = rng.randint(1, 6), rng.randint(1, 6)
+        g = BipartiteGraph.from_mask(r, s, rng.getrandbits(r * s))
+        graphs += [g, bipartite_complement(g)]
+    for g in graphs:
+        r, s, rows = g.left_size, g.right_size, g.adjacency
+        for kinds in choices:
+            assert verifier._values(r, s, rows, kinds) == [kernels[kind](r, s, rows) for kind in kinds], (g, kinds)
+
+
 def test_edge_only_sweep_matches_full_sweep():
     full = shape_sweep(2, 3, jobs=1, use_cache=False)
     lean = shape_sweep(2, 3, jobs=1, use_cache=False, include_vertex=False)
-    assert not lean.has_vertex
     for metric in ("sum_edge", "prod_edge", "sum_delta", "prod_delta"):
         assert lean.cells[metric] == full.cells[metric], metric
-    assert all(c is None for c in lean.cells["sum_vertex"])
-    assert all(c is None for c in lean.cells["prod_vertex"])
+    assert "sum_vertex" not in lean.cells and "prod_vertex" not in lean.cells
     assert lean.violations == [v for v in full.violations if v.theorem not in ("T3.3", "T4.3")]
 
 
 def test_sweep_cache_upgrades_to_vertex_metrics():
     verifier._SWEEP_CACHE.pop((1, 3), None)
     lean = shape_sweep(1, 3, jobs=1, include_vertex=False)
-    assert not lean.has_vertex
+    assert "sum_vertex" not in lean.cells and "prod_vertex" not in lean.cells
     full = shape_sweep(1, 3, jobs=1, include_vertex=True)
-    assert full.has_vertex
+    assert "sum_vertex" in full.cells and "prod_vertex" in full.cells
     assert shape_sweep(1, 3, jobs=1, include_vertex=False) is full
 
 
@@ -782,15 +802,20 @@ def test_bicayley_complement_fault_reports_every_subset(monkeypatch, jobs):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_maximal_connectivity_fault_reports_each_shifted_value(monkeypatch, jobs):
-    # Vertex connectivity one high on graphs whose last row is 1 mod 3. Every
-    # Bi-Cayley pair connected on both sides has k = k' = delta = |S| on the
-    # graph and r - |S| on the complement, so exactly the shifted values break.
+    # The joint pass's vertex connectivity one high on graphs whose last row
+    # is 1 mod 3. Every Bi-Cayley pair connected on both sides has
+    # k = k' = delta = |S| on the graph and r - |S| on the complement, so
+    # exactly the shifted values break.
     def faulty(rows):
         return rows[-1] % 3 == 1
 
-    real = verifier.vertex_connectivity_value
-    monkeypatch.setattr(verifier, "vertex_connectivity_value",
-                        lambda r, s, rows: real(r, s, rows) + faulty(rows))
+    real = verifier._joint_values
+
+    def shifted(r, s, rows):
+        delta, edge, vertex = real(r, s, rows)
+        return delta, edge, vertex + faulty(rows)
+
+    monkeypatch.setattr(verifier, "_joint_values", shifted)
     report = check_theorem("L2.4", max_r=5, jobs=jobs)
     expected = []
     checked = 0
@@ -809,6 +834,34 @@ def test_maximal_connectivity_fault_reports_each_shifted_value(monkeypatch, jobs
     assert expected and checked > len(expected)
     assert report.graphs_checked == checked
     assert report.violations == expected
+
+
+def test_maximal_connectivity_takes_one_joint_pass_per_side(monkeypatch):
+    # L2.4 values each side of a pair connected on both sides in one joint
+    # pass, and never reaches the separate value kernels.
+    real = verifier._joint_values
+    calls = Counter()
+
+    def counted(r, s, rows):
+        calls[r, rows] += 1
+        return real(r, s, rows)
+
+    def unreached(r, s, rows):
+        raise AssertionError("L2.4 reached a separate value kernel")
+
+    monkeypatch.setattr(verifier, "_joint_values", counted)
+    monkeypatch.setattr(verifier, "edge_connectivity_value", unreached)
+    monkeypatch.setattr(verifier, "vertex_connectivity_value", unreached)
+    report = check_theorem("L2.4", max_r=6, jobs=1)
+    expected = Counter()
+    for r in range(2, 7):
+        for smask in range(1 << r):
+            g = bi_cayley(CayleySubset(r, _members(r, smask)))
+            gc = bipartite_complement(g)
+            if components_count(g) == components_count(gc) == 1:
+                expected.update([(r, g.adjacency), (r, gc.adjacency)])
+    assert report.violations == [] and report.graphs_checked == sum(expected.values()) > 0
+    assert calls == expected
 
 
 def _shifted_flow_violations(theorem, kind):
@@ -869,7 +922,10 @@ def test_check_theorems_reports_in_the_requested_order_and_times_the_sweeps_once
     assert [report.wall_ms for report in reports] == [1000 * len(shapes_within(5)), 0, 0, 1000 * len(shapes_within(5))]
     with pytest.raises(UnknownTheorem):
         verifier.check_theorems(("T3.2", "T9.9"), max_n=5, jobs=1)
-    assert clock[0] == len(shapes_within(5))  # the unknown id was refused before any sweep
+    for claims in ("T4.1", "L2.1"):  # one id as a bare string, not its characters as ids
+        with pytest.raises(ValueError, match="use check_theorem"):
+            verifier.check_theorems(claims, max_n=5, max_r=2, jobs=1)
+    assert clock[0] == len(shapes_within(5))  # the unknown id and the strings were refused before any sweep
 
 
 def test_flow_oracle_mismatch_is_a_violation_of_every_edge_claim(monkeypatch):
