@@ -144,14 +144,15 @@ def _build_parser() -> _Parser:
 
 def _read_graph(path: str) -> BipartiteGraph:
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:  # a decode error is a ValueError, not a domain error
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    except OSError as exc:
         raise _FileError(str(exc)) from exc
     try:
-        return parse_edge_list(text)
+        # Decoded here, strictly, so bytes that are not UTF-8 read the same from stdin as from a file.
+        return parse_edge_list(data.decode("utf-8"))
     except TooLarge:
         raise  # a domain error, exit 65, not a malformed file
-    except (ValueError, BipconError) as exc:
+    except (ValueError, BipconError) as exc:  # a decode error is a ValueError, not a domain error
         raise _FileError(f"{path}: {exc}") from exc
 
 

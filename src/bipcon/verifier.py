@@ -26,12 +26,14 @@ and the results merge in chunk order. The bound claims' worker ranges over
 pair masks or orbit ranks and returns cells, merged by the reducer. The
 others return (graphs checked, violations): the Bi-Cayley claims (L2.1,
 L2.4) range over the 2^(max_r+1) - 2 subsets S of Z_1, ..., Z_max_r, at
-most 2^24, numbered in order by ``_cayley_subsets``, and L2.1 runs as one
-inline chunk, L2.4 in chunks of 512 subsets or more; the vertex-addition
-claim (L2.5) ranges over blocks of 500 trials, twenty or more blocks to a
-chunk, block i seeded from the seed and i, so no draw depends on the
-chunks. Both minimums are the measured break-even of a pool on two jobs,
-so ``max_r`` 8 and 10,000 trials run in one process.
+most 2^24, numbered in order by ``_cayley_masks``, and L2.1 runs as one
+inline chunk, label for label, L2.4 in chunks of 2^14 subsets or more,
+valuing only the least S of each class under affine maps and
+complementing (``_l24_chunk``); the vertex-addition claim (L2.5) ranges
+over blocks of 500 trials, twenty or more blocks to a chunk, block i
+seeded from the seed and i, so no draw depends on the chunks. Both
+minimums are the measured break-even of a pool on two jobs, so ``max_r``
+13 and 10,000 trials run in one process.
 
 Every value comes from the max-flow path, on either walk. A shape sweep
 up to eight vertices walks every labeled graph, and only that walk audits
@@ -54,7 +56,7 @@ picks them for sweeps, scans, witness values and L2.4:
 
 * a sweep with vertex metrics calls ``connectivity._joint_values`` once for
   delta, k' and k (one row closure, adjacency masks and degree list), and
-  L2.4 once per side of each pair connected on both sides;
+  L2.4 once per side of each class whose pair is connected on both sides;
 * an edge-only sweep calls ``_min_degree`` and ``edge_connectivity_value``,
   a fixed-m scan and a witness value the one kernel of its metric, and the
   labeled walk adds ``edge_oracle_value`` and ``vertex_oracle_value`` for
@@ -95,11 +97,12 @@ import random
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import groupby
+from math import gcd
 from multiprocessing import Pool
 from operator import add, attrgetter, mul
 from typing import Callable, Iterable
 
-from .bigraph import BipartiteGraph, _rows_connected, attach_vertex, bipartite_complement, rows_of
+from .bigraph import BipartiteGraph, _bit_indices, _rows_connected, attach_vertex, bipartite_complement, rows_of
 from .bounds import M_upper, N_upper, ParameterTriple, delta_bounds, sum_lower_sized
 from .connectivity import (
     _joint_values,
@@ -667,36 +670,115 @@ def _attainment(claim: _Claim, sweep: ShapeSweep, m: int | None) -> AttainmentRe
 # (graphs checked, violations in index order).
 
 
-def _cayley_subsets(lo: int, hi: int):
-    """The subsets S of Z_1, Z_2, ... numbered in order, those of Z_r from 2^r - 2 by S-mask: [lo, hi)."""
+def _cayley_masks(lo: int, hi: int):
+    """(r, S-mask) of the subsets S of Z_1, Z_2, ... numbered in order, those of Z_r from 2^r - 2: [lo, hi)."""
     for i in range(lo + 2, hi + 2):
         r = i.bit_length() - 1
-        yield CayleySubset(r, frozenset(a for a in range(r) if i >> a & 1))
+        yield r, i ^ 1 << r
+
+
+def _cayley_subset(r: int, smask: int) -> CayleySubset:
+    return CayleySubset(r, frozenset(_bit_indices(smask)))
 
 
 def _l21_chunk(args):
     lo, hi = args
     violations = []
-    for subset in _cayley_subsets(lo, hi):
+    for r, smask in _cayley_masks(lo, hi):
+        subset = _cayley_subset(r, smask)
         g = bi_cayley(subset)
         if bipartite_complement(g) != bi_cayley(subset.complement()):
-            r = subset.modulus
             violations.append(
                 Violation("L2.1", "upper", "labeled_equality", r, r, len(subset.members), tuple(g.edges()), 0, 0)
             )
     return hi - lo, violations
 
 
+def _unit_tables(r: int) -> list[tuple[list[int], list[int], list[int]]]:
+    """Per unit u of Z_r (1 first), three byte tables whose entries at the bytes of an S-mask OR to the mask of uS."""
+    units = []
+    for u in range(1, max(r, 2)):
+        if gcd(u, r) != 1:
+            continue
+        tables = []
+        for byte in range(3):  # BI_CAYLEY_MAX_BITS keeps r <= 23, so three bytes hold an S-mask
+            table = [0] * 256
+            for v in range(1, 256):
+                low = v & -v
+                a = 8 * byte + low.bit_length() - 1
+                table[v] = table[v ^ low] | (1 << u * a % r if a < r else 0)
+            tables.append(table)
+        units.append(tuple(tables))
+    return units
+
+
+def _class_size(r: int, smask: int, units) -> int:
+    """The size of the class of S under the group G of ``_l24_chunk`` if S is its least mask, else 0.
+
+    An S-mask other than 0 with bit 0 clear is above its image S - 1, and
+    one with bit r - 1 set above its complement, so neither is least. The
+    others are compared with every image uS + b and Z_r \\ (uS + b), units
+    from ``_unit_tables``, and refused at the first image below them; for a
+    least S, the images equal to it count |Stab(S)|, and the class has
+    |G| / |Stab(S)| masks. The empty set's class is {0, Z_r}.
+    """
+    if not smask:
+        return 2
+    if not smask & 1 or smask >> (r - 1):
+        return 0
+    full = (1 << r) - 1
+    stab = 0
+    for t0, t1, t2 in units:
+        image = t0[smask & 255] | t1[smask >> 8 & 255] | t2[smask >> 16]
+        doubled = image | image << r  # its rotation by b is doubled >> b, masked
+        for images in (doubled, doubled ^ (full << r | full)):
+            for b in range(r):
+                x = images >> b & full
+                if x <= smask:
+                    if x < smask:
+                        return 0
+                    stab += 1
+    return 2 * r * len(units) // stab
+
+
 def _l24_chunk(args):
+    """Check L2.4 on the least S-mask of each class of subsets whose least mask is in [lo, hi).
+
+    The classes are the orbits of G = {S -> uS + b : u a unit of Z_r, b in
+    Z_r} x {S -> Z_r \\ S}, of 2 r phi(r) elements. The claim's verdict is
+    the same on every S of a class:
+
+    * the map x_g -> x_{ug}, y_h -> y_{uh+b} carries BC(Z_r, S) onto
+      BC(Z_r, uS + b) and keeps the sides, since x_g y_h is an edge iff
+      h - g is in S, and u(h - g) = (uh + b) - (ug + b);
+    * by L2.1 the complement of BC(Z_r, S) is BC(Z_r, Z_r \\ S), and an
+      isomorphism of a bipartite graph that keeps the sides is one of its
+      complement too.
+
+    So each S of a class gives the same pair up to isomorphism and up to
+    which member is the graph, and connectivity, delta, k' and k are those
+    of the class. A least S (``_class_size``) is built through ``bi_cayley``
+    with its complement; when both are connected, each side takes one joint
+    pass, and the class counts as 2 graphs per mask in ``graphs_checked``,
+    as the labeled walk counted them. A value that breaks the claim is
+    reported once for the class, on its least S, which stands for all its
+    subsets.
+    """
     checked = 0
     violations = []
-    for subset in _cayley_subsets(*args):
-        g = bi_cayley(subset)
+    units = {}
+    for r, smask in _cayley_masks(*args):
+        if r not in units:
+            units[r] = _unit_tables(r)
+        size = _class_size(r, smask, units[r])
+        if not size:
+            continue
+        g = bi_cayley(_cayley_subset(r, smask))
         gc = bipartite_complement(g)
-        r, k = subset.modulus, len(subset.members)
         if not (_rows_connected(r, r, g.adjacency) and _rows_connected(r, r, gc.adjacency)):
             continue  # every r = 1 subset stops here
-        checked += 2
+        checked += 2 * size
+        k = smask.bit_count()
         for label, graph, expected in (("graph", g, k), ("complement", gc, r - k)):
             for what, observed in zip(_KINDS, _values(r, r, graph.adjacency, _KINDS)):
                 if observed != expected:
@@ -787,11 +869,11 @@ def _lemma_report(theorem: str, max_r: int, trials: int, seed: int, jobs: int) -
         range_spec = {"max_r": max_r}
         count, extra = (1 << (max_r + 1)) - 2, ()  # the subsets S of Z_1..Z_max_r
         # L2.1 is milliseconds of work: one inline chunk, no pool. L2.4
-        # takes 512 subsets a chunk at least, so a pool pays: two chunks
-        # on two jobs of a 2-core machine save 12 ms of wall time for
-        # 37 ms more CPU at max_r = 8 (510 subsets), and 93 ms for 51 ms
-        # at max_r = 9.
-        worker, min_chunk = (_l21_chunk, count) if theorem == "L2.1" else (_l24_chunk, 512)
+        # takes 2^14 subsets a chunk at least, so a pool pays: two chunks
+        # on two jobs of a 2-core machine cost 14 ms more wall time and
+        # 15 ms more CPU at max_r = 13 (16,382 subsets), and save 67 ms of
+        # wall time for 10 ms more CPU at max_r = 14.
+        worker, min_chunk = (_l21_chunk, count) if theorem == "L2.1" else (_l24_chunk, 1 << 14)
     checked, violations = 0, []
     arg_sets = [(lo, hi, *extra) for lo, hi in _chunk_ranges(count, min_chunk, jobs)]
     for chunk_checked, chunk_violations in _run_chunked(worker, arg_sets, jobs):

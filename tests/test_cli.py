@@ -1,4 +1,5 @@
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -14,6 +15,11 @@ from bipcon.connectivity import edge_connectivity, vertex_connectivity
 from bipcon.constructions import CayleySubset, WitnessFamilyId, bi_cayley, build_witness, witness_notes
 from bipcon.verifier import THEOREM_IDS, extremal_scan
 from conftest import fail_if_reached
+
+
+def _stdin(text: str):
+    """A stand-in for sys.stdin: a text stream over the UTF-8 bytes of ``text``, as a pipe gives it."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
 
 
 def run(capsys, *argv):
@@ -71,9 +77,7 @@ def test_complement_of_empty_is_complete(tmp_path, capsys):
 
 
 def test_complement_reads_stdin(capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO("2 2\n1 1\n"))
+    monkeypatch.setattr("sys.stdin", _stdin("2 2\n1 1\n"))
     status, out, _ = run(capsys, "complement", "-")
     assert status == EXIT_OK
     assert parse_edge_list(out) == new_graph(2, 2, [(1, 2), (2, 1), (2, 2)])
@@ -209,17 +213,36 @@ def test_usage_errors(capsys):
     assert run(capsys, "verify", "--theorem", "T3.2", "--jobs", "0")[0] == EXIT_USAGE
 
 
+_UNDECODABLE = b"2 2\n1 1\n\xff\xfe\n"
+_DECODE_ERROR = "'utf-8' codec can't decode byte 0xff in position 8"
+
+
 def test_file_errors(tmp_path, capsys):
     assert run(capsys, "connectivity", str(tmp_path / "missing.txt"))[0] == EXIT_FILE
     bad = tmp_path / "bad.txt"
     bad.write_text("2 2\n1\n", encoding="utf-8")
     assert run(capsys, "complement", str(bad))[0] == EXIT_FILE
-    # A file that is not UTF-8 is a file error too, not a domain error.
+    # A file that is not UTF-8 is a file error too, not a domain error, led by its path as a parse error is.
     undecodable = tmp_path / "latin.txt"
-    undecodable.write_bytes(b"2 2\n1 1\n\xff\xfe\n")
+    undecodable.write_bytes(_UNDECODABLE)
     for command in ("connectivity", "complement"):
         status, _, err = run(capsys, command, str(undecodable))
-        assert status == EXIT_FILE and "file error" in err and "utf-8" in err, command
+        assert status == EXIT_FILE and err.startswith(f"file error: {undecodable}: {_DECODE_ERROR}"), (command, err)
+
+
+def test_undecodable_stdin_reads_as_a_file_does(capsys, monkeypatch):
+    # The same message, led by "-", and exit 66, also from a stdin that
+    # hands undecodable bytes on as surrogates: the bytes are decoded, not the text.
+    stdin = io.TextIOWrapper(io.BytesIO(_UNDECODABLE), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    status, _, err = run(capsys, "complement", "-")
+    assert (status, err.startswith(f"file error: -: {_DECODE_ERROR}")) == (EXIT_FILE, True), err
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "bipcon", "connectivity", "-"]
+    proc = subprocess.run(argv, input=_UNDECODABLE, capture_output=True, env=env)
+    assert proc.returncode == EXIT_FILE, proc.stderr
+    assert proc.stderr.decode().startswith(f"file error: -: {_DECODE_ERROR}"), proc.stderr
 
 
 def test_too_large_exit_code(capsys):
@@ -251,13 +274,11 @@ def _certificate_text(result):
 
 
 def test_connectivity_table_prints_every_certificate_kind(capsys, monkeypatch):
-    import io
-
     # K_{2,2} gives a complete side and an edge cut, the path x1-y1-x2-y2 a
     # vertex cut and an edge cut, and both complements are disconnected.
     kinds = set()
     for text in ("2 2\n1 1\n1 2\n2 1\n2 2\n", "2 2\n1 1\n2 1\n2 2\n"):
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", _stdin(text))
         status, out, _ = run(capsys, "connectivity", "-")
         assert status == EXIT_OK
         g = parse_edge_list(text)
@@ -324,11 +345,9 @@ def test_scan_json_is_the_library_scan(capsys):
 
 
 def test_part_sizes_at_the_cap_are_served(capsys, monkeypatch):
-    import io
-
     cap = PART_MAX_SIZE
     for header in (f"{cap} {cap}", f"2 {cap}"):
-        monkeypatch.setattr("sys.stdin", io.StringIO(header + "\n"))
+        monkeypatch.setattr("sys.stdin", _stdin(header + "\n"))
         status, out, _ = run(capsys, "connectivity", "-", "--format", "json")
         assert status == EXIT_OK
         assert json.loads(out)["graph"]["edge_connectivity"]["kind"] == "disconnected"
@@ -338,8 +357,6 @@ def test_part_sizes_at_the_cap_are_served(capsys, monkeypatch):
 
 
 def test_part_sizes_past_the_cap_exit_65_before_any_graph(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr(bigraph, "new_graph", fail_if_reached)
     monkeypatch.setattr(cli, "bi_cayley", fail_if_reached)
     row = constructions._FAMILIES[WitnessFamilyId.S3_G2]
@@ -347,7 +364,7 @@ def test_part_sizes_past_the_cap_exit_65_before_any_graph(capsys, monkeypatch):
     big = PART_MAX_SIZE + 1
     for header in (f"{big} {big}", f"2 {big}", "2 2000000"):
         for command in ("connectivity", "complement"):
-            monkeypatch.setattr("sys.stdin", io.StringIO(header + "\n"))
+            monkeypatch.setattr("sys.stdin", _stdin(header + "\n"))
             status, out, err = run(capsys, command, "-")
             assert (status, out) == (EXIT_DOMAIN, ""), header
             assert err.startswith("too large: ") and f"cap of {PART_MAX_SIZE}" in err, err

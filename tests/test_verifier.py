@@ -698,8 +698,8 @@ def test_enumerated_claims_hand_over_index_ranges(monkeypatch, theorem, kwargs, 
 
 def test_vertex_addition_chunks_hold_twenty_blocks_at_least(monkeypatch):
     # Each chunk starts its tables afresh, and a pool pays off on two jobs
-    # only past 10,000 trials and max_r = 8: both run as one chunk, and four
-    # times as many trials, or max_r = 9, still split.
+    # only past 10,000 trials and max_r = 13: both run as one chunk, and four
+    # times as many trials, or max_r = 14, still split.
     handed = {}
 
     def record(worker, arg_sets, jobs):
@@ -710,11 +710,11 @@ def test_vertex_addition_chunks_hold_twenty_blocks_at_least(monkeypatch):
     for jobs in (1, 2):
         for trials in (10_000, 40_000):
             check_theorem("L2.5", trials=trials, jobs=jobs)
-        for max_r in (8, 9):
+        for max_r in (13, 14):
             check_theorem("L2.4", max_r=max_r, jobs=jobs)
     assert handed == {
-        1: [[(0, 20)], [(0, 80)], [(0, 510)], [(0, 1022)]],
-        2: [[(0, 20)], [(0, 20), (20, 40), (40, 60), (60, 80)], [(0, 510)], [(0, 512), (512, 1022)]],
+        1: [[(0, 20)], [(0, 80)], [(0, 16382)], [(0, 32766)]],
+        2: [[(0, 20)], [(0, 20), (20, 40), (40, 60), (60, 80)], [(0, 16382)], [(0, 16384), (16384, 32766)]],
     }
 
 
@@ -800,12 +800,86 @@ def test_bicayley_complement_fault_reports_every_subset(monkeypatch, jobs):
     assert report.violations == expected
 
 
+def _affine_classes(r):
+    """The classes of S-masks of Z_r under S -> uS + b (u a unit) and S -> Z_r \\ S, by least mask, each sorted.
+
+    Every map of the group is applied to each mask not yet seen, so the
+    classes do not depend on how the verifier finds its representatives.
+    """
+    full = (1 << r) - 1
+    maps = [(u, b) for u in range(1, r + 1) if gcd(u, r) == 1 for b in range(r)]
+    seen = set()
+    classes = []
+    for smask in range(1 << r):
+        if smask in seen:
+            continue
+        members = [a for a in range(r) if smask >> a & 1]
+        images = {sum(1 << (u * a + b) % r for a in members) ^ flip for u, b in maps for flip in (0, full)}
+        assert len(maps) * 2 % len(images) == 0  # orbit-stabilizer
+        classes.append(sorted(images))
+        seen |= images
+    return classes
+
+
+def _bi_cayley_pair(r, smask):
+    """BC(Z_r, S) and BC(Z_r, Z_r \\ S)."""
+    return (bi_cayley(CayleySubset(r, _members(r, smask))),
+            bi_cayley(CayleySubset(r, frozenset(range(r)) - _members(r, smask))))
+
+
+def _both_connected(pair):
+    return all(components_count(graph) == 1 for graph in pair)
+
+
+def test_maximal_connectivity_counts_every_labeled_subset():
+    # One joint pass per class, and still the labeled walk's count: two
+    # graphs for each S of Z_r whose pair is connected on both sides.
+    labeled = [0]
+    for r in range(1, 11):
+        labeled.append(labeled[-1] + 2 * sum(_both_connected(_bi_cayley_pair(r, smask)) for smask in range(1 << r)))
+    for max_r in range(11):
+        for jobs in (1, 2):
+            report = check_theorem("L2.4", max_r=max_r, jobs=jobs)
+            assert (report.graphs_checked, report.violations) == (labeled[max_r], []), (max_r, jobs)
+    assert labeled[7] == 332 and labeled[10] == 3440
+    # max_r = 14 is the first that two jobs split, into two chunks; the
+    # labeled walk counted 63,120 graphs there.
+    split = [check_theorem("L2.4", max_r=14, jobs=jobs) for jobs in (1, 2)]
+    assert [(report.graphs_checked, report.violations) for report in split] == [(63_120, [])] * 2
+
+
+def test_maximal_connectivity_values_the_least_mask_of_each_class(monkeypatch):
+    # The walk builds BC(Z_r, S) for the least mask S of each class and for
+    # no other S, in (r, S-mask) order, and the class sizes it weights them
+    # by add up to the 2^r subsets.
+    built = []
+    real = verifier.bi_cayley
+
+    def recorded(subset):
+        built.append((subset.modulus, sum(1 << a for a in subset.members)))
+        return real(subset)
+
+    monkeypatch.setattr(verifier, "bi_cayley", recorded)
+    assert check_theorem("L2.4", max_r=12, jobs=1).violations == []
+    expected = []
+    for r in range(1, 13):
+        classes = _affine_classes(r)
+        expected += [(r, members[0]) for members in classes]
+        units = verifier._unit_tables(r)
+        sizes = {members[0]: len(members) for members in classes}
+        assert [verifier._class_size(r, smask, units) for smask in range(1 << r)] == [
+            sizes.get(smask, 0) for smask in range(1 << r)]
+        assert sum(sizes.values()) == 1 << r
+    assert built == expected
+    assert len([1 for r, _ in built if r <= 7]) == 25
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_maximal_connectivity_fault_reports_each_shifted_value(monkeypatch, jobs):
     # The joint pass's vertex connectivity one high on graphs whose last row
     # is 1 mod 3. Every Bi-Cayley pair connected on both sides has
     # k = k' = delta = |S| on the graph and r - |S| on the complement, so
-    # exactly the shifted values break.
+    # exactly the shifted values of the classes' least masks break.
     def faulty(rows):
         return rows[-1] % 3 == 1
 
@@ -816,17 +890,17 @@ def test_maximal_connectivity_fault_reports_each_shifted_value(monkeypatch, jobs
         return delta, edge, vertex + faulty(rows)
 
     monkeypatch.setattr(verifier, "_joint_values", shifted)
-    report = check_theorem("L2.4", max_r=5, jobs=jobs)
+    report = check_theorem("L2.4", max_r=7, jobs=jobs)
     expected = []
     checked = 0
-    for r in range(2, 6):
-        for smask in range(1 << r):
-            k = len(_members(r, smask))
-            g = bi_cayley(CayleySubset(r, _members(r, smask)))
-            gc = bi_cayley(CayleySubset(r, frozenset(range(r)) - _members(r, smask)))
-            if components_count(g) != 1 or components_count(gc) != 1:
+    for r in range(2, 8):
+        for members in _affine_classes(r):
+            smask = members[0]
+            k = smask.bit_count()
+            g, gc = pair = _bi_cayley_pair(r, smask)
+            if not _both_connected(pair):
                 continue
-            checked += 2
+            checked += 2 * len(members)
             for label, graph, value in (("graph", g, k), ("complement", gc, r - k)):
                 if faulty(graph.adjacency):
                     expected.append(Violation("L2.4", "upper", f"{label}:vertex", r, r, k,
@@ -836,9 +910,41 @@ def test_maximal_connectivity_fault_reports_each_shifted_value(monkeypatch, jobs
     assert report.violations == expected
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_maximal_connectivity_reports_one_violation_per_class(monkeypatch, jobs):
+    # Vertex connectivity one high wherever delta = 2 on more than eight
+    # vertices: a fault that isomorphisms keep, on one side of a pair at
+    # most. Each class with a degree-2 side is one violation, on its least
+    # mask, though it holds several subsets.
+    real = verifier._joint_values
+
+    def shifted(r, s, rows):
+        delta, edge, vertex = real(r, s, rows)
+        return delta, edge, vertex + (delta == 2 and r > 4)
+
+    monkeypatch.setattr(verifier, "_joint_values", shifted)
+    report = check_theorem("L2.4", max_r=9, jobs=jobs)
+    expected = []
+    subsets = 0
+    for r in range(5, 10):
+        for members in _affine_classes(r):
+            smask = members[0]
+            k = smask.bit_count()
+            if 2 not in (k, r - k) or not _both_connected(_bi_cayley_pair(r, smask)):
+                continue
+            subsets += len(members)
+            label = "graph" if k == 2 else "complement"
+            expected.append(Violation("L2.4", "upper", f"{label}:vertex", r, r, k,
+                                      tuple(_bi_cayley_pair(r, smask)[0].edges()), 3, 2))
+    assert report.violations == expected
+    assert 0 < len(expected) < subsets
+    assert report.graphs_checked == check_theorem("L2.4", max_r=9, jobs=1).graphs_checked
+
+
 def test_maximal_connectivity_takes_one_joint_pass_per_side(monkeypatch):
-    # L2.4 values each side of a pair connected on both sides in one joint
-    # pass, and never reaches the separate value kernels.
+    # L2.4 values each side of each class connected on both sides in one
+    # joint pass, on the class's least mask, and never reaches the separate
+    # value kernels.
     real = verifier._joint_values
     calls = Counter()
 
@@ -852,16 +958,15 @@ def test_maximal_connectivity_takes_one_joint_pass_per_side(monkeypatch):
     monkeypatch.setattr(verifier, "_joint_values", counted)
     monkeypatch.setattr(verifier, "edge_connectivity_value", unreached)
     monkeypatch.setattr(verifier, "vertex_connectivity_value", unreached)
-    report = check_theorem("L2.4", max_r=6, jobs=1)
+    report = check_theorem("L2.4", max_r=8, jobs=1)
     expected = Counter()
-    for r in range(2, 7):
-        for smask in range(1 << r):
-            g = bi_cayley(CayleySubset(r, _members(r, smask)))
-            gc = bipartite_complement(g)
-            if components_count(g) == components_count(gc) == 1:
-                expected.update([(r, g.adjacency), (r, gc.adjacency)])
-    assert report.violations == [] and report.graphs_checked == sum(expected.values()) > 0
-    assert calls == expected
+    for r in range(2, 9):
+        for members in _affine_classes(r):
+            pair = _bi_cayley_pair(r, members[0])
+            if _both_connected(pair):
+                expected.update((r, graph.adjacency) for graph in pair)
+    assert report.violations == [] and report.graphs_checked > sum(expected.values()) > 0
+    assert calls == expected and max(calls.values()) == 1
 
 
 def _shifted_flow_violations(theorem, kind):
