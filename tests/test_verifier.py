@@ -930,15 +930,14 @@ def test_maximal_connectivity_reports_one_violation_per_class(monkeypatch, jobs)
         for members in _affine_classes(r):
             smask = members[0]
             k = smask.bit_count()
-            if 2 not in (k, r - k) or not _both_connected(_bi_cayley_pair(r, smask)):
+            pair = _bi_cayley_pair(r, smask)
+            if 2 not in (k, r - k) or not _both_connected(pair):
                 continue
             subsets += len(members)
             label = "graph" if k == 2 else "complement"
-            expected.append(Violation("L2.4", "upper", f"{label}:vertex", r, r, k,
-                                      tuple(_bi_cayley_pair(r, smask)[0].edges()), 3, 2))
+            expected.append(Violation("L2.4", "upper", f"{label}:vertex", r, r, k, tuple(pair[0].edges()), 3, 2))
     assert report.violations == expected
     assert 0 < len(expected) < subsets
-    assert report.graphs_checked == check_theorem("L2.4", max_r=9, jobs=1).graphs_checked
 
 
 def test_maximal_connectivity_takes_one_joint_pass_per_side(monkeypatch):
