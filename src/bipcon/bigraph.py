@@ -14,7 +14,9 @@ to report a class that breaks a bound once, on its smallest mask.
 The sweeps also pack a graph into one r*s-bit mask, bit i*s + j for the
 edge x_{i+1} y_{j+1}, so that its complement is an XOR; ``rows_of`` and
 ``mask_of`` are the one definition of that layout, ``_bit_indices`` the one
-lister of a mask's set bits (for edge lists and cuts), and ``attach_vertex``
+lister of a mask's set bits (for edge lists and cuts), ``_bit_map`` the one
+builder of tables that move bit i to a given position p_i (the orbit walk's
+row permutations and L2.4's unit maps of Z_r), and ``attach_vertex``
 the one place that grows rows by a vertex; ``add_right_vertex`` and
 ``add_left_vertex`` check their neighbour lists with one helper.
 
@@ -38,6 +40,7 @@ share between worker processes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -80,6 +83,14 @@ def _bit_indices(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _bit_map(positions) -> list[int]:
+    """table[c] for every c < 2^len(positions): bit i of c moved to bit positions[i]."""
+    table = [0]
+    for p in positions:
+        table += [t | 1 << p for t in table]
+    return table
 
 
 def _adjacency_masks(r: int, s: int, rows: tuple[int, ...]) -> list[int]:
@@ -290,12 +301,10 @@ def parse_edge_list(text: str) -> BipartiteGraph:
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if len(fields) != 2:
+        # ASCII digits with an optional sign: int() alone also reads "1_0" and non-ASCII digits.
+        if len(fields) != 2 or not all(re.fullmatch(r"[+-]?[0-9]+", f) for f in fields):
             raise ValueError(f"line {lineno}: expected two integers, got {line!r}")
-        try:
-            a, b = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected two integers, got {line!r}") from None
+        a, b = map(int, fields)
         if header is None:
             if a < 0 or b < 0:
                 raise ValueError(f"line {lineno}: part sizes must be nonnegative")

@@ -148,8 +148,8 @@ def _read_graph(path: str) -> BipartiteGraph:
     except OSError as exc:
         raise _FileError(str(exc)) from exc
     try:
-        # Decoded here, strictly, so bytes that are not UTF-8 read the same from stdin as from a file.
-        return parse_edge_list(data.decode("utf-8"))
+        # Decoded here, strictly, so non-UTF-8 bytes read the same from stdin as from a file; a leading BOM is dropped.
+        return parse_edge_list(data.decode("utf-8-sig"))
     except TooLarge:
         raise  # a domain error, exit 65, not a malformed file
     except (ValueError, BipconError) as exc:  # a decode error is a ValueError, not a domain error

@@ -49,7 +49,9 @@ still takes part in the canonicity test.
 
 The verifier imports this module on its first orbit scan: any fixed-m scan,
 or a shape sweep from nine vertices on. A run of shape sweeps up to eight
-vertices, such as ``verify --max-n 8``, never loads it.
+vertices, such as ``verify --max-n 8``, never loads it. Its permutation
+and spread tables come from ``bigraph._bit_map``, which L2.4 also uses, so
+that builder lives in a module every run loads.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ from functools import cache
 from itertools import permutations
 from math import factorial
 from typing import Callable, Iterator
+
+from .bigraph import _bit_map
 
 
 @cache
@@ -85,14 +89,6 @@ def _counter(r: int, at_most: bool) -> Callable[[int, int, int], int]:
 def class_count(r: int, s: int, m: int | None = None) -> int:
     """The ranks of ``orbit_classes(r, s, m)``: sorted multisets of s column types with m edges, at most floor(rs/2) with m None."""
     return _counter(r, m is None)(s, 0, r * s // 2 if m is None else m)
-
-
-def _bit_map(positions) -> list[int]:
-    """table[c] for every c < 2^len(positions): bit i of c moved to bit positions[i]."""
-    table = [0]
-    for p in positions:
-        table += [t | 1 << p for t in table]
-    return table
 
 
 def orbit_classes(r: int, s: int, m: int | None = None, lo: int = 0,

@@ -63,7 +63,9 @@ picks them for sweeps, scans, witness values and L2.4:
   its kinds;
 * L2.5 keeps each trial graph as packed rows and calls
   ``edge_connectivity_value`` once per distinct graph of a chunk, before or
-  after a vertex is attached (10,000 trials value 4,949 graphs).
+  after a vertex is attached (10,000 trials value 4,949 graphs), through
+  ``functools`` memos, the k' memo keeping the 2^14 most recently used
+  graphs.
 
 Every sweep and scan is held to one cap on its shape, rs <= 30, checked
 before any work; ``check_theorems`` checks it on the largest shape within
@@ -96,13 +98,14 @@ import os
 import random
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache, lru_cache
 from itertools import groupby
 from math import gcd
 from multiprocessing import Pool
 from operator import add, attrgetter, mul
 from typing import Callable, Iterable
 
-from .bigraph import BipartiteGraph, _bit_indices, _rows_connected, attach_vertex, bipartite_complement, rows_of
+from .bigraph import BipartiteGraph, _bit_indices, _bit_map, _rows_connected, attach_vertex, bipartite_complement, rows_of
 from .bounds import M_upper, N_upper, ParameterTriple, delta_bounds, sum_lower_sized
 from .connectivity import (
     _joint_values,
@@ -694,38 +697,36 @@ def _l21_chunk(args):
     return hi - lo, violations
 
 
+@cache
 def _unit_tables(r: int) -> list[tuple[list[int], list[int], list[int]]]:
-    """Per unit u of Z_r (1 first), three byte tables whose entries at the bytes of an S-mask OR to the mask of uS."""
-    units = []
-    for u in range(1, max(r, 2)):
-        if gcd(u, r) != 1:
-            continue
-        tables = []
-        for byte in range(3):  # BI_CAYLEY_MAX_BITS keeps r <= 23, so three bytes hold an S-mask
-            table = [0] * 256
-            for v in range(1, 256):
-                low = v & -v
-                a = 8 * byte + low.bit_length() - 1
-                table[v] = table[v ^ low] | (1 << u * a % r if a < r else 0)
-            tables.append(table)
-        units.append(tuple(tables))
-    return units
+    """Per unit u of Z_r (1 first), three byte tables whose entries at the bytes of an S-mask OR to the mask of uS.
+
+    Built once per r by ``_bit_map``: the byte at lo moves bit a - lo to
+    u * a mod r, a < r, so a byte that r ends in has a short table (r <= 23:
+    three bytes hold an S-mask).
+    """
+    return [
+        tuple(_bit_map([u * a % r for a in range(lo, min(lo + 8, r))]) for lo in (0, 8, 16))
+        for u in range(1, max(r, 2))
+        if gcd(u, r) == 1
+    ]
 
 
-def _class_size(r: int, smask: int, units) -> int:
+def _class_size(r: int, smask: int) -> int:
     """The size of the class of S under the group G of ``_l24_chunk`` if S is its least mask, else 0.
 
     An S-mask other than 0 with bit 0 clear is above its image S - 1, and
     one with bit r - 1 set above its complement, so neither is least. The
-    others are compared with every image uS + b and Z_r \\ (uS + b), units
-    from ``_unit_tables``, and refused at the first image below them; for a
-    least S, the images equal to it count |Stab(S)|, and the class has
-    |G| / |Stab(S)| masks. The empty set's class is {0, Z_r}.
+    others are compared with every image uS + b and Z_r \\ (uS + b), uS
+    read off the cached ``_unit_tables(r)``, and refused at the first image
+    below them; for a least S, the images equal to it count |Stab(S)|, and
+    the class has |G| / |Stab(S)| masks. The empty set's class is {0, Z_r}.
     """
     if not smask:
         return 2
     if not smask & 1 or smask >> (r - 1):
         return 0
+    units = _unit_tables(r)
     full = (1 << r) - 1
     stab = 0
     for t0, t1, t2 in units:
@@ -766,11 +767,8 @@ def _l24_chunk(args):
     """
     checked = 0
     violations = []
-    units = {}
     for r, smask in _cayley_masks(*args):
-        if r not in units:
-            units[r] = _unit_tables(r)
-        size = _class_size(r, smask, units[r])
+        size = _class_size(r, smask)
         if not size:
             continue
         g = bi_cayley(_cayley_subset(r, smask))
@@ -790,7 +788,7 @@ def _l24_chunk(args):
 
 _L25_SHAPE_MAX = 4  # parts drawn from 1..4, so trial graphs have at most 8 vertices
 _L25_CHUNK = 500  # trials per block, block i drawn from seed * 1_000_003 + i: the draws depend on it, not on the chunks
-# Entries of a chunk's k' table. The drawn masks are bounded by the shapes
+# Graphs a chunk's k' memo keeps. The drawn masks are bounded by the shapes
 # (2^16 at (4, 4)), but the attached graphs grow with the trials, up to 2^20
 # at (4, 5); 10,000 trials value fewer than 5,000 distinct graphs.
 _L25_VALUES_MAX = 1 << 14
@@ -800,28 +798,25 @@ def _l25_chunk(args):
     """Check the vertex-addition claim on the trials of blocks [lo, hi).
 
     A trial draws a shape, then up to 300 masks until one is connected, and
-    attaches a vertex with at least k' edges to it. Each drawn mask is
-    unpacked and tested by ``_rows_connected`` once per chunk: ``seen``
-    keeps its rows with their k', or () when it is disconnected. Every k'
-    comes through ``values``, a table of (r, s, rows) -> k' that the drawn
-    and the attached graphs share and that stops growing at
-    ``_L25_VALUES_MAX`` entries, so ``edge_connectivity_value`` runs once
-    per distinct graph of a chunk until the table is full, and once per
-    drawn mask after that. A graph is built only for a violation.
+    attaches a vertex with at least k' edges to it. Both memos come from
+    ``functools`` and start afresh in each chunk: ``drawn`` unpacks each
+    drawn mask and tests it by ``_rows_connected`` once, keeping its rows
+    with their k', or () when it is disconnected, and every k' comes through
+    ``value``, a least-recently-used memo of ``edge_connectivity_value`` on
+    (r, s, rows) that the drawn and the attached graphs share and that keeps
+    the ``_L25_VALUES_MAX`` most recently used graphs. So
+    ``edge_connectivity_value`` runs once per distinct graph of a chunk
+    while the memo has room. A graph is built only for a violation.
     """
     lo, hi, seed, trials = args
     checked = 0
     violations = []
-    seen: dict[tuple[int, int, int], tuple] = {}
-    values: dict[tuple[int, int, tuple[int, ...]], int] = {}
+    value = lru_cache(maxsize=_L25_VALUES_MAX)(edge_connectivity_value)
 
-    def value(graph: tuple[int, int, tuple[int, ...]]) -> int:
-        k = values.get(graph)
-        if k is None:
-            k = edge_connectivity_value(*graph)
-            if len(values) < _L25_VALUES_MAX:
-                values[graph] = k
-        return k
+    @cache
+    def drawn(r: int, s: int, mask: int) -> tuple:
+        rows = rows_of(r, s, mask)
+        return (rows, value(r, s, rows)) if _rows_connected(r, s, rows) else ()
 
     for trial in range(lo * _L25_CHUNK, min(hi * _L25_CHUNK, trials)):
         if trial % _L25_CHUNK == 0:
@@ -829,11 +824,7 @@ def _l25_chunk(args):
         r = rng.randint(1, _L25_SHAPE_MAX)
         s = rng.randint(1, _L25_SHAPE_MAX)
         for _ in range(300):
-            key = r, s, rng.getrandbits(r * s)
-            entry = seen.get(key)
-            if entry is None:
-                rows = rows_of(*key)
-                entry = seen[key] = (rows, value((r, s, rows))) if _rows_connected(r, s, rows) else ()
+            entry = drawn(r, s, rng.getrandbits(r * s))
             if entry:
                 break
         else:
@@ -843,7 +834,7 @@ def _l25_chunk(args):
         side = "right" if rng.random() < 0.5 else "left"
         opposite = r if side == "right" else s
         neighbors = sorted(rng.sample(range(1, opposite + 1), rng.randint(k, opposite)))
-        after = value(attach_vertex(r, s, rows, side, sum(1 << (v - 1) for v in neighbors)))
+        after = value(*attach_vertex(r, s, rows, side, sum(1 << (v - 1) for v in neighbors)))
         if after < k:
             g = BipartiteGraph(r, s, rows)
             violations.append(
@@ -860,7 +851,7 @@ def _lemma_report(theorem: str, max_r: int, trials: int, seed: int, jobs: int) -
     if theorem == "L2.5":
         range_spec = {"trials": trials, "seed": seed, "max_part": _L25_SHAPE_MAX}
         # Twenty blocks (10,000 trials) a chunk at least: each chunk
-        # starts its tables afresh, and a pool pays (saves more wall time
+        # starts its memos afresh, and a pool pays (saves more wall time
         # than the CPU it adds) only past 10,000 trials. Two chunks on two
         # jobs of a 2-core machine save 27 ms of wall time for 53 ms more
         # CPU at 10,000 trials, and 88 ms for 66 ms at 20,000.

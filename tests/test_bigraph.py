@@ -247,6 +247,18 @@ def test_graph_input_checks_name_the_fault():
         parse_edge_list("2 -1\n")
 
 
+def test_edge_list_fields_are_ascii_digits_with_an_optional_sign():
+    # int() also reads digit separators and non-ASCII digits; the format does not.
+    for line in ("1_0 1", "1 2_0", "\u0661 1", "1 \uff11", "\u09e7\u09e8 1"):
+        with pytest.raises(ValueError, match=f"^line 2: expected two integers, got {line!r}$"):
+            parse_edge_list(f"12 12\n{line}\n")
+    with pytest.raises(ValueError, match="^line 1: expected two integers, got '1_2 2'$"):
+        parse_edge_list("1_2 2\n")
+    assert parse_edge_list("+2 02\n+1 2\n") == new_graph(2, 2, [(1, 2)])
+    with pytest.raises(IndexOutOfRange, match=r"^edge \(-1, 1\) outside \[1,2\]x\[1,2\]$"):
+        parse_edge_list("2 2\n-1 1\n")
+
+
 def test_readers_admit_part_sizes_up_to_the_cap():
     cap = PART_MAX_SIZE
     assert parse_edge_list(f"{cap} {cap}\n") == BipartiteGraph(cap, cap, (0,) * cap)

@@ -230,6 +230,20 @@ def test_file_errors(tmp_path, capsys):
         assert status == EXIT_FILE and err.startswith(f"file error: {undecodable}: {_DECODE_ERROR}"), (command, err)
 
 
+def test_byte_order_mark_is_dropped_from_a_path_and_from_stdin(tmp_path, capsys, monkeypatch):
+    # A leading UTF-8 byte-order mark is not part of the header, from a path
+    # or from stdin; bytes after it that are not UTF-8 are still a file error.
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf2 2\n1 1\n")
+    plain = run(capsys, "connectivity", "--format", "json", str(marked))
+    assert plain[0] == EXIT_OK, plain[2]
+    monkeypatch.setattr("sys.stdin", _stdin("\ufeff2 2\n1 1\n"))
+    assert run(capsys, "connectivity", "--format", "json", "-") == plain
+    marked.write_bytes(b"\xef\xbb\xbf" + _UNDECODABLE)
+    status, _, err = run(capsys, "complement", str(marked))
+    assert status == EXIT_FILE and err.startswith(f"file error: {marked}: {_DECODE_ERROR}"), err
+
+
 def test_undecodable_stdin_reads_as_a_file_does(capsys, monkeypatch):
     # The same message, led by "-", and exit 66, also from a stdin that
     # hands undecodable bytes on as surrogates: the bytes are decoded, not the text.

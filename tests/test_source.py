@@ -75,18 +75,21 @@ def test_oracles_share_no_code_with_the_flow_path():
 
 _LAZY_ORBITS = """
 import sys
-from bipcon import cli, shape_sweep, extremal_scan
+from bipcon import check_theorem, cli, shape_sweep, extremal_scan
 shape_sweep(3, 4, jobs=1)
 assert cli.main(["connectivity", "-", "--format", "json"]) == 0
-assert "bipcon.orbits" not in sys.modules, "loaded by a sweep of seven vertices or by connectivity"
+check_theorem("L2.4", max_r=9, jobs=1)
+check_theorem("L2.5", trials=500, jobs=1)
+assert "bipcon.orbits" not in sys.modules, "loaded by a sweep of seven vertices, by connectivity, by L2.4 or by L2.5"
 extremal_scan(2, 3, 2, "sum_edge", jobs=1)
 assert "bipcon.orbits" in sys.modules, "not loaded by a fixed-m scan"
 """
 
 
 def test_orbits_stay_unloaded_until_the_first_orbit_scan():
-    # Sweeps up to eight vertices and the connectivity command never import
-    # bipcon.orbits, which imports bigraph; bigraph must not import it back.
+    # Sweeps up to eight vertices, the connectivity command and the L2.4 and
+    # L2.5 workers never import bipcon.orbits, which imports bigraph; bigraph
+    # must not import it back.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", _LAZY_ORBITS], input="2 2\n1 1\n2 2\n",
                           capture_output=True, text=True, env=env, timeout=120)

@@ -865,13 +865,29 @@ def test_maximal_connectivity_values_the_least_mask_of_each_class(monkeypatch):
     for r in range(1, 13):
         classes = _affine_classes(r)
         expected += [(r, members[0]) for members in classes]
-        units = verifier._unit_tables(r)
         sizes = {members[0]: len(members) for members in classes}
-        assert [verifier._class_size(r, smask, units) for smask in range(1 << r)] == [
+        assert [verifier._class_size(r, smask) for smask in range(1 << r)] == [
             sizes.get(smask, 0) for smask in range(1 << r)]
         assert sum(sizes.values()) == 1 << r
     assert built == expected
     assert len([1 for r, _ in built if r <= 7]) == 25
+
+
+def test_unit_tables_map_each_subset_to_its_multiple():
+    # For each unit u of Z_r, 1 first, the three byte tables looked up at the
+    # bytes of an S-mask OR to the mask of uS, also where r ends inside a
+    # byte or on a byte boundary (r = 8, 16): every S-mask up to r = 12,
+    # then 2,000 seeded ones for each r up to 23.
+    rng = random.Random(33)
+    for r in range(1, 24):
+        units = [u for u in range(1, max(r, 2)) if gcd(u, r) == 1]
+        tables = verifier._unit_tables(r)
+        assert len(tables) == len(units)
+        smasks = range(1 << r) if r <= 12 else [rng.getrandbits(r) for _ in range(2_000)]
+        for u, (t0, t1, t2) in zip(units, tables):
+            for smask in smasks:
+                multiple = sum({1 << u * a % r for a in range(r) if smask >> a & 1})
+                assert t0[smask & 255] | t1[smask >> 8 & 255] | t2[smask >> 16] == multiple, (r, u, smask)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
