@@ -24,6 +24,8 @@ A part size read from outside the program (the edge-list header, a JSON
 graph, and in ``bipcon.constructions`` a Bi-Cayley modulus or a witness's
 r and s) is refused with TooLarge above ``PART_MAX_SIZE`` before any row is
 built. A graph built directly, as the sweeps do, is not capped here.
+``parse_int`` is the one rule for an integer written as text outside the
+program: edge-list fields here, and the command line's numbers.
 
 A graph carries one cached attribute that is not a dataclass field,
 ``prework``: (connected, neighbour mask per vertex, degree per vertex),
@@ -52,6 +54,18 @@ from .errors import DuplicateEdge, EmptyPart, IndexOutOfRange, TooLarge
 # pair, takes 2.3 to 2.6 s on a 2-core machine with Python 3.11; at 512 it
 # takes 20 s.
 PART_MAX_SIZE = 256
+
+
+_INT = re.compile(r"[+-]?[0-9]+")
+_LINE_END = re.compile(r"\r?\n")
+_FIELD_GAP = re.compile(r"[ \t]+")
+
+
+def parse_int(text: str) -> int:
+    """The integer ``text`` spells in ASCII digits with an optional sign; int() would also read "1_0" or " 3"."""
+    if not _INT.fullmatch(text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 def _check_part_sizes(*sizes: int) -> None:
@@ -282,7 +296,8 @@ def add_left_vertex(g: BipartiteGraph, neighbors: list[int] | tuple[int, ...]) -
 # --- interchange formats ---------------------------------------------------
 #
 # Edge-list text: first non-comment line "r s", then one "i j" line per edge,
-# 1-based, '#' starts a comment line, UTF-8 with LF line endings.
+# 1-based, '#' starts a comment line, UTF-8 with LF line endings (CRLF also
+# reads). Fields are parted by ASCII spaces and tabs, nothing else.
 # JSON: {"r": int, "s": int, "edges": [[i, j], ...]} with edges sorted.
 
 
@@ -296,15 +311,14 @@ def parse_edge_list(text: str) -> BipartiteGraph:
     """Parse the edge-list text format; inverse of format_edge_list."""
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, raw in enumerate(_LINE_END.split(text), start=1):
+        line = raw.strip(" \t")
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        # ASCII digits with an optional sign: int() alone also reads "1_0" and non-ASCII digits.
-        if len(fields) != 2 or not all(re.fullmatch(r"[+-]?[0-9]+", f) for f in fields):
-            raise ValueError(f"line {lineno}: expected two integers, got {line!r}")
-        a, b = map(int, fields)
+        try:
+            a, b = map(parse_int, _FIELD_GAP.split(line))  # unpacking other than two fields is a ValueError too
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected two integers, got {line!r}") from None
         if header is None:
             if a < 0 or b < 0:
                 raise ValueError(f"line {lineno}: part sizes must be nonnegative")

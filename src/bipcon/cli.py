@@ -25,7 +25,13 @@ unreadable or malformed input file.
 
 Input files use the edge-list text format: a ``r s`` header line, one
 ``i j`` line per edge (1-based), ``#`` comments, UTF-8 with LF endings.
-All output is exact integers; nothing here computes in floating point.
+Every number read here, in a file, a flag or a ``--set`` member, is ASCII
+digits with an optional sign (``bigraph.parse_int``). All output is exact
+integers; nothing here computes in floating point.
+
+Each ``_cmd_*`` does its work, then returns its exit status and two
+renderers of its result, text and JSON. ``main`` alone calls the one that
+``--format`` asks for and writes the output, so no other format is rendered.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .bigraph import (
     format_edge_list,
     graph_to_json,
     parse_edge_list,
+    parse_int,
 )
 from .bounds import (
     M_upper,
@@ -64,6 +71,12 @@ EXIT_USAGE = 64
 EXIT_DOMAIN = 65
 EXIT_FILE = 66
 
+# Output goes out in writes of at most PIPE_BUF bytes (4096 on Linux; the
+# output is ASCII), which a pipe takes whole or not at all: a reader that
+# closes early fails a later write, exit 1. One large write to an unbuffered
+# stdout (python -u) could stop where the reader stopped and report nothing.
+_WRITE_SIZE = 4096
+
 
 class _UsageError(Exception):
     pass
@@ -74,17 +87,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ValueError:  # argparse's message for type=int; its own here would name parse_int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
 def _cayley_members(text: str) -> frozenset[int]:
-    """``bicayley --set``: distinct comma-separated integers, or "empty" or "" for none."""
+    """``bicayley --set``: distinct comma-separated integers, spaces and tabs around them, or "empty" or "" for none."""
     try:
-        members = [] if text.strip() in ("", "empty") else [int(member) for member in text.split(",")]
+        members = [] if text.strip(" \t") in ("", "empty") else [parse_int(m.strip(" \t")) for m in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers") from None
     if len(set(members)) < len(members):
@@ -96,49 +116,39 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="bipcon", description="bipartite complement connectivity toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("connectivity", help="connectivity of a graph and its complement")
+    def command(name, run, help, formats=("text-table", "json")):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--format", choices=formats, default=formats[0])
+        return p
+
+    def shape(p, m_required=False):
+        p.add_argument("--r", type=_int, required=True)
+        p.add_argument("--s", type=_int, required=True)
+        p.add_argument("--m", type=_int, required=m_required)
+
+    p = command("connectivity", _cmd_connectivity, "connectivity of a graph and its complement")
     p.add_argument("file", help="edge-list file, or - for stdin")
-    p.add_argument("--format", choices=("text-table", "json"), default="text-table")
-
-    p = sub.add_parser("complement", help="emit the bipartite complement")
+    p = command("complement", _cmd_complement, "emit the bipartite complement", ("edge-list", "json"))
     p.add_argument("file", help="edge-list file, or - for stdin")
-    p.add_argument("--format", choices=("edge-list", "json"), default="edge-list")
-
-    p = sub.add_parser("bounds", help="closed-form bounds for a shape")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--format", choices=("text-table", "json"), default="text-table")
-
-    p = sub.add_parser("witness", help="build one extremal witness")
+    shape(command("bounds", _cmd_bounds, "closed-form bounds for a shape"))
+    p = command("witness", _cmd_witness, "build one extremal witness")
     p.add_argument("--family", required=True, choices=[f.value for f in WitnessFamilyId])
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--format", choices=("text-table", "json"), default="text-table")
-
-    p = sub.add_parser("bicayley", help="build a Bi-Cayley graph over Z_r")
-    p.add_argument("--r", type=int, required=True)
+    shape(p)
+    p = command("bicayley", _cmd_bicayley, "build a Bi-Cayley graph over Z_r", ("edge-list", "json"))
+    p.add_argument("--r", type=_int, required=True)
     p.add_argument("--set", dest="members", type=_cayley_members, required=True,
                    help="comma-separated subset of 0..r-1, or 'empty'")
-    p.add_argument("--format", choices=("edge-list", "json"), default="edge-list")
-
-    p = sub.add_parser("verify", help="verify one claim or all of them, exit 0/2")
+    p = command("verify", _cmd_verify, "verify one claim or all of them, exit 0/2")
     p.add_argument("--theorem", required=True, choices=THEOREM_IDS + ("all",))
     # No defaults here: check_theorems' signature holds them.
     for flag in ("--max-n", "--max-r", "--trials", "--seed"):
-        p.add_argument(flag, type=int, default=argparse.SUPPRESS)
+        p.add_argument(flag, type=_int, default=argparse.SUPPRESS)
     p.add_argument("--jobs", type=_positive_int, default=argparse.SUPPRESS)
-    p.add_argument("--format", choices=("text-table", "json"), default="text-table")
-
-    p = sub.add_parser("scan", help="extremal metric values at fixed edge count")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p = command("scan", _cmd_scan, "extremal metric values at fixed edge count")
+    shape(p, m_required=True)
     p.add_argument("--metric", required=True, choices=METRIC_IDS)
     p.add_argument("--jobs", type=_positive_int, default=None)
-    p.add_argument("--format", choices=("text-table", "json"), default="text-table")
-
     return parser
 
 
@@ -169,7 +179,7 @@ def _describe_certificate(result: ConnectivityResult) -> str:
     return f"{label} " + " ".join(result.vertices)
 
 
-def _cmd_connectivity(opts) -> int:
+def _cmd_connectivity(opts):
     g = _read_graph(opts.file)
     rows = []
     for name, graph in (("graph", g), ("complement", bipartite_complement(g))):
@@ -177,36 +187,31 @@ def _cmd_connectivity(opts) -> int:
         kv = vertex_connectivity(graph)
         dd = degrees(graph).min_degree
         rows.append((name, graph, kv, kp, dd))
-    if opts.format == "json":
-        payload = {
-            name: {
-                "edges": graph_to_json(graph)["edges"],
-                "vertex_connectivity": asdict(kv),
-                "edge_connectivity": asdict(kp),
-                "min_degree": dd,
-            }
-            for name, graph, kv, kp, dd in rows
+
+    def text():
+        for name, graph, kv, kp, dd in rows:
+            yield f"{name}: n={graph.n} m={graph.edge_count}\n"
+            yield f"  vertex connectivity = {kv.value}  ({_describe_certificate(kv)})\n"
+            yield f"  edge connectivity   = {kp.value}  ({_describe_certificate(kp)})\n"
+            yield f"  min degree          = {dd}\n"
+
+    return EXIT_OK, text, lambda: {
+        name: {
+            "edges": graph_to_json(graph)["edges"],
+            "vertex_connectivity": asdict(kv),
+            "edge_connectivity": asdict(kp),
+            "min_degree": dd,
         }
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    for name, graph, kv, kp, dd in rows:
-        print(f"{name}: n={graph.n} m={graph.edge_count}")
-        print(f"  vertex connectivity = {kv.value}  ({_describe_certificate(kv)})")
-        print(f"  edge connectivity   = {kp.value}  ({_describe_certificate(kp)})")
-        print(f"  min degree          = {dd}")
-    return EXIT_OK
+        for name, graph, kv, kp, dd in rows
+    }
 
 
-def _cmd_complement(opts) -> int:
+def _cmd_complement(opts):
     g = bipartite_complement(_read_graph(opts.file))
-    if opts.format == "json":
-        print(json.dumps(graph_to_json(g), indent=2))
-    else:
-        sys.stdout.write(format_edge_list(g))
-    return EXIT_OK
+    return EXIT_OK, lambda: [format_edge_list(g)], lambda: graph_to_json(g)
 
 
-def _cmd_bounds(opts) -> int:
+def _cmd_bounds(opts):
     # The theorems state every bound in terms of the smaller part; without a
     # fixed m, the connectivity bounds are the minimum-degree bounds.
     db = delta_bounds(min(opts.r, opts.s))
@@ -220,146 +225,125 @@ def _cmd_bounds(opts) -> int:
             "N": N_upper(triple),
             "M": M_upper(triple),
         }
-    if opts.format == "json":
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    print(f"shape r={opts.r} s={opts.s}")
-    for label in ("min degree  ", "connectivity"):
-        print(f"  {label}  sum in [{db.sum_lower}, {db.sum_upper}]   prod in [{db.prod_lower}, {db.prod_upper}]")
-    if opts.m is not None:
-        sized = payload["sized"]
-        print(f"  at m={opts.m}: sum in [{sized['sum_lower']}, {sized['N']}]   prod in [0, {sized['M']}]   (N={sized['N']}, M={sized['M']})")
-    return EXIT_OK
+
+    def text():
+        yield f"shape r={opts.r} s={opts.s}\n"
+        for label in ("min degree  ", "connectivity"):
+            yield f"  {label}  sum in [{db.sum_lower}, {db.sum_upper}]   prod in [{db.prod_lower}, {db.prod_upper}]\n"
+        if opts.m is not None:
+            sized = payload["sized"]
+            yield f"  at m={opts.m}: sum in [{sized['sum_lower']}, {sized['N']}]   prod in [0, {sized['M']}]   (N={sized['N']}, M={sized['M']})\n"
+
+    return EXIT_OK, text, lambda: payload
 
 
-def _cmd_witness(opts) -> int:
+def _cmd_witness(opts):
     family = WitnessFamilyId(opts.family)
     g = build_witness(family, opts.r, opts.s, opts.m)
     kp_graph = edge_connectivity(g).value
     kp_comp = edge_connectivity(bipartite_complement(g)).value
     notes = witness_notes(family, opts.r, opts.s, opts.m)
-    if opts.format == "json":
-        print(json.dumps({
-            "family": family.value,
-            "graph": graph_to_json(g),
-            "edge_connectivity": kp_graph,
-            "complement_edge_connectivity": kp_comp,
-            "notes": list(notes),
-        }, indent=2))
-        return EXIT_OK
-    print(f"family {family.value}: r={opts.r} s={opts.s}" + (f" m={opts.m}" if opts.m is not None else ""))
-    sys.stdout.write(format_edge_list(g))
-    print(f"edge connectivity pair: ({kp_graph}, {kp_comp})")
-    for note in notes:
-        print(f"note: {note}")
-    return EXIT_OK
+
+    def text():
+        yield f"family {family.value}: r={opts.r} s={opts.s}" + (f" m={opts.m}" if opts.m is not None else "") + "\n"
+        yield format_edge_list(g)
+        yield f"edge connectivity pair: ({kp_graph}, {kp_comp})\n"
+        for note in notes:
+            yield f"note: {note}\n"
+
+    return EXIT_OK, text, lambda: {
+        "family": family.value,
+        "graph": graph_to_json(g),
+        "edge_connectivity": kp_graph,
+        "complement_edge_connectivity": kp_comp,
+        "notes": list(notes),
+    }
 
 
-def _cmd_bicayley(opts) -> int:
+def _cmd_bicayley(opts):
     g = bi_cayley(CayleySubset(opts.r, opts.members))
-    if opts.format == "json":
-        print(json.dumps(graph_to_json(g), indent=2))
-    else:
-        sys.stdout.write(format_edge_list(g))
-    return EXIT_OK
+    return EXIT_OK, lambda: [format_edge_list(g)], lambda: graph_to_json(g)
 
 
-def _summarize(reports, fmt: str) -> int:
-    if fmt == "json":
-        print(json.dumps([r.to_json_dict() for r in reports], indent=2))
-    else:
-        width = max(len(str(r.graphs_checked)) for r in reports)  # the wall= column lines up
-        for report in reports:
-            attained = sum(1 for a in report.attainment if a.attained)
-            attain_note = f", attainment {attained}/{len(report.attainment)}" if report.attainment else ""
-            status = "ok" if not report.violations else f"{len(report.violations)} VIOLATIONS"
-            print(f"{report.theorem:5s} {status:>14s}  graphs={report.graphs_checked:<{width}d} "
-                  f"wall={report.wall_ms} ms{attain_note}")
-    return max(r.exit_status for r in reports)
+def _summary(reports):
+    width = max(len(str(r.graphs_checked)) for r in reports)  # the wall= column lines up
+    for report in reports:
+        attained = sum(1 for a in report.attainment if a.attained)
+        attain_note = f", attainment {attained}/{len(report.attainment)}" if report.attainment else ""
+        status = "ok" if not report.violations else f"{len(report.violations)} VIOLATIONS"
+        yield (f"{report.theorem:5s} {status:>14s}  graphs={report.graphs_checked:<{width}d} "
+               f"wall={report.wall_ms} ms{attain_note}\n")
 
 
-def _cmd_verify(opts) -> int:
+def _cmd_verify(opts):
     theorems = THEOREM_IDS if opts.theorem == "all" else (opts.theorem,)
     given = {name: getattr(opts, name) for name in ("max_n", "max_r", "trials", "seed", "jobs") if name in opts}
     reports = check_theorems(theorems, **given)
+    status = max(r.exit_status for r in reports)
     if opts.theorem == "all":
-        return _summarize(reports, opts.format)
+        return status, lambda: _summary(reports), lambda: [r.to_json_dict() for r in reports]
     [report] = reports
-    if opts.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
-        return report.exit_status
-    print(f"theorem {report.theorem}: graphs checked = {report.graphs_checked}, "
-          f"violations = {len(report.violations)}, wall = {report.wall_ms} ms")
-    for v in report.violations[:20]:
-        print(f"  VIOLATION {v.metric} {v.side} at r={v.r} s={v.s} m={v.m}: "
-              f"observed {v.observed} vs bound {v.bound}; edges {v.edges}")
-    if report.attainment:
-        attained = sum(1 for a in report.attainment if a.attained)
-        print(f"attainment: {attained}/{len(report.attainment)} cells reach the formula value")
-        for a in report.attainment:
-            if not a.attained:
-                m_text = "-" if a.m is None else a.m
-                print(f"  not attained: r={a.r} s={a.s} m={m_text} {a.metric} {a.bound}: "
-                      f"enumerated {a.enumerated} vs formula {a.formula}")
-    for note in report.notes:
-        print(f"note: {note}")
-    return report.exit_status
+
+    def text():
+        yield (f"theorem {report.theorem}: graphs checked = {report.graphs_checked}, "
+               f"violations = {len(report.violations)}, wall = {report.wall_ms} ms\n")
+        for v in report.violations[:20]:
+            yield (f"  VIOLATION {v.metric} {v.side} at r={v.r} s={v.s} m={v.m}: "
+                   f"observed {v.observed} vs bound {v.bound}; edges {v.edges}\n")
+        if report.attainment:
+            attained = sum(1 for a in report.attainment if a.attained)
+            yield f"attainment: {attained}/{len(report.attainment)} cells reach the formula value\n"
+            for a in report.attainment:
+                if not a.attained:
+                    m_text = "-" if a.m is None else a.m
+                    yield (f"  not attained: r={a.r} s={a.s} m={m_text} {a.metric} {a.bound}: "
+                           f"enumerated {a.enumerated} vs formula {a.formula}\n")
+        for note in report.notes:
+            yield f"note: {note}\n"
+
+    return status, text, report.to_json_dict
 
 
-def _cmd_scan(opts) -> int:
+def _cmd_scan(opts):
     result = extremal_scan(opts.r, opts.s, opts.m, opts.metric, jobs=opts.jobs)
-    if opts.format == "json":
-        print(json.dumps({
-            "metric": result.metric,
-            "r": result.r,
-            "s": result.s,
-            "m": result.m,
-            "graphs_checked": result.graphs_checked,
-            "max_value": result.max_value,
-            "argmax": graph_to_json(result.argmax)["edges"],
-            "min_value": result.min_value,
-            "argmin": graph_to_json(result.argmin)["edges"],
-        }, indent=2))
-        return EXIT_OK
-    print(f"scan {result.metric} over r={result.r} s={result.s} m={result.m}: "
-          f"{result.graphs_checked} graphs")
-    print(f"  max = {result.max_value} at {result.argmax.edges()}")
-    print(f"  min = {result.min_value} at {result.argmin.edges()}")
-    return EXIT_OK
-
-
-_COMMANDS = {
-    "connectivity": _cmd_connectivity,
-    "complement": _cmd_complement,
-    "bounds": _cmd_bounds,
-    "witness": _cmd_witness,
-    "bicayley": _cmd_bicayley,
-    "verify": _cmd_verify,
-    "scan": _cmd_scan,
-}
+    return EXIT_OK, lambda: [
+        f"scan {result.metric} over r={result.r} s={result.s} m={result.m}: {result.graphs_checked} graphs\n",
+        f"  max = {result.max_value} at {result.argmax.edges()}\n",
+        f"  min = {result.min_value} at {result.argmin.edges()}\n",
+    ], lambda: {
+        "metric": result.metric,
+        "r": result.r,
+        "s": result.s,
+        "m": result.m,
+        "graphs_checked": result.graphs_checked,
+        "max_value": result.max_value,
+        "argmax": graph_to_json(result.argmax)["edges"],
+        "min_value": result.min_value,
+        "argmin": graph_to_json(result.argmin)["edges"],
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        opts = parser.parse_args(argv)
+        opts = _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[opts.subcommand](opts)
+        status, text, data = opts.run(opts)
     except _FileError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_FILE
     except TooLarge as exc:
         print(f"too large: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except BipconError as exc:
+    except (BipconError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    out = json.dumps(data(), indent=2) + "\n" if opts.format == "json" else "".join(text())
+    for start in range(0, len(out), _WRITE_SIZE):
+        sys.stdout.write(out[start:start + _WRITE_SIZE])
+    return status
 
 
 def console_main() -> None:

@@ -259,6 +259,16 @@ def test_edge_list_fields_are_ascii_digits_with_an_optional_sign():
         parse_edge_list("2 2\n-1 1\n")
 
 
+def test_edge_list_lines_end_at_lf_and_fields_part_at_spaces_and_tabs():
+    assert parse_edge_list("2 2\r\n1\t1\r\n \t2  2 \n") == new_graph(2, 2, [(1, 1), (2, 2)])
+    # splitlines() and split() also part at a no-break space, a form feed,
+    # NEL, U+2028, a vertical tab and a lone carriage return; the format does not.
+    for text in ("2 2\n1\xa01\n", "2 2\n1 1\x0c2 2\n", "2 2\n1 1\x852 2\n", "2 2\n1 1\u20282 2\n",
+                 "2 2\n\x0b\n", "2 2\r1 1\r", "2 2\n1 1\r\r\n"):
+        with pytest.raises(ValueError, match="expected two integers"):
+            parse_edge_list(text)
+
+
 def test_readers_admit_part_sizes_up_to_the_cap():
     cap = PART_MAX_SIZE
     assert parse_edge_list(f"{cap} {cap}\n") == BipartiteGraph(cap, cap, (0,) * cap)

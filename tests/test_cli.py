@@ -391,19 +391,65 @@ def test_part_sizes_past_the_cap_exit_65_before_any_graph(capsys, monkeypatch):
         assert err.startswith("too large: "), err
 
 
-def test_stdout_closed_early_exits_one_without_a_traceback():
-    # The complement of the empty 256 x 256 graph is far more JSON than a
-    # pipe buffers, so the writer is still writing when the reader, having
-    # read one line, closes its end.
+_CLOSED_EARLY = {
+    "complement": (["complement", "-"], f"{PART_MAX_SIZE} {PART_MAX_SIZE}\n"),
+    "complement-json": (["complement", "-", "--format", "json"], f"{PART_MAX_SIZE} {PART_MAX_SIZE}\n"),
+    "bicayley": (["bicayley", "--r", str(PART_MAX_SIZE), "--set", ",".join(map(str, range(200)))], ""),
+    "witness": (["witness", "--family", "s3-g2", "--r", str(PART_MAX_SIZE), "--s", str(PART_MAX_SIZE)], ""),
+    "connectivity-json": (["connectivity", "-", "--format", "json"], "64 64\n"),
+}
+
+
+@pytest.mark.parametrize("command", list(_CLOSED_EARLY))
+def test_stdout_closed_early_exits_one_without_a_traceback(command):
+    # Each output is far more than a pipe buffers, so the writer is still
+    # writing when the reader, having read one line, closes its end. An
+    # unbuffered stdout is the strict case: there one large write can stop
+    # where the reader stopped and raise nothing.
+    argv, stdin = _CLOSED_EARLY[command]
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = [sys.executable, "-m", "bipcon", "complement", "-", "--format", "json"]
-    with subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          env=env) as proc:
-        proc.stdin.write(f"{PART_MAX_SIZE} {PART_MAX_SIZE}\n".encode())
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), PYTHONUNBUFFERED="1")
+    with subprocess.Popen([sys.executable, "-m", "bipcon", *argv], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdin.write(stdin.encode())
         proc.stdin.close()
-        assert proc.stdout.readline() == b"{\n"
+        assert proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
         status = proc.wait(timeout=120)
     assert (status, err) == (EXIT_CLOSED_OUTPUT, b"")
+
+
+def test_numbers_on_the_command_line_follow_the_edge_list_rule(capsys):
+    # Each numeric flag, and a --set member, in a command it completes; a
+    # padded value the rule refuses there (spaces and tabs around a set member
+    # part it from the commas, as in " 2, 0"); the exit status -1 gets there.
+    commands = [
+        (["bounds", "--r", "{}", "--s", "5"], " 3", EXIT_DOMAIN),
+        (["bounds", "--r", "4", "--s", "{}"], " 3", EXIT_DOMAIN),
+        (["bounds", "--r", "4", "--s", "5", "--m", "{}"], " 3", EXIT_DOMAIN),
+        (["witness", "--family", "s3-g1", "--r", "{}", "--s", "3"], " 3", EXIT_DOMAIN),
+        (["witness", "--family", "s3-g1", "--r", "3", "--s", "{}"], " 3", EXIT_DOMAIN),
+        (["witness", "--family", "s4-g3", "--r", "5", "--s", "5", "--m", "{}"], " 3", EXIT_DOMAIN),
+        (["bicayley", "--r", "{}", "--set", "0"], " 3", EXIT_DOMAIN),
+        (["verify", "--theorem", "T3.2", "--max-n", "{}"], " 3", EXIT_DOMAIN),
+        (["verify", "--theorem", "L2.4", "--max-r", "{}"], " 3", EXIT_DOMAIN),
+        (["verify", "--theorem", "L2.5", "--trials", "{}"], " 3", EXIT_DOMAIN),
+        (["verify", "--theorem", "L2.5", "--trials", "3", "--seed", "{}"], " 3", EXIT_DOMAIN),
+        (["verify", "--theorem", "T3.2", "--max-n", "3", "--jobs", "{}"], " 3", EXIT_USAGE),
+        (["scan", "--r", "{}", "--s", "3", "--m", "2", "--metric", "sum_edge"], " 3", EXIT_DOMAIN),
+        (["scan", "--r", "2", "--s", "{}", "--m", "2", "--metric", "sum_edge"], " 3", EXIT_DOMAIN),
+        (["scan", "--r", "2", "--s", "3", "--m", "{}", "--metric", "sum_edge"], " 3", EXIT_DOMAIN),
+        (["scan", "--r", "2", "--s", "3", "--m", "2", "--metric", "sum_edge", "--jobs", "{}"], " 3", EXIT_USAGE),
+        (["bicayley", "--r", "4", "--set", "0,{}"], "\xa03", EXIT_DOMAIN),
+    ]
+    for template, padded, minus_one in commands:
+        # int() reads the first four as 10, 3, 3 and 5.
+        refused = [(value, EXIT_USAGE) for value in ("1_0", padded, "\u0663", "\uff15")]
+        for value, expected in refused + [("+3", EXIT_OK), ("-1", minus_one)]:
+            argv = [arg.replace("{}", value) for arg in template]
+            status, out, err = run(capsys, *argv)
+            assert status == expected, (argv, err)
+            if status == EXIT_USAGE:
+                assert out == "" and err.startswith("usage error: "), (argv, err)
+    assert run(capsys, "bicayley", "--r", "4", "--set", " 2, 0") == run(capsys, "bicayley", "--r", "4", "--set", "0,2")
