@@ -7,7 +7,8 @@ Subcommands:
 * ``complement <file>``: the bipartite complement in edge-list format;
 * ``bounds --r R --s S [--m M]``: the applicable closed-form bounds;
 * ``witness --family F --r R --s S [--m M]``: one extremal construction and
-  its verified connectivity pair;
+  its verified connectivity pair; ``--m`` is for the sized s4-* families
+  only, which need it, and an s3-* family refuses it;
 * ``bicayley --r R --set 0,1,2``: the Bi-Cayley graph BC(Z_r, S);
 * ``verify --theorem T [...]``: run one claim's verification, print the
   report, exit 0 when no violations were found and 2 otherwise; ``--theorem

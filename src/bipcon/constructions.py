@@ -12,13 +12,15 @@ bounds. One table row per family id declares whether the family is sized
 complement edge connectivity) pair it is designed to achieve.
 ``build_witness`` refuses a part above ``bigraph.PART_MAX_SIZE`` with
 TooLarge, as ``CayleySubset`` refuses such a modulus, then checks the
-preconditions every family shares (both parts nonempty; for a sized family,
-m given and r <= s), runs the builder, which checks only its own domain, and
-names the family in any PreconditionViolated; ``claimed_edge_connectivity_pair`` builds the witness
+domain the families share once: a sized s4-* family needs m and a valid
+``ParameterTriple(r, s, m)``, the domain of the fixed-size bounds; an
+unsized s3-* family takes int r and s and no m. It then runs the builder,
+which checks only its own domain, and names the family in any
+PreconditionViolated; ``claimed_edge_connectivity_pair`` builds the witness
 first, so it refuses exactly the same triples, and then reads the row. The
 test suite recomputes the pairs with the connectivity module instead of
-trusting the construction. ``dispatch_witness`` picks the
-family for a bound goal through one case split on (r, s, m).
+trusting the construction. ``dispatch_witness`` picks the family for a
+bound goal through one case split on (r, s, m).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, NamedTuple
 
 from .bigraph import BipartiteGraph, _check_part_sizes, new_graph
 from .bounds import ParameterTriple
-from .errors import BadSubset, NoWitness, PreconditionViolated
+from .errors import BadSubset, InvalidTriple, NoWitness, PreconditionViolated
 
 
 @dataclass(frozen=True)
@@ -97,39 +99,28 @@ def _require(cond: bool, why: str) -> None:
         raise PreconditionViolated(why)
 
 
-def _round_robin_targets(r: int, d: int, k: int) -> list[int]:
-    """0-based left indices for the k-th appended right vertex (k = 1, 2, ...)."""
-    start = (k - 1) * d % r
-    return [(start + t) % r for t in range(d)]
-
-
 def _bi_cayley_with_attachments(r: int, s: int, d: int) -> BipartiteGraph:
     """BC(Z_r, {0..d-1}) plus s - r appended right vertices of degree d.
 
-    The appended vertex y_{r+k} attaches round-robin to x-indices
-    (k-1)d, ..., (k-1)d + d - 1 (mod r), spreading the extra degree evenly.
+    The appended vertex y_{r+k+1} (k = 0, 1, ...) attaches round-robin to
+    x_{i+1} for i = kd, ..., kd + d - 1 (mod r), spreading the extra degree
+    evenly.
     """
     rows = list(bi_cayley(CayleySubset(r, frozenset(range(d)))).adjacency)
-    for k in range(1, s - r + 1):
-        col = r + k - 1
-        for i in _round_robin_targets(r, d, k):
-            rows[i] |= 1 << col
+    for k in range(s - r):
+        for t in range(d):
+            rows[(k * d + t) % r] |= 1 << (r + k)
     return BipartiteGraph(r, s, tuple(rows))
 
 
-def _appended_collisions_with_x1(r: int, s: int, d: int) -> int:
-    """How many appended right vertices the round-robin rule attaches to x_1."""
-    return sum(1 for k in range(1, s - r + 1) if 0 in _round_robin_targets(r, d, k))
-
-
 # Builders check only their own family's domain; ``build_witness`` has
-# already checked the shared preconditions (r, s >= 1; for a sized family,
-# m given and r <= s).
+# already checked the one the families share: for a sized family, int r, s
+# and m with 1 <= r <= s and 0 <= m <= floor(rs/2) (``ParameterTriple``);
+# for an unsized one, int r and s and no m.
 
 
 def _build_s3_g1(r: int, s: int, m: int | None) -> BipartiteGraph:
     _require(r >= 1 and s >= 2, f"needs r >= 1 and s >= 2, got r={r}, s={s}")
-    _require(r + s >= 3, f"needs n >= 3, got n={r + s}")
     # y_1 adjacent to all of X, y_2 isolated: both the graph and its
     # complement are disconnected.
     return new_graph(r, s, [(i, 1) for i in range(1, r + 1)])
@@ -149,22 +140,10 @@ def _build_s4_g1(r: int, s: int, m: int) -> BipartiteGraph:
 def _build_s4_g2(r: int, s: int, m: int) -> BipartiteGraph:
     _require(s >= 2, f"needs s >= 2 so y_2 can stay isolated, got s={s}")
     _require(m >= r, f"needs m >= r, got m={m}, r={r}")
-    _require(m <= r * s // 2, f"needs m <= floor(rs/2) = {r * s // 2}, got m={m}")
-    edges = [(i, 1) for i in range(1, r + 1)]
-    # Remaining m - r edges fill column-major over y_3..y_s, keeping y_2
-    # isolated; any placement works, greedy keeps it deterministic.
-    remaining = m - r
-    for j in range(3, s + 1):
-        for i in range(1, r + 1):
-            if remaining == 0:
-                break
-            edges.append((i, j))
-            remaining -= 1
-        if remaining == 0:
-            break
-    if remaining:
-        raise RuntimeError(f"{remaining} of {m} edges left unplaced, though m <= floor(rs/2) leaves room")
-    return new_graph(r, s, edges)
+    # The remaining m - r edges fill column-major over y_3..y_s, keeping y_2
+    # isolated; any placement works, and m <= floor(rs/2) leaves room.
+    tail = [(i, j) for j in range(3, s + 1) for i in range(1, r + 1)]
+    return new_graph(r, s, [(i, 1) for i in range(1, r + 1)] + tail[:m - r])
 
 
 def _build_s4_g3(r: int, s: int, m: int) -> BipartiteGraph:
@@ -205,7 +184,6 @@ def _build_s4_g5(r: int, s: int, m: int) -> BipartiteGraph:
 
 def _build_s4_g6(r: int, s: int, m: int) -> BipartiteGraph:
     _require(m >= r + s, f"needs m >= n = {r + s}, got m={m}")
-    _require(m <= r * s // 2, f"needs m <= floor(rs/2) = {r * s // 2}, got m={m}")
     _require(m % s == 0, f"needs m divisible by s, got m={m}, s={s}")
     d = m // s
     if d < 2:
@@ -215,10 +193,10 @@ def _build_s4_g6(r: int, s: int, m: int) -> BipartiteGraph:
 
 def _build_s4_g7(r: int, s: int, m: int) -> BipartiteGraph:
     _require(m >= r + s, f"needs m >= n = {r + s}, got m={m}")
-    _require(m <= r * s // 2, f"needs m <= floor(rs/2) = {r * s // 2}, got m={m}")
     _require(m % s != 0, f"needs m not divisible by s, got m={m}, s={s}")
     d, l = m // s, m % s
-    collisions = _appended_collisions_with_x1(r, s, d)
+    rows = list(_bi_cayley_with_attachments(r, s, d).adjacency)
+    collisions = (rows[0] >> r).bit_count()  # appended right vertices on x_1
     # The l extra edges all leave x_1, so x_1 keeps s - d - collisions - l
     # complement neighbors; the family's target pair needs at least
     # r - d - 1 of them. Beyond that the construction cannot work.
@@ -227,18 +205,11 @@ def _build_s4_g7(r: int, s: int, m: int) -> BipartiteGraph:
         f"with m = {d}*{s} + {l} the added star would drop x_1's complement "
         f"degree below r-d-1 = {r - d - 1}; needs (m mod s) + {collisions} <= s-r+1",
     )
-    g = _bi_cayley_with_attachments(r, s, d)
-    rows = list(g.adjacency)
-    x1 = rows[0]
-    added = 0
-    j = d  # 0-based y index; the range starts right after x_1's Bi-Cayley neighbors
-    while added < l and j < s:
-        if not x1 >> j & 1:
-            x1 |= 1 << j
-            added += 1
-        j += 1
-    _require(added == l, "ran out of right vertices not adjacent to x_1")
-    rows[0] = x1
+    # x_1's Bi-Cayley neighbors are y_1..y_d, and d = floor(m/s) <= r - 1 on
+    # the domain, so y_{d+1}..y_s hold s - d - collisions >= s - r + 1 -
+    # collisions >= l columns free of x_1: the first l of them always exist.
+    free = [j for j in range(d, s) if not rows[0] >> j & 1]
+    rows[0] |= sum(1 << j for j in free[:l])
     return BipartiteGraph(r, s, tuple(rows))
 
 
@@ -269,24 +240,27 @@ _FAMILIES = {
 
 
 def build_witness(family: WitnessFamilyId, r: int, s: int, m: int | None = None) -> BipartiteGraph:
-    """Build the named witness graph; the s3-* families ignore ``m``.
+    """Build the named witness graph; only the sized s4-* families take ``m``.
 
     Raises TooLarge for a part above PART_MAX_SIZE before any work. Checks
-    the preconditions every family shares (both parts nonempty; for a sized
-    family, m given and r <= s), then runs the builder, which checks its own
-    domain. Raises PreconditionViolated, naming the family and the
-    failed condition, whenever the parameters lie outside the family's
-    domain.
+    the domain the families share: a sized family needs m and a valid
+    ``ParameterTriple(r, s, m)`` (ints, 1 <= r <= s, 0 <= m <= floor(rs/2));
+    an unsized s3-* family takes no m and int r and s. Then runs the
+    builder, which checks its own domain. Raises PreconditionViolated,
+    naming the family and the failed condition, whenever the parameters lie
+    outside the family's domain.
     """
     row = _FAMILIES[family]
     _check_part_sizes(r, s)
     try:
-        _require(r >= 1 and s >= 1, f"needs r >= 1 and s >= 1, got r={r}, s={s}")
         if row.sized:
             _require(m is not None, "needs m")
-            _require(r <= s, f"needs r <= s, got r={r}, s={s}")
+            ParameterTriple(r, s, m)
+        else:
+            _require(m is None, f"takes no m, got m={m!r}")
+            _require({type(r), type(s)} == {int}, f"needs int r and s, got r={r!r}, s={s!r}")
         g = row.build(r, s, m)
-    except PreconditionViolated as exc:
+    except (InvalidTriple, PreconditionViolated) as exc:
         raise PreconditionViolated(f"{family.value}: {exc}") from None
     if row.sized and g.edge_count != m:
         raise RuntimeError(f"{family.value} built {g.edge_count} edges, wanted {m}")

@@ -239,7 +239,11 @@ def test_empty_parts_and_missing_m_are_rejected_naming_the_family(family):
 
 def test_every_precondition_failure_names_its_family():
     # The claimed pair refuses exactly the triples the builder refuses, with
-    # the same message, and is a pair of connectivities everywhere else.
+    # the same message, and is a pair of connectivities everywhere else. A
+    # sized family builds only on the domain of the fixed-size bounds, so
+    # s4-g3 at r = 1 with floor(s/2) < m <= s and s4-g5 at m = n - 1 >
+    # floor(rs/2) (r = 2 for every s, and (3, 3, 5)) are refused. An unsized
+    # s3-* family builds only without m.
     failures = 0
     for family in WitnessFamilyId:
         for r in range(1, 8):
@@ -254,9 +258,43 @@ def test_every_precondition_failure_names_its_family():
                             claimed_edge_connectivity_pair(family, r, s, m)
                         assert str(claimed.value) == str(exc), (family, r, s, m)
                         continue
+                    if family.value.startswith("s4"):
+                        ParameterTriple(r, s, m)  # raises InvalidTriple off the domain
+                    else:
+                        assert m is None, (family, r, s, m)
                     pair = claimed_edge_connectivity_pair(family, r, s, m)
                     assert len(pair) == 2 and all(type(k) is int and k >= 0 for k in pair), (family, r, s, m, pair)
     assert failures > 0
+
+
+# One triple each family builds; the type test swaps one parameter at a time.
+BUILDABLE = {
+    WitnessFamilyId.S3_G1: (3, 4, None),
+    WitnessFamilyId.S3_G2: (4, 5, None),
+    WitnessFamilyId.S4_G1: (4, 5, 2),
+    WitnessFamilyId.S4_G2: (4, 6, 9),
+    WitnessFamilyId.S4_G3: (4, 6, 5),
+    WitnessFamilyId.S4_G4: (4, 6, 8),
+    WitnessFamilyId.S4_G5: (4, 6, 9),
+    WitnessFamilyId.S4_G6: (4, 6, 12),
+    WitnessFamilyId.S4_G7: (5, 6, 13),
+}
+
+
+@pytest.mark.parametrize("family", list(WitnessFamilyId), ids=lambda f: f.value)
+def test_parameters_that_are_not_ints_are_refused_naming_the_family(family):
+    # A float or a bool once reached the builders: 4.0 raised TypeError in
+    # range(), and True was read as 1.
+    triple = BUILDABLE[family]
+    build_witness(family, *triple)
+    for position in range(3):
+        for value in (4.0, True):
+            args = list(triple)
+            args[position] = value
+            expected = "takes no m" if triple[2] is None and position == 2 else "needs int"
+            for call in (build_witness, claimed_edge_connectivity_pair):
+                with pytest.raises(PreconditionViolated, match=f"^{family.value}: {expected}"):
+                    call(family, *args)
 
 
 def test_builders_admit_part_sizes_up_to_the_cap():
