@@ -43,12 +43,12 @@ with ``_connected_masks``, which builds no masks for a disconnected graph;
 the certificate routines read the graph's cached ``BipartiteGraph.prework``
 (``bipcon.bigraph``, where ``_rows_connected`` and ``_adjacency_masks``
 live), so both certificates and ``bigraph.degrees`` of one graph build it
-once. Each kernel is that prework plus its minimizing core, ``_edge_core``
-or ``_vertex_core``, and no minimization is written twice; the cores and
-``_unit_flow`` only read the masks. A sweep that needs delta, k' and k of
-one graph calls ``_joint_values``, which runs the prework once and both
-cores on it; it takes no shortcut from k = delta to k' = delta, so each
-flow value is still computed, and audited where an oracle runs.
+once. Each kernel is that prework plus its core, ``_edge_core`` or
+``_vertex_core``, which differ only in their pairs and network and share
+one minimizing loop, ``_least_flow``; the flow code only reads the masks.
+A sweep that needs delta, k' and k of one graph calls ``_joint_values``:
+one prework and both cores, with no shortcut from k = delta to k' = delta,
+so each flow value is still computed, and audited where an oracle runs.
 
 Both report a certificate, a concrete cut whose removal disconnects the
 graph or leaves one vertex. When the minimum is below delta, the cut is read
@@ -74,7 +74,7 @@ can stay total.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -243,6 +243,34 @@ def _connected_masks(r: int, s: int, rows: tuple[int, ...]) -> tuple[list[int], 
     return adj, [nbrs.bit_count() for nbrs in adj]
 
 
+def _least_flow(r: int, adj: Sequence[int], best: int, pairs: Iterable[tuple[int, int, int, int]],
+                network: Callable[[], tuple[Sequence[int], Sequence[int]]]) -> tuple[int, int]:
+    """(least flow, reach) over ``pairs``, starting from ``best``.
+
+    Each pair is (a, b, source, sink): two vertices of one part and the ends
+    of their flow in the network ``network()`` returns as (arcs, free), built
+    for the first pair that needs a flow. Each flow is capped at the best
+    value so far, so a pair to which ``_short_paths`` finds best internally
+    disjoint paths of length at most 4 runs none: its flow would reach best
+    and change neither best nor reach. reach is the source side of the cut
+    of the first pair that attains the minimum, and 0 when none goes below
+    the starting best. A flow of 1, the least possible, ends the search.
+    """
+    cut = 0
+    arcs: Sequence[int] = ()
+    for a, b, source, sink in pairs:
+        if _short_paths(r, adj, a, b, best) >= best:
+            continue
+        if not arcs:
+            arcs, free = network()
+        f, reach = _unit_flow(arcs, free, source, sink, best)
+        if f < best:
+            best, cut = f, reach
+            if best == 1:
+                break
+    return best, cut
+
+
 def _edge_core(r: int, s: int, adj: Sequence[int], degrees: Sequence[int]) -> tuple[int, int]:
     """(edge connectivity, reach) of a connected graph from its masks and degrees.
 
@@ -262,27 +290,14 @@ def _edge_core(r: int, s: int, adj: Sequence[int], degrees: Sequence[int]) -> tu
     delta or more sinks of P, at least one of them among the first |P| -
     delta: its flow is at most |F|, and the minimum is k'. For the same
     reason the first sink of P that attains k' is among them, so reach is
-    that of trying every sink of P. A sink to which ``_short_paths`` finds
-    best disjoint paths of length at most 4 runs no flow: its flow, capped
-    at best, would reach best and change neither best nor reach, so values
-    and cuts are those of running every flow. reach is the source side of
-    the cut of the first sink that attains the minimum, and 0 when no flow
-    goes below delta.
+    that of trying every sink of P.
     """
     best = min(degrees)
-    cut = 0
     source, part = (0, r) if r <= s else (r, s)
-    if best > 1 and part >= 2 * best:
-        free = [0] * (r + s)
-        for t in range(source + 1, source + 1 + part - best):
-            if _short_paths(r, adj, source, t, best) >= best:
-                continue
-            f, reach = _unit_flow(adj, free, source, t, best)
-            if f < best:
-                best, cut = f, reach
-                if best == 1:
-                    break
-    return best, cut
+    if best <= 1 or part < 2 * best:
+        return best, 0
+    pairs = ((source, t, source, t) for t in range(source + 1, source + 1 + part - best))
+    return _least_flow(r, adj, best, pairs, lambda: (adj, [0] * (r + s)))
 
 
 def edge_connectivity_value(r: int, s: int, rows: tuple[int, ...]) -> int:
@@ -351,34 +366,16 @@ def _vertex_core(r: int, s: int, adj: Sequence[int], degrees: Sequence[int]) -> 
     in every component of G - S (else S - v would separate too), so two
     neighbours of v lie in different components and S separates them. No
     pair is adjacent (each lies in one part), so every pair's flow is at
-    least k and the minimum is k. A pair for which ``_short_paths`` finds
-    best internally disjoint paths of length at most 4 runs no flow: its
-    flow, capped at best, would reach best and change neither best nor
-    reach, so values and cuts are those of running every flow. The split
-    network is built for the first pair that needs a flow. reach is the
-    source side of the cut of the first pair that attains the minimum, and 0
-    when no flow goes below delta.
+    least k and the minimum is k.
     """
     n = r + s
     best = min(degrees)
-    cut = 0
-    if best > 1:
-        arcs: list[int] = []
-        v = degrees.index(best)
-        near = adj[v]
-        pairs = [(v, u) for u in (range(r) if v < r else range(r, n)) if u != v]
-        pairs += combinations([u for u in range(n) if near >> u & 1], 2)
-        for a, b in pairs:
-            if _short_paths(r, adj, a, b, best) >= best:
-                continue
-            if not arcs:
-                arcs, free = _split_network(n, adj)
-            f, reach = _unit_flow(arcs, free, 2 * a + 1, 2 * b, best)
-            if f < best:
-                best, cut = f, reach
-                if best == 1:
-                    break
-    return best, cut
+    if best <= 1:
+        return best, 0
+    v = degrees.index(best)
+    pairs = [(v, u, 2 * v + 1, 2 * u) for u in (range(r) if v < r else range(r, n)) if u != v]
+    pairs += [(a, b, 2 * a + 1, 2 * b) for a, b in combinations(_bit_indices(adj[v]), 2)]
+    return _least_flow(r, adj, best, pairs, lambda: _split_network(n, adj))
 
 
 def vertex_connectivity_value(r: int, s: int, rows: tuple[int, ...]) -> int:

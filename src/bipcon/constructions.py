@@ -242,23 +242,24 @@ _FAMILIES = {
 def build_witness(family: WitnessFamilyId, r: int, s: int, m: int | None = None) -> BipartiteGraph:
     """Build the named witness graph; only the sized s4-* families take ``m``.
 
-    Raises TooLarge for a part above PART_MAX_SIZE before any work. Checks
-    the domain the families share: a sized family needs m and a valid
+    Requires int r and s, then raises TooLarge for a part above
+    PART_MAX_SIZE, before any work. Checks the rest of the domain the
+    families share: a sized family needs m and a valid
     ``ParameterTriple(r, s, m)`` (ints, 1 <= r <= s, 0 <= m <= floor(rs/2));
-    an unsized s3-* family takes no m and int r and s. Then runs the
-    builder, which checks its own domain. Raises PreconditionViolated,
-    naming the family and the failed condition, whenever the parameters lie
-    outside the family's domain.
+    an unsized s3-* family takes no m. Then runs the builder, which checks
+    its own domain. Raises PreconditionViolated, naming the family and the
+    failed condition, whenever the parameters lie outside the family's
+    domain.
     """
     row = _FAMILIES[family]
-    _check_part_sizes(r, s)
     try:
+        _require({type(r), type(s)} == {int}, f"needs int r and s, got r={r!r}, s={s!r}")
+        _check_part_sizes(r, s)
         if row.sized:
             _require(m is not None, "needs m")
             ParameterTriple(r, s, m)
         else:
             _require(m is None, f"takes no m, got m={m!r}")
-            _require({type(r), type(s)} == {int}, f"needs int r and s, got r={r!r}, s={s!r}")
         g = row.build(r, s, m)
     except (InvalidTriple, PreconditionViolated) as exc:
         raise PreconditionViolated(f"{family.value}: {exc}") from None

@@ -650,14 +650,21 @@ def _transposed(g):
     return new_graph(g.right_size, g.left_size, [(j, i) for i, j in g.edges()])
 
 
+def _bridged_blocks(d):
+    """Two K_{d,d} joined by one edge, delta = d and k' = k = 1.
+
+    x1..xd with y1..yd and x(d+1)..x(2d) with y(d+1)..y(2d), joined by the
+    edge xd - y(d+1), and x(2d+1) next to y(d+1)..y(2d).
+    """
+    blocks = [(i, j) for b in (0, d) for i in range(b + 1, b + d + 1) for j in range(b + 1, b + d + 1)]
+    return new_graph(2 * d + 1, 2 * d, blocks + [(d, d + 1)] + [(2 * d + 1, j) for j in range(d + 1, 2 * d + 1)])
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_a_cut_below_delta_is_found_with_only_twice_delta_vertices_in_the_smaller_part(d):
-    # Two K_{d,d}, x1..xd with y1..yd and x(d+1)..x(2d) with y(d+1)..y(2d),
-    # joined by the edge xd - y(d+1), and x(2d+1) next to y(d+1)..y(2d). Y is
-    # the smaller part, with 2d vertices, the fewest that allow k' < delta =
-    # d, and of the sinks y2..y(d+1) only y(d+1) lies beyond the cut.
-    blocks = [(i, j) for b in (0, d) for i in range(b + 1, b + d + 1) for j in range(b + 1, b + d + 1)]
-    g = new_graph(2 * d + 1, 2 * d, blocks + [(d, d + 1)] + [(2 * d + 1, j) for j in range(d + 1, 2 * d + 1)])
+    # Y is the smaller part, with 2d vertices, the fewest that allow k' <
+    # delta = d, and of the sinks y2..y(d+1) only y(d+1) lies beyond the cut.
+    g = _bridged_blocks(d)
     for h, bridge in ((g, (d, d + 1)), (_transposed(g), (d + 1, d))):
         edge, vertex = _assert_valid_certificates(h)
         assert edge.value == vertex.value == 1 and degrees(h).min_degree == d
@@ -695,20 +702,41 @@ def test_one_part_pairs_agree_with_the_full_pair_sets():
 
 
 def test_both_kernels_pass_short_paths_only_pairs_within_one_part(monkeypatch):
-    # 300 seeded graphs of 2 to 20 vertices, each in both orientations.
-    samples = [h for g in _seeded_graphs(4_096, 300, 2, 20) for h in (g, _transposed(g))]
-    for kernel in (edge_connectivity_value, vertex_connectivity_value):
-        pairs = []
+    # 300 seeded graphs of 2 to 20 vertices and the bridged blocks, where
+    # edge flows run, each in both orientations. Every flow runs right after
+    # _short_paths leaves its pair below the limit, at that pair's ends: (a, b)
+    # on the edge network, out(a) = 2a + 1 and in(b) = 2b on the split
+    # network. A pair that _short_paths settles runs no flow.
+    graphs = [*_seeded_graphs(4_096, 300, 2, 20), *map(_bridged_blocks, range(2, 6))]
+    samples = [h for g in graphs for h in (g, _transposed(g))]
+    for kernel, ends in ((edge_connectivity_value, lambda a, b: (a, b)),
+                         (vertex_connectivity_value, lambda a, b: (2 * a + 1, 2 * b))):
+        calls = []
 
         def recorded(r, adj, a, b, limit):
-            pairs.append((r, a, b))
-            return _short_paths(r, adj, a, b, limit)
+            found = _short_paths(r, adj, a, b, limit)
+            calls.append(("paths", r, a, b, limit, found))
+            return found
+
+        def flowed(arcs, free, source, sink, limit):
+            calls.append(("flow", source, sink, limit))
+            return _unit_flow(arcs, free, source, sink, limit)
 
         monkeypatch.setattr(connectivity, "_short_paths", recorded)
+        monkeypatch.setattr(connectivity, "_unit_flow", flowed)
         for h in samples:
             kernel(h.left_size, h.right_size, h.adjacency)
+        pairs = [call[1:] for call in calls if call[0] == "paths"]
         assert pairs, kernel.__name__
-        assert [(r, a, b) for r, a, b in pairs if (a < r) != (b < r)] == [], kernel.__name__
+        assert [(r, a, b) for r, a, b, _, _ in pairs if (a < r) != (b < r)] == [], kernel.__name__
+        flows = [(calls[i - 1] if i else None, call) for i, call in enumerate(calls) if call[0] == "flow"]
+        assert flows, kernel.__name__
+        for before, (_, source, sink, limit) in flows:
+            assert before is not None and before[0] == "paths", kernel.__name__
+            _, _, a, b, paths_limit, found = before
+            assert (paths_limit, source, sink) == (limit, *ends(a, b)), kernel.__name__
+            assert found < limit, kernel.__name__
+        assert len(flows) == sum(found < limit for *_, limit, found in pairs), kernel.__name__
 
 
 @given(thinned_graphs(19, 2, 20))

@@ -284,11 +284,13 @@ BUILDABLE = {
 @pytest.mark.parametrize("family", list(WitnessFamilyId), ids=lambda f: f.value)
 def test_parameters_that_are_not_ints_are_refused_naming_the_family(family):
     # A float or a bool once reached the builders: 4.0 raised TypeError in
-    # range(), and True was read as 1.
+    # range(), and True was read as 1. A str or None part reached the size
+    # cap, which raised a bare TypeError comparing it with an int.
     triple = BUILDABLE[family]
     build_witness(family, *triple)
     for position in range(3):
-        for value in (4.0, True):
+        # None is a valid m for the unsized families and a missing one for the sized.
+        for value in (4.0, True) if position == 2 else (4.0, True, "4", None):
             args = list(triple)
             args[position] = value
             expected = "takes no m" if triple[2] is None and position == 2 else "needs int"

@@ -57,7 +57,8 @@ def test_oracles_share_no_code_with_the_flow_path():
     # of their helpers, directly or through a helper of its own, in whichever
     # bipcon module the helper is defined.
     flow_path = {"_adjacency_masks", "_rows_connected", "_bit_indices", "_min_degree", "_unit_flow",
-                 "_split_network", "_connected_masks", "_edge_core", "_vertex_core", "_joint_values"}
+                 "_short_paths", "_split_network", "_connected_masks", "_least_flow", "_edge_core",
+                 "_vertex_core", "_joint_values"}
     assert all(callable(getattr(connectivity, name, None)) for name in flow_path)
     flow_path = {getattr(connectivity, name) for name in flow_path}
     assert {fn.__module__ for fn in flow_path} == {"bipcon.bigraph", "bipcon.connectivity"}
