@@ -23,17 +23,18 @@ All claims share one chunk path: ``_chunk_ranges`` cuts a claim's index
 range [0, count) into contiguous chunks, a worker runs over each through
 ``_run_chunked`` (inline for one job or one chunk, else in a process pool),
 and the results merge in chunk order. The bound claims' worker ranges over
-pair masks or orbit ranks and returns cells, merged by the reducer. The
-others return (graphs checked, violations): the Bi-Cayley claims (L2.1,
-L2.4) range over the 2^(max_r+1) - 2 subsets S of Z_1, ..., Z_max_r, at
-most 2^24, numbered in order by ``_cayley_masks``, and L2.1 runs as one
-inline chunk, label for label, L2.4 in chunks of 2^14 subsets or more,
-valuing only the least S of each class under affine maps and
-complementing (``_l24_chunk``); the vertex-addition claim (L2.5) ranges
-over blocks of 500 trials, twenty or more blocks to a chunk, block i
-seeded from the seed and i, so no draw depends on the chunks. Both
-minimums are the measured break-even of a pool on two jobs, so ``max_r``
-13 and 10,000 trials run in one process.
+pair masks, 2,048 or more to a chunk, or orbit ranks and returns cells,
+merged by the reducer. The others return (graphs checked, violations):
+the Bi-Cayley claims (L2.1, L2.4) range over the 2^(max_r+1) - 2 subsets
+S of Z_1, ..., Z_max_r, at most 2^24, numbered in order by
+``_cayley_masks``, and L2.1 runs as one inline chunk, label for label,
+L2.4 in chunks of 2^14 subsets or more, valuing only the least S of each
+class under affine maps and complementing (``_l24_chunk``); the
+vertex-addition claim (L2.5) ranges over blocks of 500 trials, twenty or
+more blocks to a chunk, block i seeded from the seed and i, so no draw
+depends on the chunks. The minimums for pair masks, L2.4 and L2.5 are the
+measured break-even of a pool on two jobs, so the 2^11 pairs of (3, 4) and
+(2, 6), ``max_r`` 13 and 10,000 trials run in one process.
 
 Every value comes from the max-flow path, on either walk. A shape sweep
 up to eight vertices walks every labeled graph, and only that walk audits
@@ -270,10 +271,16 @@ def _chunk(args):
     orbits of a pair are walked, so the one with the larger mask is skipped
     and its partner files both; a self-complementary orbit is filed once.
     Each decision is local to the item, so chunking never changes the
-    cells. Each pair is held to the per-edge-count bounds in ``checks``,
-    and a pair that breaks one is reported once, on the item's mask or its
-    complement class's, whichever has fewer edges (the smaller on a tie),
-    so the raw violations come in walk order. ``_values`` runs only the
+    cells. Items are gathered by key (edge count, whether a complement
+    class is filed, pair values) with their total weight and the least mask
+    and least complement-class mask seen, the least and not the first, as
+    orbit ranks are not in mask order; the keys are folded into the cells
+    through ``_fold`` once, at the end of the chunk, and give the cells a
+    per-item fold gives. A pair's bounds in ``checks`` depend only on its
+    edge count, so they are tested once per key; a pair that breaks one is
+    still reported once per pair, on the item's mask or its complement
+    class's, whichever has fewer edges (the smaller on a tie), so the raw
+    violations come in walk order. ``_values`` runs only the
     kernels the metrics need (minimum degree, edge pair, vertex pair). Every
     value comes from the max-flow path; the pair masks, and only they, are
     audited graph by graph against the brute-force oracles, and a graph
@@ -291,6 +298,9 @@ def _chunk(args):
     ops = [(kinds.index(metric.split("_")[1]), add if metric.startswith("sum") else mul) for metric in metrics]
     cells = {metric: [None] * (bits + 1) for metric in metrics}
     per_metric = list(cells.values())
+    # (edge count, complement class filed, pair values) -> [weight, least
+    # mask, least complement-class mask, failed checks]
+    seen = {}
     raw = []  # (theorem, side, metric, m, subject_mask, observed, bound)
     mismatches = []
     if orbits:
@@ -321,28 +331,38 @@ def _chunk(args):
                     if side_values[i] != expected:
                         mismatches.append((side_mask, kind, side_values[i], expected))
                         side_values[i] = expected
-        values = [op(found[0][i], found[1][i]) for i, op in ops]
-        for per_m, value in zip(per_metric, values):
-            _fold(per_m, mm, value, mask, value, mask, weight)
-            if twin is not None:
-                _fold(per_m, mc, value, twin, value, twin, weight)
-        if checks:
+        key = (mm, twin is not None, tuple([op(found[0][i], found[1][i]) for i, op in ops]))
+        entry = seen.get(key)
+        if entry is None:
             # The pair value is symmetric, so a pair is held to the bound at
-            # its smaller edge count.
+            # its smaller edge count; the bounds depend on nothing else.
             vm = min(mm, mc)
             failed = []
             for theorem, side, metric, i, bound_by_m, upper in checks:
-                value = values[i]
+                value = key[2][i]
                 bound = bound_by_m[vm]
                 if value > bound if upper else value < bound:
-                    failed.append((theorem, side, metric, value, bound))
-            if failed:
-                # Reported once per pair, on the side with fewer edges, the
-                # smaller mask on a tie: a graph or its complement, or the
-                # smallest mask of a class or of its complement class.
-                subject = mask if twin is None or (mm, mask) < (mc, twin) else twin
-                raw += [(theorem, side, metric, vm, subject, value, bound)
-                        for theorem, side, metric, value, bound in failed]
+                    failed.append((theorem, side, metric, vm, value, bound))
+            seen[key] = [weight, mask, twin, failed]
+        else:
+            entry[0] += weight
+            if mask < entry[1]:
+                entry[1] = mask
+            if twin is not None and twin < entry[2]:
+                entry[2] = twin
+            failed = entry[3]
+        if failed:
+            # Reported once per pair, on the side with fewer edges, the
+            # smaller mask on a tie: a graph or its complement, or the
+            # smallest mask of a class or of its complement class.
+            subject = mask if twin is None or (mm, mask) < (mc, twin) else twin
+            raw += [(theorem, side, metric, vm, subject, value, bound)
+                    for theorem, side, metric, vm, value, bound in failed]
+    for (mm, paired, values), (weight, mask, twin, _) in seen.items():
+        for per_m, value in zip(per_metric, values):
+            _fold(per_m, mm, value, mask, value, mask, weight)
+            if paired:
+                _fold(per_m, bits - mm, value, twin, value, twin, weight)
     return graphs, classes, cells, raw, mismatches
 
 
@@ -394,7 +414,15 @@ def _scan(r: int, s: int, m: int | None, orbits: bool, metrics, checks, jobs: in
 
         count, min_chunk = class_count(r, s, m), _ORBIT_MIN_CHUNK
     else:
-        count, min_chunk = 1 << (r * s - 1), 1024
+        # 2,048 pair masks a chunk at least, the measured break-even of a
+        # pool on two jobs of a 2-core machine. Wall / CPU of a sweep with
+        # vertex metrics, medians of 7 fresh processes:
+        #   (2, 6),  2,048 masks: two pooled chunks 52 / 78 ms, inline 40 / 40;
+        #   (3, 4),  2,048 masks: two pooled chunks 61 / 95 ms, inline 63 / 63;
+        #   (3, 5), 16,384 masks: chunks of 2,048 281 ms wall, of 1,024
+        #            294 ms, inline 517 ms.
+        # So (2, 6) and (3, 4) run inline, and every larger shape pools.
+        count, min_chunk = 1 << (r * s - 1), 2048
     arg_sets = [(r, s, m, orbits, lo, hi, metrics, checks) for lo, hi in _chunk_ranges(count, min_chunk, jobs)]
     graphs = classes = 0
     cells = {metric: [None] * (r * s + 1) for metric in metrics}
@@ -797,6 +825,8 @@ _L25_VALUES_MAX = 1 << 14
 def _l25_chunk(args):
     """Check the vertex-addition claim on the trials of blocks [lo, hi).
 
+    Block i holds the trials from 500 i, up to 500 of them and none past
+    ``trials``, all drawn from one ``random.Random(seed * 1_000_003 + i)``.
     A trial draws a shape, then up to 300 masks until one is connected, and
     attaches a vertex with at least k' edges to it. Both memos come from
     ``functools`` and start afresh in each chunk: ``drawn`` unpacks each
@@ -806,7 +836,8 @@ def _l25_chunk(args):
     (r, s, rows) that the drawn and the attached graphs share and that keeps
     the ``_L25_VALUES_MAX`` most recently used graphs. So
     ``edge_connectivity_value`` runs once per distinct graph of a chunk
-    while the memo has room. A graph is built only for a violation.
+    while the memo has room. A graph and its neighbour list are built only
+    for a violation.
     """
     lo, hi, seed, trials = args
     checked = 0
@@ -818,29 +849,34 @@ def _l25_chunk(args):
         rows = rows_of(r, s, mask)
         return (rows, value(r, s, rows)) if _rows_connected(r, s, rows) else ()
 
-    for trial in range(lo * _L25_CHUNK, min(hi * _L25_CHUNK, trials)):
-        if trial % _L25_CHUNK == 0:
-            rng = random.Random(seed * 1_000_003 + trial // _L25_CHUNK)
-        r = rng.randint(1, _L25_SHAPE_MAX)
-        s = rng.randint(1, _L25_SHAPE_MAX)
-        for _ in range(300):
-            entry = drawn(r, s, rng.getrandbits(r * s))
-            if entry:
-                break
-        else:
-            continue
-        checked += 1
-        rows, k = entry
-        side = "right" if rng.random() < 0.5 else "left"
-        opposite = r if side == "right" else s
-        neighbors = sorted(rng.sample(range(1, opposite + 1), rng.randint(k, opposite)))
-        after = value(*attach_vertex(r, s, rows, side, sum(1 << (v - 1) for v in neighbors)))
-        if after < k:
-            g = BipartiteGraph(r, s, rows)
-            violations.append(
-                Violation("L2.5", "lower", f"attach_{side}:{','.join(map(str, neighbors))}",
-                          r, s, g.edge_count, tuple(g.edges()), after, k)
-            )
+    # The bits of a part of o vertices: ``sample`` picks the same positions
+    # from these as from range(1, o + 1), so their sum is the neighbour mask.
+    part_bits = [tuple(1 << v for v in range(o)) for o in range(_L25_SHAPE_MAX + 1)]
+    for block in range(lo, hi):
+        rng = random.Random(seed * 1_000_003 + block)
+        randint, getrandbits, rand, sample = rng.randint, rng.getrandbits, rng.random, rng.sample
+        for _ in range(min(_L25_CHUNK, trials - block * _L25_CHUNK)):
+            r = randint(1, _L25_SHAPE_MAX)
+            s = randint(1, _L25_SHAPE_MAX)
+            for _ in range(300):
+                entry = drawn(r, s, getrandbits(r * s))
+                if entry:
+                    break
+            else:
+                continue
+            checked += 1
+            rows, k = entry
+            side = "right" if rand() < 0.5 else "left"
+            opposite = r if side == "right" else s
+            attached = sum(sample(part_bits[opposite], randint(k, opposite)))
+            after = value(*attach_vertex(r, s, rows, side, attached))
+            if after < k:
+                g = BipartiteGraph(r, s, rows)
+                neighbors = ",".join(str(v + 1) for v in _bit_indices(attached))
+                violations.append(
+                    Violation("L2.5", "lower", f"attach_{side}:{neighbors}", r, s, g.edge_count, tuple(g.edges()),
+                              after, k)
+                )
     return checked, violations
 
 

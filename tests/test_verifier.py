@@ -333,6 +333,85 @@ def test_tightened_claim_on_the_orbit_path_reports_every_labeled_graph_in_order(
     assert [v for _, v in sorted(expanded, key=lambda e: e[0])] == expected
 
 
+def _per_pair_scan(r, s, m, orbit_walk, metrics, checks):
+    """The reference for ``verifier._scan`` on one job: each pair folded into the cells and checked on its own."""
+    bits = r * s
+    full = (1 << bits) - 1
+    kinds = tuple(kind for kind in verifier._KINDS if any(metric.endswith(kind) for metric in metrics))
+    oracles = {"edge": verifier.edge_oracle_value, "vertex": verifier.vertex_oracle_value}
+    if orbit_walk:
+        items = orbits.orbit_classes(r, s, m)
+    else:
+        items = ((mask, 1, full ^ mask) for mask in range(1 << (bits - 1)))
+    cells = {metric: [None] * (bits + 1) for metric in metrics}
+    raw, mismatches = [], []
+    graphs = 0
+
+    def fold(per_m, em, value, mask, weight):
+        cell = per_m[em]
+        if cell is None:
+            per_m[em] = [value, mask, value, mask, weight]
+            return
+        if (value, -mask) > (cell[0], -cell[1]):
+            cell[0], cell[1] = value, mask
+        if (value, mask) < (cell[2], cell[3]):
+            cell[2], cell[3] = value, mask
+        cell[4] += weight
+
+    for mask, weight, twin in items:
+        mm = mask.bit_count()
+        if twin is not None and 2 * mm == bits and mask > twin:
+            continue
+        sides = [(mm, mask)] if twin in (None, mask) else [(mm, mask), (bits - mm, twin)]
+        graphs += len(sides) * weight
+        found = []
+        for side_mask in (mask, full ^ mask):
+            rows = rows_of(r, s, side_mask)
+            values = dict(zip(kinds, verifier._values(r, s, rows, kinds)))
+            for kind in () if orbit_walk else [kind for kind in kinds if kind != "delta"]:
+                expected = oracles[kind](r, s, rows)
+                if values[kind] != expected:
+                    mismatches.append((side_mask, kind, values[kind], expected))
+                    values[kind] = expected
+            found.append(values)
+        pair = {}
+        for metric in metrics:
+            op, kind = metric.split("_")
+            pair[metric] = found[0][kind] + found[1][kind] if op == "sum" else found[0][kind] * found[1][kind]
+            for em, side_mask in sides:
+                fold(cells[metric], em, pair[metric], side_mask, weight)
+        vm, subject = min(sides)
+        for theorem, side, metric, _, bound_by_m, upper in checks:
+            value, bound = pair[metric], bound_by_m[vm]
+            if value > bound if upper else value < bound:
+                raw.append((theorem, side, metric, vm, subject, value, bound))
+    return graphs, cells, raw, mismatches
+
+
+def test_the_chunk_fold_equals_a_per_pair_fold(monkeypatch):
+    # Edge max-flow r high on the graph of each pair whose first row holds
+    # y1, so nearly every pair breaks T3.2, many with equal values at one
+    # edge count. The labeled walk's oracle has the same fault and is one
+    # higher still on graphs whose last row is 1 mod 3: those are
+    # mismatches, and the oracle's value fills the cells. The chunk gathers
+    # pairs by value; its cells (least masks among ties, counts), raw
+    # violations (one per pair, in walk order, with the pair's subject) and
+    # mismatches must be a per-pair fold's.
+    edge, oracle = verifier.edge_connectivity_value, verifier.edge_oracle_value
+    monkeypatch.setattr(verifier, "edge_connectivity_value", lambda r, s, rows: edge(r, s, rows) + r * (rows[0] & 1))
+    monkeypatch.setattr(verifier, "edge_oracle_value",
+                        lambda r, s, rows: oracle(r, s, rows) + r * (rows[0] & 1) + (rows[-1] % 3 == 1))
+    metrics = ("sum_edge", "prod_edge", "sum_delta")
+    for r, s, m, orbit_walk in ((3, 3, None, False), (3, 4, None, True), (3, 4, 6, True)):
+        checks = verifier._checks(r, s, metrics)
+        graphs, _, cells, raw, mismatches = verifier._scan(r, s, m, orbit_walk, metrics, checks, 1)
+        expected = _per_pair_scan(r, s, m, orbit_walk, metrics, checks)
+        assert (graphs, cells, raw, mismatches) == expected, (r, s, m)
+        distinct = {(theorem, side, metric, vm, value) for theorem, side, metric, vm, _, value, _ in raw}
+        assert len(raw) > len(distinct) > 0, (r, s, m)
+        assert bool(mismatches) != orbit_walk, (r, s, m)
+
+
 def _cycle_types(n):
     """Counter of the cycle types (sorted cycle lengths) over all permutations of n points.
 
@@ -696,17 +775,23 @@ def test_enumerated_claims_hand_over_index_ranges(monkeypatch, theorem, kwargs, 
     assert all(lo < hi == next_lo for (lo, hi), (next_lo, _) in zip(ranges, ranges[1:]))
 
 
+def _record_chunks(monkeypatch, span):
+    """jobs -> the index ranges, args[span], of each ``_run_chunked`` call, which then runs nothing."""
+    handed = {}
+
+    def record(worker, arg_sets, jobs):
+        handed.setdefault(jobs, []).append([args[span] for args in arg_sets])
+        return []
+
+    monkeypatch.setattr(verifier, "_run_chunked", record)
+    return handed
+
+
 def test_vertex_addition_chunks_hold_twenty_blocks_at_least(monkeypatch):
     # Each chunk starts its tables afresh, and a pool pays off on two jobs
     # only past 10,000 trials and max_r = 13: both run as one chunk, and four
     # times as many trials, or max_r = 14, still split.
-    handed = {}
-
-    def record(worker, arg_sets, jobs):
-        handed.setdefault(jobs, []).append([args[:2] for args in arg_sets])
-        return []
-
-    monkeypatch.setattr(verifier, "_run_chunked", record)
+    handed = _record_chunks(monkeypatch, slice(0, 2))
     for jobs in (1, 2):
         for trials in (10_000, 40_000):
             check_theorem("L2.5", trials=trials, jobs=jobs)
@@ -715,6 +800,19 @@ def test_vertex_addition_chunks_hold_twenty_blocks_at_least(monkeypatch):
     assert handed == {
         1: [[(0, 20)], [(0, 80)], [(0, 16382)], [(0, 32766)]],
         2: [[(0, 20)], [(0, 20), (20, 40), (40, 60), (60, 80)], [(0, 16382)], [(0, 16384), (16384, 32766)]],
+    }
+
+
+def test_labeled_sweeps_pool_from_two_chunks_of_2048_pair_masks(monkeypatch):
+    # A pool pays off on two jobs only past 2,048 pair masks: (3, 4) and
+    # (2, 6), 2^11 pairs each, run as one chunk, and (3, 5) in eight.
+    handed = _record_chunks(monkeypatch, slice(4, 6))
+    for jobs in (1, 2):
+        for r, s in ((3, 4), (2, 6), (3, 5)):
+            shape_sweep(r, s, jobs=jobs, use_cache=False)
+    assert handed == {
+        1: [[(0, 2048)], [(0, 2048)], [(0, 16384)]],
+        2: [[(0, 2048)], [(0, 2048)], [(lo, lo + 2048) for lo in range(0, 16384, 2048)]],
     }
 
 
@@ -772,6 +870,26 @@ def test_vertex_addition_values_each_graph_once_per_chunk(monkeypatch):
     capped = check_theorem("L2.5", trials=2_000, seed=5, jobs=1)
     assert (capped.graphs_checked, capped.violations) == (report.graphs_checked, report.violations)
     assert len(calls) == distinct < sum(calls.values())
+
+
+def test_vertex_addition_blocks_merge_to_the_same_report_for_any_cut(monkeypatch):
+    # Edge connectivity one low on graphs whose last row is 1 mod 3, a fault
+    # that does not depend on the call order, so some attachments break the
+    # claim. 1,250 trials are two blocks of 500 and one of 250; blocks 0..3
+    # in one chunk must equal any cut of them into two, and the short last
+    # block must draw the first 250 trials of its 500.
+    real = verifier.edge_connectivity_value
+    monkeypatch.setattr(verifier, "edge_connectivity_value",
+                        lambda r, s, rows: real(r, s, rows) - (rows[-1] % 3 == 1))
+    checked, violations = verifier._l25_chunk((0, 3, 9, 1250))
+    assert violations and 1000 < checked <= 1250
+    for cut in (1, 2):
+        (head_checked, head), (tail_checked, tail) = (
+            verifier._l25_chunk((0, cut, 9, 1250)), verifier._l25_chunk((cut, 3, 9, 1250)))
+        assert (head_checked + tail_checked, head + tail) == (checked, violations), cut
+    last_checked, last = verifier._l25_chunk((2, 3, 9, 1250))
+    whole_checked, whole = verifier._l25_chunk((2, 3, 9, 1500))
+    assert 0 < last_checked <= 250 < whole_checked and whole[:len(last)] == last
 
 
 def test_vertex_addition_counts_only_checked_trials(monkeypatch):
