@@ -182,11 +182,13 @@ def _describe_certificate(result: ConnectivityResult) -> str:
 
 def _cmd_connectivity(opts):
     g = _read_graph(opts.file)
+    # Degrees first: they refuse a graph with an empty part before any certificate is computed.
+    sides = [(name, graph, degrees(graph).min_degree)
+             for name, graph in (("graph", g), ("complement", bipartite_complement(g)))]
     rows = []
-    for name, graph in (("graph", g), ("complement", bipartite_complement(g))):
+    for name, graph, dd in sides:
         kp = edge_connectivity(graph)
         kv = vertex_connectivity(graph)
-        dd = degrees(graph).min_degree
         rows.append((name, graph, kv, kp, dd))
 
     def text():

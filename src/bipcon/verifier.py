@@ -19,22 +19,22 @@ engine that checks them has three pieces:
   drives both the per-graph violation checks and the attainment records;
   each record's witness is derived from its row (``_witness``).
 
-All claims share one chunk path: ``_chunk_ranges`` cuts a claim's index
-range [0, count) into contiguous chunks, a worker runs over each through
-``_run_chunked`` (inline for one job or one chunk, else in a process pool),
-and the results merge in chunk order. The bound claims' worker ranges over
-pair masks, 2,048 or more to a chunk, or orbit ranks and returns cells,
-merged by the reducer. The others return (graphs checked, violations):
-the Bi-Cayley claims (L2.1, L2.4) range over the 2^(max_r+1) - 2 subsets
-S of Z_1, ..., Z_max_r, at most 2^24, numbered in order by
-``_cayley_masks``, and L2.1 runs as one inline chunk, label for label,
-L2.4 in chunks of 2^14 subsets or more, valuing only the least S of each
-class under affine maps and complementing (``_l24_chunk``); the
+All claims share one runner, ``_run_chunked``: it cuts a claim's index
+range [0, count) into contiguous chunks, runs the claim's worker over each
+(inline for one chunk, else in a process pool) and returns the results in
+chunk order. The bound claims' worker ranges over pair masks, 2,048 or
+more to a chunk, or orbit ranks, and returns the ``ShapeSweep`` of its
+range, which ``_scan`` folds into one, cells through the reducer. The
+others return (graphs checked, violations): the Bi-Cayley claims (L2.1,
+L2.4) range over the 2^(max_r+1) - 2 subsets S of Z_1, ..., Z_max_r, at
+most 2^24, numbered in order by ``_cayley_masks``, in chunks of 2^14
+subsets or more, L2.1 label for label, L2.4 valuing only the least S of
+each class under affine maps and complementing (``_l24_chunk``); the
 vertex-addition claim (L2.5) ranges over blocks of 500 trials, twenty or
 more blocks to a chunk, block i seeded from the seed and i, so no draw
-depends on the chunks. The minimums for pair masks, L2.4 and L2.5 are the
-measured break-even of a pool on two jobs, so the 2^11 pairs of (3, 4) and
-(2, 6), ``max_r`` 13 and 10,000 trials run in one process.
+depends on the chunks. The minimums for pair masks, Bi-Cayley subsets and
+L2.5 are the measured break-even of a pool on two jobs, so the 2^11 pairs
+of (3, 4) and (2, 6), ``max_r`` 13 and 10,000 trials run in one process.
 
 Every value comes from the max-flow path, on either walk. A shape sweep
 up to eight vertices walks every labeled graph, and only that walk audits
@@ -209,7 +209,7 @@ class _Cell:
 
 @dataclass
 class ShapeSweep:
-    """Reduced results of one exhaustive shape scan."""
+    """Reduced results of one scan of a mask source (a shape sweep or a fixed-m scan), or of one chunk of it."""
 
     r: int
     s: int
@@ -220,22 +220,22 @@ class ShapeSweep:
     orbits_checked: int | None = None  # classes covered, one evaluation per class pair; None on a labeled sweep
 
 
-def _fold(cells: list, m: int, max_value: int, max_mask: int, min_value: int, min_mask: int, count: int) -> None:
-    """The reducer: fold one value, or a whole cell, into ``cells[m]``.
+def _fold(cells: list, m: int, cell: _Cell) -> None:
+    """The reducer: fold ``cell`` into ``cells[m]``, which then owns it.
 
     Keeps the max and the min, each with the smallest mask among ties, and
     adds up the count. The order of folding never changes the result, so
     chunks merge to the same cells for any worker count.
     """
-    cell = cells[m]
-    if cell is None:
-        cells[m] = [max_value, max_mask, min_value, min_mask, count]
+    held = cells[m]
+    if held is None:
+        cells[m] = cell
         return
-    if max_value > cell[0] or (max_value == cell[0] and max_mask < cell[1]):
-        cell[0], cell[1] = max_value, max_mask
-    if min_value < cell[2] or (min_value == cell[2] and min_mask < cell[3]):
-        cell[2], cell[3] = min_value, min_mask
-    cell[4] += count
+    if cell.max_value > held.max_value or (cell.max_value == held.max_value and cell.max_mask < held.max_mask):
+        held.max_value, held.max_mask = cell.max_value, cell.max_mask
+    if cell.min_value < held.min_value or (cell.min_value == held.min_value and cell.min_mask < held.min_mask):
+        held.min_value, held.min_mask = cell.min_value, cell.min_mask
+    held.count += cell.count
 
 
 _KINDS = ("delta", "edge", "vertex")  # the order of ``_joint_values``
@@ -256,7 +256,7 @@ def _values(r: int, s: int, rows: tuple[int, ...], kinds: tuple[str, ...]) -> li
 
 
 def _chunk(args):
-    """Worker: fold the metric values of one chunk of a mask source into cells by edge count.
+    """Worker: the ``ShapeSweep`` of one chunk of a mask source, its values folded into cells by edge count.
 
     [lo, hi) is a range of one of two sources; each item is a class of
     weight w (graphs) with its smallest mask, and on a full sweep the
@@ -279,17 +279,19 @@ def _chunk(args):
     per-item fold gives. A pair's bounds in ``checks`` depend only on its
     edge count, so they are tested once per key; a pair that breaks one is
     still reported once per pair, on the item's mask or its complement
-    class's, whichever has fewer edges (the smaller on a tie), so the raw
-    violations come in walk order. ``_values`` runs only the
+    class's, whichever has fewer edges (the smaller on a tie), its edges
+    built once for all the checks it breaks, so the violations come in
+    walk order. ``_values`` runs only the
     kernels the metrics need (minimum degree, edge pair, vertex pair). Every
     value comes from the max-flow path; the pair masks, and only they, are
     audited graph by graph against the brute-force oracles, and a graph
     whose flow differs is a mismatch whose oracle value fills the cells.
 
-    Returns (graphs covered, classes covered, cells, raw violations as
-    (theorem, side, metric, m, subject mask, observed, bound), mismatches).
+    Returns the ``ShapeSweep`` of the range: graphs and classes covered
+    (``orbits_checked`` None on the pair masks), cells, violations and
+    mismatches.
     """
-    r, s, m, orbits, lo, hi, metrics, checks = args
+    lo, hi, r, s, m, orbits, metrics, checks = args
     bits = r * s
     full = (1 << bits) - 1
     kinds = tuple(kind for kind in _KINDS if any(metric.endswith(kind) for metric in metrics))
@@ -301,7 +303,7 @@ def _chunk(args):
     # (edge count, complement class filed, pair values) -> [weight, least
     # mask, least complement-class mask, failed checks]
     seen = {}
-    raw = []  # (theorem, side, metric, m, subject_mask, observed, bound)
+    violations = []
     mismatches = []
     if orbits:
         from .orbits import orbit_classes  # loaded by the first orbit scan only
@@ -356,14 +358,15 @@ def _chunk(args):
             # smaller mask on a tie: a graph or its complement, or the
             # smallest mask of a class or of its complement class.
             subject = mask if twin is None or (mm, mask) < (mc, twin) else twin
-            raw += [(theorem, side, metric, vm, subject, value, bound)
-                    for theorem, side, metric, vm, value, bound in failed]
+            edges = tuple(BipartiteGraph.from_mask(r, s, subject).edges())
+            violations += [Violation(theorem, side, metric, r, s, vm, edges, value, bound)
+                           for theorem, side, metric, vm, value, bound in failed]
     for (mm, paired, values), (weight, mask, twin, _) in seen.items():
         for per_m, value in zip(per_metric, values):
-            _fold(per_m, mm, value, mask, value, mask, weight)
+            _fold(per_m, mm, _Cell(value, mask, value, mask, weight))
             if paired:
-                _fold(per_m, bits - mm, value, twin, value, twin, weight)
-    return graphs, classes, cells, raw, mismatches
+                _fold(per_m, bits - mm, _Cell(value, twin, value, twin, weight))
+    return ShapeSweep(r, s, graphs, cells, violations, mismatches, classes if orbits else None)
 
 
 def _resolve_jobs(jobs: int | None) -> int:
@@ -376,15 +379,17 @@ def _resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _chunk_ranges(count: int, min_chunk: int, jobs: int) -> list[tuple[int, int]]:
-    """Contiguous [lo, hi) ranges covering 0..count: one for one job, else about 8 per job."""
+def _run_chunked(worker, count: int, min_chunk: int, jobs: int, *extra) -> list:
+    """Run ``worker((lo, hi, *extra))`` over contiguous ranges covering [0, count); the results in range order.
+
+    One job takes one range, more take about eight ranges a job, none
+    shorter than ``min_chunk`` but the last. One range runs inline, more in
+    a process pool.
+    """
     size = max(1, min_chunk, count if jobs == 1 else count // (jobs * 8))
-    return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
-
-
-def _run_chunked(worker, arg_sets, jobs: int):
-    if jobs == 1 or len(arg_sets) <= 1:
-        return [worker(a) for a in arg_sets]
+    arg_sets = [(lo, min(lo + size, count), *extra) for lo in range(0, count, size)]
+    if len(arg_sets) <= 1:
+        return [worker(args) for args in arg_sets]
     # More processes than CPUs only share them; jobs still sets the chunking.
     with Pool(processes=min(jobs, len(arg_sets), _resolve_jobs(None))) as pool:
         return pool.map(worker, arg_sets)
@@ -397,17 +402,16 @@ def _run_chunked(worker, arg_sets, jobs: int):
 _ORBIT_MIN_CHUNK = 1 << 14
 
 
-def _scan(r: int, s: int, m: int | None, orbits: bool, metrics, checks, jobs: int):
-    """Run one mask source (see ``_chunk``) in chunks; merge the results.
+def _scan(r: int, s: int, m: int | None, orbits: bool, metrics, checks, jobs: int) -> ShapeSweep:
+    """Run one mask source (see ``_chunk``) in chunks; fold the chunks' sweeps into one.
 
     The source is the orbit representatives when ``orbits``, ranked by
     ``orbits.class_count(r, s, m)`` (the m-edge ones when ``m`` is given,
     else those with at most floor(rs/2) edges, each with its complement
     orbit), else the pair masks, which cover every edge count and take
-    ``m`` None. Returns (graphs covered, classes covered or None
-    for the labeled source, cells as metric -> per-edge-count lists, raw
-    violations and mismatches in walk order, which chunks of contiguous
-    ranges merged in order keep for any worker count).
+    ``m`` None. The cells merge through ``_fold``, the counts add up, and
+    the violations and mismatches of contiguous ranges, merged in range
+    order, come in walk order for any worker count.
     """
     if orbits:
         from .orbits import class_count
@@ -423,21 +427,18 @@ def _scan(r: int, s: int, m: int | None, orbits: bool, metrics, checks, jobs: in
         #            294 ms, inline 517 ms.
         # So (2, 6) and (3, 4) run inline, and every larger shape pools.
         count, min_chunk = 1 << (r * s - 1), 2048
-    arg_sets = [(r, s, m, orbits, lo, hi, metrics, checks) for lo, hi in _chunk_ranges(count, min_chunk, jobs)]
-    graphs = classes = 0
-    cells = {metric: [None] * (r * s + 1) for metric in metrics}
-    raw: list[tuple] = []
-    mismatches: list[tuple] = []
-    for chunk_graphs, chunk_classes, chunk_cells, chunk_raw, chunk_mismatches in _run_chunked(_chunk, arg_sets, jobs):
-        graphs += chunk_graphs
-        classes += chunk_classes
-        for metric, per_m in chunk_cells.items():
+    sweep = ShapeSweep(r, s, 0, {metric: [None] * (r * s + 1) for metric in metrics}, [], [], 0 if orbits else None)
+    for chunk in _run_chunked(_chunk, count, min_chunk, jobs, r, s, m, orbits, metrics, checks):
+        sweep.graphs_checked += chunk.graphs_checked
+        if orbits:
+            sweep.orbits_checked += chunk.orbits_checked
+        for metric, per_m in chunk.cells.items():
             for em, cell in enumerate(per_m):
                 if cell is not None:
-                    _fold(cells[metric], em, *cell)
-        raw += chunk_raw
-        mismatches += chunk_mismatches
-    return graphs, classes if orbits else None, cells, raw, mismatches
+                    _fold(sweep.cells[metric], em, cell)
+        sweep.violations += chunk.violations
+        sweep.mismatches += chunk.mismatches
+    return sweep
 
 
 def _checks(r: int, s: int, metrics) -> list[tuple]:
@@ -486,17 +487,7 @@ def shape_sweep(
     _check_shape(r, s)
     metrics = tuple(metric for metric in _ALL_METRICS if include_vertex or not metric.endswith("vertex"))
     orbits = r + s > ORACLE_BACKEND_MAX_VERTICES
-    graphs, classes, cells, raw, mismatches = _scan(r, s, None, orbits, metrics, _checks(r, s, metrics), jobs)
-    violations = [
-        Violation(
-            theorem, side, metric, r, s, vm,
-            tuple(BipartiteGraph.from_mask(r, s, subject).edges()),
-            observed, bound,
-        )
-        for theorem, side, metric, vm, subject, observed, bound in raw
-    ]
-    final_cells = {metric: [None if c is None else _Cell(*c) for c in per_m] for metric, per_m in cells.items()}
-    sweep = ShapeSweep(r, s, graphs, final_cells, violations, mismatches, orbits_checked=classes)
+    sweep = _scan(r, s, None, orbits, metrics, _checks(r, s, metrics), jobs)
     if use_cache:
         _SWEEP_CACHE[key] = sweep
     return sweep
@@ -543,15 +534,15 @@ def extremal_scan(r: int, s: int, m: int, metric: str, jobs: int | None = None) 
         raise ValueError(f"unknown metric {metric!r}; choose one of {METRIC_IDS}")
     ParameterTriple(r, s, m)
     _check_shape(r, s)
-    graphs, classes, cells, _, _ = _scan(r, s, m, True, (metric,), (), _resolve_jobs(jobs))
-    max_value, max_mask, min_value, min_mask, _ = cells[metric][m]
+    sweep = _scan(r, s, m, True, (metric,), (), _resolve_jobs(jobs))
+    cell = sweep.cells[metric][m]
     return ExtremalResult(
-        metric, r, s, m, max_value,
-        BipartiteGraph.from_mask(r, s, max_mask),
-        min_value,
-        BipartiteGraph.from_mask(r, s, min_mask),
-        graphs,
-        classes,
+        metric, r, s, m, cell.max_value,
+        BipartiteGraph.from_mask(r, s, cell.max_mask),
+        cell.min_value,
+        BipartiteGraph.from_mask(r, s, cell.min_mask),
+        sweep.graphs_checked,
+        sweep.orbits_checked,
     )
 
 
@@ -895,15 +886,16 @@ def _lemma_report(theorem: str, max_r: int, trials: int, seed: int, jobs: int) -
     else:
         range_spec = {"max_r": max_r}
         count, extra = (1 << (max_r + 1)) - 2, ()  # the subsets S of Z_1..Z_max_r
-        # L2.1 is milliseconds of work: one inline chunk, no pool. L2.4
-        # takes 2^14 subsets a chunk at least, so a pool pays: two chunks
+        # 2^14 subsets a chunk at least, so a pool pays. Two L2.4 chunks
         # on two jobs of a 2-core machine cost 14 ms more wall time and
         # 15 ms more CPU at max_r = 13 (16,382 subsets), and save 67 ms of
-        # wall time for 10 ms more CPU at max_r = 14.
-        worker, min_chunk = (_l21_chunk, count) if theorem == "L2.1" else (_l24_chunk, 1 << 14)
+        # wall time for 10 ms more CPU at max_r = 14. L2.1, which builds
+        # every graph, took 1.35-1.56 s wall in one chunk and 0.65-0.93 s
+        # in two at max_r = 14, and 4.4-5.6 s against 2.5-3.1 s at
+        # max_r = 16 (3 fresh runs each).
+        worker, min_chunk = _l21_chunk if theorem == "L2.1" else _l24_chunk, 1 << 14
     checked, violations = 0, []
-    arg_sets = [(lo, hi, *extra) for lo, hi in _chunk_ranges(count, min_chunk, jobs)]
-    for chunk_checked, chunk_violations in _run_chunked(worker, arg_sets, jobs):
+    for chunk_checked, chunk_violations in _run_chunked(worker, count, min_chunk, jobs, *extra):
         checked += chunk_checked
         violations += chunk_violations
     return TheoremReport(theorem, range_spec, checked, violations, [], 0)

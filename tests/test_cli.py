@@ -392,6 +392,19 @@ def test_part_sizes_past_the_cap_exit_65_before_any_graph(capsys, monkeypatch):
         assert err.startswith("too large: "), err
 
 
+def test_connectivity_refuses_an_empty_part_before_any_certificate(capsys, monkeypatch):
+    def no_certificate(graph):
+        raise AssertionError("a certificate was computed for a graph with an empty part")
+
+    monkeypatch.setattr(cli, "edge_connectivity", no_certificate)
+    monkeypatch.setattr(cli, "vertex_connectivity", no_certificate)
+    for header in ("0 3", "2 0"):
+        monkeypatch.setattr("sys.stdin", _stdin(header + "\n"))
+        status, out, err = run(capsys, "connectivity", "-")
+        assert (status, out) == (EXIT_DOMAIN, ""), header
+        assert "degrees need both parts nonempty" in err, err
+
+
 _CLOSED_EARLY = {
     "complement": (["complement", "-"], f"{PART_MAX_SIZE} {PART_MAX_SIZE}\n"),
     "complement-json": (["complement", "-", "--format", "json"], f"{PART_MAX_SIZE} {PART_MAX_SIZE}\n"),

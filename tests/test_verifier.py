@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 import random
 import tracemalloc
@@ -126,18 +127,82 @@ def test_prod_bound_feasible_at_4_5_10():
         assert metric_value("prod_edge", g) <= bound
 
 
-def test_extremal_scan_deterministic_across_jobs():
+class InlinePool:
+    """A stand-in for ``verifier.Pool`` that maps in this process, so no process starts."""
+
+    def __init__(self, processes):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, worker, arg_sets):
+        return [worker(args) for args in arg_sets]
+
+
+def _count_chunks(monkeypatch):
+    """The number of results of each ``_run_chunked`` call, which runs as before; its workers fork, faults and all."""
+    counts = []
+    real = verifier._run_chunked
+
+    def counted(*args):
+        results = real(*args)
+        counts.append(len(results))
+        return results
+
+    monkeypatch.setattr(verifier, "Pool", multiprocessing.get_context("fork").Pool)
+    monkeypatch.setattr(verifier, "_run_chunked", counted)
+    return counts
+
+
+def _tighten_t41(monkeypatch, side, shift):
+    """Move T4.1's bound on ``side`` by ``shift`` in the claim table; returns the bound as it was."""
+    claims = list(verifier._CLAIMS)
+    index = next(i for i, c in enumerate(claims) if (c.theorem, c.side) == ("T4.1", side))
+    loose = claims[index].bound
+    claims[index] = dataclasses.replace(claims[index], bound=lambda r, s, m: loose(r, s, m) + shift)
+    monkeypatch.setattr(verifier, "_CLAIMS", tuple(claims))
+    return loose
+
+
+def test_extremal_scan_deterministic_across_jobs(monkeypatch):
+    # Chunks of 4 of the 27 multisets, seven on two jobs, merged into the
+    # one-chunk scan. With every k' made 0, every graph ties, and the
+    # extremes of both scans are the smallest 4-edge mask, wherever its
+    # orbit's rank falls.
+    counts = _count_chunks(monkeypatch)
+    monkeypatch.setattr(verifier, "_ORBIT_MIN_CHUNK", 4)
     one = extremal_scan(3, 3, 4, "sum_edge", jobs=1)
     two = extremal_scan(3, 3, 4, "sum_edge", jobs=2)
     assert one == two
+    monkeypatch.setattr(verifier, "edge_connectivity_value", lambda r, s, rows: 0)
+    flat = [extremal_scan(3, 3, 4, "sum_edge", jobs=jobs) for jobs in (1, 2)]
+    assert counts == [1, 7, 1, 7]
+    assert flat[0] == flat[1] and flat[0].graphs_checked == one.graphs_checked == comb(9, 4)
+    assert (flat[0].max_value, flat[0].argmax.mask, flat[0].min_value, flat[0].argmin.mask) == (0, 15, 0, 15)
 
 
-def test_shape_sweep_deterministic_across_jobs():
-    one = shape_sweep(2, 4, jobs=1, use_cache=False)
-    two = shape_sweep(2, 4, jobs=2, use_cache=False)
-    assert one.graphs_checked == two.graphs_checked == 256
+def test_shape_sweep_deterministic_across_jobs(monkeypatch):
+    # (3, 5) has 2^14 pair masks, eight chunks on two jobs, each in a forked
+    # worker that carries the faults: the joint pass's k' one high on graphs
+    # whose last row is 1 mod 3, so those are mismatches, and T4.1's lower
+    # bound one higher, so many pairs break it. The merged sweep must be the
+    # one-chunk sweep, its violations and mismatches in walk order.
+    real = verifier._joint_values
+    monkeypatch.setattr(verifier, "_joint_values", lambda r, s, rows: tuple(
+        v + (i == 1 and rows[-1] % 3 == 1) for i, v in enumerate(real(r, s, rows))))
+    _tighten_t41(monkeypatch, "lower", 1)
+    counts = _count_chunks(monkeypatch)
+    one = shape_sweep(3, 5, jobs=1, use_cache=False)
+    two = shape_sweep(3, 5, jobs=2, use_cache=False)
+    assert counts == [1, 8]
+    assert one.graphs_checked == two.graphs_checked == 1 << 15
     for metric, cells in one.cells.items():
         assert cells == two.cells[metric], metric
+    assert len(one.violations) > 1000 and len(one.mismatches) > 1000
     assert one.violations == two.violations
     assert one.mismatches == two.mismatches
 
@@ -147,21 +212,12 @@ def test_a_pool_gets_no_more_processes_than_cpus(monkeypatch):
     # run on, here two. The stand-in pool maps inline, so no process starts.
     requested = []
 
-    class InlinePool:
-        def __init__(self, processes):
-            requested.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, worker, arg_sets):
-            return [worker(args) for args in arg_sets]
+    def pool(processes):
+        requested.append(processes)
+        return InlinePool(processes)
 
     monkeypatch.setattr(verifier.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(verifier, "Pool", InlinePool)
+    monkeypatch.setattr(verifier, "Pool", pool)
     one = shape_sweep(3, 5, jobs=1, use_cache=False)
     assert requested == []
     many = shape_sweep(3, 5, jobs=64, use_cache=False)
@@ -253,11 +309,7 @@ def test_tightened_claim_reports_every_violating_graph(monkeypatch, side, shift)
     # Tighten T4.1's bound by one; every (2, 3) pair whose edge-connectivity
     # sum lies on the far side must come out as a violation, reported on the
     # graph with fewer edges (the smaller mask on ties) at that edge count.
-    claims = list(verifier._CLAIMS)
-    index = next(i for i, c in enumerate(claims) if (c.theorem, c.side) == ("T4.1", side))
-    loose = claims[index].bound
-    claims[index] = dataclasses.replace(claims[index], bound=lambda r, s, m: loose(r, s, m) + shift)
-    monkeypatch.setattr(verifier, "_CLAIMS", tuple(claims))
+    loose = _tighten_t41(monkeypatch, side, shift)
     sweep = shape_sweep(2, 3, jobs=1, use_cache=False, include_vertex=False)
     expected = []
     for g in enumerate_graphs(2, 3):
@@ -283,11 +335,7 @@ def test_tightened_claim_on_the_orbit_path_reports_every_labeled_graph_in_order(
     # tie), the report is the labeled scan's, in pair-mask order, which is
     # also that of an enumeration through metric_value. With two jobs the
     # multisets are cut into chunks of 16, and the merge must keep the order.
-    claims = list(verifier._CLAIMS)
-    index = next(i for i, c in enumerate(claims) if (c.theorem, c.side) == ("T4.1", side))
-    loose = claims[index].bound
-    claims[index] = dataclasses.replace(claims[index], bound=lambda r, s, m: loose(r, s, m) + shift)
-    monkeypatch.setattr(verifier, "_CLAIMS", tuple(claims))
+    loose = _tighten_t41(monkeypatch, side, shift)
     if jobs == 2:
         monkeypatch.setattr(verifier, "_ORBIT_MIN_CHUNK", 16)
     sweep = shape_sweep(2, 7, jobs=jobs, use_cache=False, include_vertex=False)
@@ -295,11 +343,8 @@ def test_tightened_claim_on_the_orbit_path_reports_every_labeled_graph_in_order(
     if jobs == 2:
         assert sweep.violations == shape_sweep(2, 7, jobs=1, use_cache=False, include_vertex=False).violations
     metrics = ("sum_edge", "prod_edge", "sum_delta", "prod_delta")
-    _, evaluated, _, raw, _ = verifier._scan(2, 7, None, False, metrics, verifier._checks(2, 7, metrics), 1)
-    assert evaluated is None
-    labeled = [Violation(theorem, side_, metric, 2, 7, vm, tuple(BipartiteGraph.from_mask(2, 7, subject).edges()),
-                         observed, bound)
-               for theorem, side_, metric, vm, subject, observed, bound in raw]
+    labeled = verifier._scan(2, 7, None, False, metrics, verifier._checks(2, 7, metrics), 1)
+    assert labeled.orbits_checked is None
     expected = []
     for mask in range(1 << 13):  # the pair masks: each graph or its complement, top bit clear
         g = BipartiteGraph.from_mask(2, 7, mask)
@@ -315,7 +360,7 @@ def test_tightened_claim_on_the_orbit_path_reports_every_labeled_graph_in_order(
     # pair are walked and only one of them files it; the upper side cannot,
     # since no (2, 7) pair with 7 edges on each side has a connected side.
     assert any(v.m == 7 for v in expected) == (side == "lower")
-    assert labeled == expected
+    assert labeled.violations == expected
     per_check = Counter((v.theorem, v.side, v.metric) for v in sweep.violations)
     assert list(per_check) == [("T4.1", side, "sum_edge")]
     assert per_check["T4.1", side, "sum_edge"] <= sweep.orbits_checked
@@ -334,7 +379,10 @@ def test_tightened_claim_on_the_orbit_path_reports_every_labeled_graph_in_order(
 
 
 def _per_pair_scan(r, s, m, orbit_walk, metrics, checks):
-    """The reference for ``verifier._scan`` on one job: each pair folded into the cells and checked on its own."""
+    """The reference for ``verifier._scan`` on one job: each pair folded into the cells and checked on its own.
+
+    Returns (graphs covered, cells as lists, violations, mismatches).
+    """
     bits = r * s
     full = (1 << bits) - 1
     kinds = tuple(kind for kind in verifier._KINDS if any(metric.endswith(kind) for metric in metrics))
@@ -344,7 +392,7 @@ def _per_pair_scan(r, s, m, orbit_walk, metrics, checks):
     else:
         items = ((mask, 1, full ^ mask) for mask in range(1 << (bits - 1)))
     cells = {metric: [None] * (bits + 1) for metric in metrics}
-    raw, mismatches = [], []
+    violations, mismatches = [], []
     graphs = 0
 
     def fold(per_m, em, value, mask, weight):
@@ -384,8 +432,9 @@ def _per_pair_scan(r, s, m, orbit_walk, metrics, checks):
         for theorem, side, metric, _, bound_by_m, upper in checks:
             value, bound = pair[metric], bound_by_m[vm]
             if value > bound if upper else value < bound:
-                raw.append((theorem, side, metric, vm, subject, value, bound))
-    return graphs, cells, raw, mismatches
+                edges = tuple(BipartiteGraph.from_mask(r, s, subject).edges())
+                violations.append(Violation(theorem, side, metric, r, s, vm, edges, value, bound))
+    return graphs, cells, violations, mismatches
 
 
 def test_the_chunk_fold_equals_a_per_pair_fold(monkeypatch):
@@ -394,7 +443,7 @@ def test_the_chunk_fold_equals_a_per_pair_fold(monkeypatch):
     # edge count. The labeled walk's oracle has the same fault and is one
     # higher still on graphs whose last row is 1 mod 3: those are
     # mismatches, and the oracle's value fills the cells. The chunk gathers
-    # pairs by value; its cells (least masks among ties, counts), raw
+    # pairs by value; its cells (least masks among ties, counts),
     # violations (one per pair, in walk order, with the pair's subject) and
     # mismatches must be a per-pair fold's.
     edge, oracle = verifier.edge_connectivity_value, verifier.edge_oracle_value
@@ -404,12 +453,13 @@ def test_the_chunk_fold_equals_a_per_pair_fold(monkeypatch):
     metrics = ("sum_edge", "prod_edge", "sum_delta")
     for r, s, m, orbit_walk in ((3, 3, None, False), (3, 4, None, True), (3, 4, 6, True)):
         checks = verifier._checks(r, s, metrics)
-        graphs, _, cells, raw, mismatches = verifier._scan(r, s, m, orbit_walk, metrics, checks, 1)
+        sweep = verifier._scan(r, s, m, orbit_walk, metrics, checks, 1)
+        cells = {metric: _cell_lists(per_m) for metric, per_m in sweep.cells.items()}
         expected = _per_pair_scan(r, s, m, orbit_walk, metrics, checks)
-        assert (graphs, cells, raw, mismatches) == expected, (r, s, m)
-        distinct = {(theorem, side, metric, vm, value) for theorem, side, metric, vm, _, value, _ in raw}
-        assert len(raw) > len(distinct) > 0, (r, s, m)
-        assert bool(mismatches) != orbit_walk, (r, s, m)
+        assert (sweep.graphs_checked, cells, sweep.violations, sweep.mismatches) == expected, (r, s, m)
+        distinct = {(v.theorem, v.side, v.metric, v.m, v.observed) for v in sweep.violations}
+        assert len(sweep.violations) > len(distinct) > 0, (r, s, m)
+        assert bool(sweep.mismatches) != orbit_walk, (r, s, m)
 
 
 def _cycle_types(n):
@@ -667,11 +717,11 @@ def test_orbit_cells_equal_the_audited_labeled_cells_up_to_eight_vertices():
     for r, s in shapes_within(8):
         labeled = shape_sweep(r, s, jobs=2)
         assert labeled.orbits_checked is None
-        graphs, evaluated, cells, raw, mismatches = verifier._scan(r, s, None, True, verifier._ALL_METRICS, (), 1)
-        assert graphs == labeled.graphs_checked == 1 << (r * s)
-        assert evaluated == _burnside_orbits(r, s) and raw == mismatches == []
+        orbit = verifier._scan(r, s, None, True, verifier._ALL_METRICS, (), 1)
+        assert orbit.graphs_checked == labeled.graphs_checked == 1 << (r * s)
+        assert orbit.orbits_checked == _burnside_orbits(r, s) and orbit.violations == orbit.mismatches == []
         for metric in verifier._ALL_METRICS:
-            assert cells[metric] == _cell_lists(labeled.cells[metric]), (r, s, metric)
+            assert orbit.cells[metric] == labeled.cells[metric], (r, s, metric)
 
 
 def test_orbit_sweeps_and_scans_equal_the_labeled_scans_at_nine_vertices():
@@ -682,10 +732,10 @@ def test_orbit_sweeps_and_scans_equal_the_labeled_scans_at_nine_vertices():
               (1, 9, verifier._ALL_METRICS), (2, 8, verifier._ALL_METRICS)]
     for r, s, metrics in shapes:
         sweep = shape_sweep(r, s, jobs=2, use_cache=False, include_vertex="sum_vertex" in metrics)
-        graphs, evaluated, cells, _, _ = verifier._scan(r, s, None, False, metrics, (), 2)
-        assert (sweep.graphs_checked, sweep.orbits_checked) == (graphs, _burnside_orbits(r, s))
+        labeled = verifier._scan(r, s, None, False, metrics, (), 2)
+        assert (sweep.graphs_checked, sweep.orbits_checked) == (labeled.graphs_checked, _burnside_orbits(r, s))
         for metric in metrics:
-            assert _cell_lists(sweep.cells[metric]) == cells[metric], (r, s, metric)
+            assert sweep.cells[metric] == labeled.cells[metric], (r, s, metric)
     for m, scan_metrics in ((5, METRIC_IDS), (10, ("sum_edge", "prod_edge"))):
         cells = _labeled_cells(4, 5, m, scan_metrics)
         for metric in scan_metrics:
@@ -753,13 +803,8 @@ def test_oversized_request_is_rejected_before_any_sweep(monkeypatch):
 def test_enumerated_claims_hand_over_index_ranges(monkeypatch, theorem, kwargs, count):
     # Bi-Cayley subsets and 500-trial blocks are numbered, never listed: the
     # chunks are a few ranges covering [0, count), built in constant memory.
-    handed = []
-
-    def record(worker, arg_sets, jobs):
-        handed.extend(arg_sets)
-        return []
-
-    monkeypatch.setattr(verifier, "_run_chunked", record)
+    # L2.1 is cut as L2.4 is, in ranges of 2^14 subsets at least.
+    handed = _record_chunks(monkeypatch)
     tracemalloc.start()
     try:
         report = check_theorem(theorem, jobs=2, **kwargs)
@@ -768,21 +813,26 @@ def test_enumerated_claims_hand_over_index_ranges(monkeypatch, theorem, kwargs, 
         tracemalloc.stop()
     assert peak < 1 << 20
     assert (report.graphs_checked, report.violations) == (0, [])
-    assert 1 <= len(handed) <= 8 * 2 + 1
-    assert theorem != "L2.1" or len(handed) == 1  # one inline chunk, no pool
-    ranges = [args[:2] for args in handed]
+    [ranges] = handed[2]
+    assert 1 <= len(ranges) <= 8 * 2 + 1
+    minimum = 20 if theorem == "L2.5" else 1 << 14
+    assert all(hi - lo >= minimum for lo, hi in ranges[:-1])
     assert ranges[0][0] == 0 and ranges[-1][1] == count
     assert all(lo < hi == next_lo for (lo, hi), (next_lo, _) in zip(ranges, ranges[1:]))
 
 
-def _record_chunks(monkeypatch, span):
-    """jobs -> the index ranges, args[span], of each ``_run_chunked`` call, which then runs nothing."""
+def _record_chunks(monkeypatch):
+    """jobs -> the index ranges that each ``_run_chunked`` call cuts, in this process; then it returns no results."""
     handed = {}
+    real = verifier._run_chunked
 
-    def record(worker, arg_sets, jobs):
-        handed.setdefault(jobs, []).append([args[span] for args in arg_sets])
+    def record(worker, count, min_chunk, jobs, *extra):
+        ranges = []
+        real(lambda args: ranges.append(args[:2]), count, min_chunk, jobs, *extra)
+        handed.setdefault(jobs, []).append(ranges)
         return []
 
+    monkeypatch.setattr(verifier, "Pool", InlinePool)
     monkeypatch.setattr(verifier, "_run_chunked", record)
     return handed
 
@@ -790,23 +840,24 @@ def _record_chunks(monkeypatch, span):
 def test_vertex_addition_chunks_hold_twenty_blocks_at_least(monkeypatch):
     # Each chunk starts its tables afresh, and a pool pays off on two jobs
     # only past 10,000 trials and max_r = 13: both run as one chunk, and four
-    # times as many trials, or max_r = 14, still split.
-    handed = _record_chunks(monkeypatch, slice(0, 2))
+    # times as many trials, or max_r = 14, still split. L2.1 is cut as L2.4 is.
+    handed = _record_chunks(monkeypatch)
     for jobs in (1, 2):
         for trials in (10_000, 40_000):
             check_theorem("L2.5", trials=trials, jobs=jobs)
-        for max_r in (13, 14):
-            check_theorem("L2.4", max_r=max_r, jobs=jobs)
+        for theorem in ("L2.4", "L2.1"):
+            for max_r in (13, 14):
+                check_theorem(theorem, max_r=max_r, jobs=jobs)
     assert handed == {
-        1: [[(0, 20)], [(0, 80)], [(0, 16382)], [(0, 32766)]],
-        2: [[(0, 20)], [(0, 20), (20, 40), (40, 60), (60, 80)], [(0, 16382)], [(0, 16384), (16384, 32766)]],
+        1: [[(0, 20)], [(0, 80)]] + [[(0, 16382)], [(0, 32766)]] * 2,
+        2: [[(0, 20)], [(0, 20), (20, 40), (40, 60), (60, 80)]] + [[(0, 16382)], [(0, 16384), (16384, 32766)]] * 2,
     }
 
 
 def test_labeled_sweeps_pool_from_two_chunks_of_2048_pair_masks(monkeypatch):
     # A pool pays off on two jobs only past 2,048 pair masks: (3, 4) and
     # (2, 6), 2^11 pairs each, run as one chunk, and (3, 5) in eight.
-    handed = _record_chunks(monkeypatch, slice(4, 6))
+    handed = _record_chunks(monkeypatch)
     for jobs in (1, 2):
         for r, s in ((3, 4), (2, 6), (3, 5)):
             shape_sweep(r, s, jobs=jobs, use_cache=False)
@@ -1227,10 +1278,10 @@ def test_the_class_walk_calls_no_oracle(monkeypatch):
         cell = sweeps[3, 4].cells[metric][6]
         assert (result.max_value, result.argmax.mask, result.min_value, result.argmin.mask, result.graphs_checked) == (
             cell.max_value, cell.max_mask, cell.min_value, cell.min_mask, cell.count), metric
-    _, _, cells, _, mismatches = verifier._scan(3, 3, None, True, verifier._ALL_METRICS, (), 1)
-    assert mismatches == []
+    orbit = verifier._scan(3, 3, None, True, verifier._ALL_METRICS, (), 1)
+    assert orbit.mismatches == []
     for metric in verifier._ALL_METRICS:
-        assert cells[metric] == _cell_lists(sweeps[3, 3].cells[metric]), metric
+        assert orbit.cells[metric] == sweeps[3, 3].cells[metric], metric
 
 
 def test_the_labeled_walk_audits_flows_above_eight_vertices(monkeypatch):
@@ -1238,12 +1289,12 @@ def test_the_labeled_walk_audits_flows_above_eight_vertices(monkeypatch):
     # labeled walk of (2, 7): each such graph is a mismatch, in walk order,
     # and the oracle's value fills the cells.
     metrics = ("sum_edge", "prod_edge", "sum_delta", "prod_delta")
-    _, _, audited, _, clean = verifier._scan(2, 7, None, False, metrics, (), 1)
-    assert clean == []
+    clean = verifier._scan(2, 7, None, False, metrics, (), 1)
+    assert clean.mismatches == []
     real = verifier.edge_connectivity_value
     monkeypatch.setattr(verifier, "edge_connectivity_value",
                         lambda r, s, rows: real(r, s, rows) + (rows[-1] % 3 == 1))
-    _, _, cells, _, mismatches = verifier._scan(2, 7, None, False, metrics, (), 1)
+    faulty = verifier._scan(2, 7, None, False, metrics, (), 1)
     expected = []
     full = (1 << 14) - 1
     for mask in range(1 << 13):
@@ -1252,8 +1303,8 @@ def test_the_labeled_walk_audits_flows_above_eight_vertices(monkeypatch):
             if rows[-1] % 3 == 1:
                 value = edge_oracle_value(2, 7, rows)
                 expected.append((subject, "edge", value + 1, value))
-    assert expected and mismatches == expected
-    assert cells == audited
+    assert expected and faulty.mismatches == expected
+    assert faulty.cells == clean.cells
 
 
 def test_joint_mismatches_list_each_side_before_each_kind(monkeypatch):
